@@ -33,6 +33,7 @@ from palettebox.coloring import (
     disjoint_product_coloring,
     extend_by_matching,
     palette_summary,
+    product_coloring,
 )
 from palettebox.solver import SearchBudget, chromatic_index
 from palettebox.oracle import Certificate, certify, lower_bound, palette_index_exact
@@ -91,6 +92,7 @@ __all__ = [
     "path_times_class1_regular_coloring",
     "path_times_regular_coloring",
     "petersen_graph",
+    "product_coloring",
     "remove_edges",
     "theta_classes",
     "theta_removal_coloring",

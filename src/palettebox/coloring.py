@@ -8,9 +8,9 @@ graph's canonical edge order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from palettebox.graphs import Edge, Graph, Matching, ProductIndex, canonical_edge, cartesian_product
+from palettebox.graphs import Edge, Graph, Matching, canonical_edge, cartesian_product, map_product_edges
 
 
 @dataclass(frozen=True)
@@ -59,21 +59,44 @@ class EdgeColoring:
 Violation = tuple[int, Edge, Edge]
 
 
+def _palette_masks(coloring: EdgeColoring) -> list[int]:
+    """Per vertex, the bitmask with bit c set for each color c at the vertex."""
+    masks = [0] * coloring.graph.n
+    for (u, v), c in zip(coloring.graph.edges, coloring.colors):
+        bit = 1 << c
+        masks[u] |= bit
+        masks[v] |= bit
+    return masks
+
+
+def _first_clash(coloring: EdgeColoring, masks: list[int]) -> Optional[Violation]:
+    """The first clash in vertex order, or None if the coloring is proper.
+
+    A vertex has a clash exactly when its mask has fewer bits than its
+    degree.  No mask has more, so the bit counts summing to 2|E| proves
+    the coloring proper without looking at degrees.
+    """
+    g = coloring.graph
+    if sum(m.bit_count() for m in masks) == 2 * len(g.edges):
+        return None
+    v = next(v for v, d in enumerate(g.degrees) if masks[v].bit_count() != d)
+    seen: dict[int, Edge] = {}
+    for e in g.incident_edges(v):
+        c = coloring.colors[g.edge_index[e]]
+        if c in seen:
+            return v, seen[c], e
+        seen[c] = e
+    raise AssertionError(f"vertex {v} has a repeated color but no clash was found")
+
+
 def check_proper(coloring: EdgeColoring) -> tuple[bool, Optional[Violation]]:
     """Check that incident edges never share a color.
 
     Returns (True, None) or (False, witness) where the witness is the first
     (vertex, edge, edge) clash in vertex order, edges in canonical order.
     """
-    g = coloring.graph
-    for v in range(g.n):
-        seen: dict[int, Edge] = {}
-        for e in g.incident_edges(v):
-            c = coloring.colors[g.edge_index[e]]
-            if c in seen:
-                return False, (v, seen[c], e)
-            seen[c] = e
-    return True, None
+    witness = _first_clash(coloring, _palette_masks(coloring))
+    return witness is None, witness
 
 
 @dataclass(frozen=True)
@@ -101,15 +124,25 @@ class PaletteSummary:
 
 def palette_summary(coloring: EdgeColoring) -> PaletteSummary:
     """Palette summary of a proper coloring; improper input is rejected."""
-    ok, witness = check_proper(coloring)
-    if not ok:
+    masks = _palette_masks(coloring)
+    witness = _first_clash(coloring, masks)
+    if witness is not None:
         v, e1, e2 = witness
         raise ValueError(f"improper coloring: edges {e1} and {e2} share a color at vertex {v}")
-    g = coloring.graph
-    raw = [tuple(sorted(coloring.palette(v))) for v in range(g.n)]
-    distinct = tuple(sorted(set(raw)))
+    palettes = {m: _mask_colors(m) for m in set(masks)}
+    distinct = tuple(sorted(palettes.values()))
     index = {p: i for i, p in enumerate(distinct)}
-    return PaletteSummary(distinct, tuple(index[p] for p in raw))
+    return PaletteSummary(distinct, tuple(index[palettes[m]] for m in masks))
+
+
+def _mask_colors(mask: int) -> tuple[int, ...]:
+    """The colors whose bits are set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def extend_by_matching(coloring: EdgeColoring, matching: Matching,
@@ -138,21 +171,23 @@ def extend_by_matching(coloring: EdgeColoring, matching: Matching,
     return EdgeColoring.from_map(host, mapping)
 
 
+def product_coloring(g: Graph, h: Graph, g_color: Callable[[int, int], int],
+                     h_color: Callable[[int, int], int]) -> EdgeColoring:
+    """Color G box H fiber by fiber.
+
+    The copy of G-edge i in the G-fiber at H-vertex b gets g_color(i, b);
+    the copy of H-edge j in the H-fiber at G-vertex a gets h_color(a, j).
+    Edge positions refer to the factors' canonical edge tuples.
+    """
+    return EdgeColoring(cartesian_product(g, h), map_product_edges(g, h, g_color, h_color))
+
+
 def disjoint_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring) -> EdgeColoring:
     """Color G box H by keeping g on G-fibers and shifting h past g's colors.
 
     The palette of (a, x) is P_g(a) united with the shifted P_h(x), so the
     product has at most (palettes of g) * (palettes of h) distinct palettes.
     """
-    g, h = g_col.graph, h_col.graph
-    product = cartesian_product(g, h)
-    idx = ProductIndex(g.n, h.n)
     offset = g_col.max_color
-    mapping: dict[Edge, int] = {}
-    for (u, v), c in zip(g.edges, g_col.colors):
-        for b in range(h.n):
-            mapping[canonical_edge(idx.flat(u, b), idx.flat(v, b))] = c
-    for (x, y), c in zip(h.edges, h_col.colors):
-        for a in range(g.n):
-            mapping[canonical_edge(idx.flat(a, x), idx.flat(a, y))] = c + offset
-    return EdgeColoring.from_map(product, mapping)
+    return product_coloring(g_col.graph, h_col.graph, lambda i, b: g_col.colors[i],
+                            lambda a, j: h_col.colors[j] + offset)

@@ -2,8 +2,11 @@
 
 Each construction colors the fibers of one factor layer by layer and
 threads the other factor's edges ("rungs") through leftover colors, so
-the palette of every vertex is known pointwise.  Properness and palette
-counts are rechecked by the verification suites rather than trusted.
+the palette of every vertex is known pointwise.  Every construction is
+one call to :func:`palettebox.coloring.product_coloring`, which takes a
+color rule for each factor's fiber edges and fills the product's colors
+in its canonical edge order.  Properness and palette counts are
+rechecked by the verification suites rather than trusted.
 """
 
 from __future__ import annotations
@@ -11,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from palettebox.coloring import EdgeColoring, check_proper
+from palettebox.coloring import EdgeColoring, check_proper, product_coloring
 from palettebox.graphs import (
     Edge,
     Graph,
     Matching,
-    ProductIndex,
     canonical_edge,
     cartesian_product,
     connected_components,
@@ -98,22 +100,16 @@ def class1_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring,
         if not (1 <= c <= dg):
             raise ValueError(f"c must be one of g's colors 1..{dg}, got {c}")
 
-    idx = ProductIndex(g.n, h.n)
-    mapping: dict[Edge, int] = {}
-    for (x, y), col in zip(h.edges, h_col.colors):
-        for a in range(g.n):
-            mapping[canonical_edge(idx.flat(a, x), idx.flat(a, y))] = col
+    g_colors, h_colors = g_col.colors, h_col.colors
     if not class_two:
-        for (u, v), col in zip(g.edges, g_col.colors):
-            for b in range(h.n):
-                mapping[canonical_edge(idx.flat(u, b), idx.flat(v, b))] = col + dh
+        def g_rule(i, b):
+            return g_colors[i] + dh
     else:
         spare = [_missing_color(h_col.palette(z), dh + 1) for z in range(h.n)]
-        for (u, v), col in zip(g.edges, g_col.colors):
-            for b in range(h.n):
-                shifted = spare[b] if col == c else col + dh + 1
-                mapping[canonical_edge(idx.flat(u, b), idx.flat(v, b))] = shifted
-    return EdgeColoring.from_map(cartesian_product(g, h), mapping)
+
+        def g_rule(i, b):
+            return spare[b] if g_colors[i] == c else g_colors[i] + dh + 1
+    return product_coloring(g, h, g_rule, lambda a, j: h_colors[j])
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +241,16 @@ def nrg_product_coloring(spec: NrgSpec, host: Graph,
         raise ValueError(f"h is not proper: clash at vertex {witness[0]}")
 
     nrg = spec.graph
-    idx = ProductIndex(nrg.n, host.n)
     base_map = spec.base.as_map()
-    mapping: dict[Edge, int] = {}
-    for (x, y), col in zip(host.edges, h_col.colors):
-        for a in range(nrg.n):
-            mapping[canonical_edge(idx.flat(a, x), idx.flat(a, y))] = col
+    base = [base_map[e] for e in nrg.edges]
     spare = None
     if class_two:
         spare = [_missing_color(h_col.palette(z), rp + 1) for z in range(host.n)]
-    for (u, v) in nrg.edges:
-        j = base_map[(u, v)]
-        for b in range(host.n):
-            col = spare[b] if class_two and j == 1 else j + rp
-            mapping[canonical_edge(idx.flat(u, b), idx.flat(v, b))] = col
-    return EdgeColoring.from_map(cartesian_product(nrg, host), mapping)
+
+    def g_rule(i, b):
+        return spare[b] if class_two and base[i] == 1 else base[i] + rp
+    h_colors = h_col.colors
+    return product_coloring(nrg, host, g_rule, lambda a, j: h_colors[j])
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +292,17 @@ def _layered_rung_coloring(s: int, g: Graph, r: int, g_col: EdgeColoring,
     r+2 for odd i; the wraparound rung (cycle only) takes r+3.
     """
     layers = cycle_graph(s) if wrap else path_graph(s)
-    product = cartesian_product(layers, g)
-    idx = ProductIndex(s, g.n)
     missing = [_missing_color(g_col.palette(v), r + 1) for v in range(g.n)]
-    mapping: dict[Edge, int] = {}
-    for (u, v) in g.edges:
-        for i in range(s - 1):
-            mapping[canonical_edge(idx.flat(i, u), idx.flat(i, v))] = g_col.color_of(u, v)
-        mapping[canonical_edge(idx.flat(s - 1, u), idx.flat(s - 1, v))] = h_col.color_of(u, v)
-    for v in range(g.n):
-        for i in range(s - 1):
-            col = missing[v] if i % 2 == 0 else r + 2
-            mapping[canonical_edge(idx.flat(i, v), idx.flat(i + 1, v))] = col
-        if wrap:
-            mapping[canonical_edge(idx.flat(s - 1, v), idx.flat(0, v))] = r + 3
-    return EdgeColoring.from_map(product, mapping)
+
+    def rung(i, v):
+        lo, hi = layers.edges[i]
+        if hi - lo > 1:  # the wraparound rung (s-1, 0)
+            return r + 3
+        return missing[v] if lo % 2 == 0 else r + 2
+
+    def layer(i, j):
+        return (h_col if i == s - 1 else g_col).colors[j]
+    return product_coloring(layers, g, rung, layer)
 
 
 def cycle_times_regular_coloring(s: int, g: Graph, g_col: Optional[EdgeColoring] = None,
@@ -374,29 +361,17 @@ def path_times_class1_regular_coloring(s: int, g: Graph, c: Optional[int] = None
     _require_exact_colors(g_col, set(range(1, r + 1)), "g")
     if g_col.graph.edges != g.edges or g_col.graph.n != g.n:
         raise ValueError("g must color G")
-    shifted = {e: col + 2 for e, col in g_col.as_map().items()}
     if c is None:
         c = r + 2
     if not (3 <= c <= r + 2):
         raise ValueError(f"c must be one of the shifted colors 3..{r + 2}, got {c}")
 
-    product = cartesian_product(path_graph(s), g)
-    idx = ProductIndex(s, g.n)
-    mapping: dict[Edge, int] = {}
-    for e, col in shifted.items():
-        u, v = e
-        for i in range(s):
-            if i == 0:
-                layer_col = 2 if col == c else col
-            elif i == s - 1:
-                layer_col = 1 if col == c else col
-            else:
-                layer_col = col
-            mapping[canonical_edge(idx.flat(i, u), idx.flat(i, v))] = layer_col
-    for v in range(g.n):
-        for i in range(s - 1):
-            mapping[canonical_edge(idx.flat(i, v), idx.flat(i + 1, v))] = 1 if i % 2 == 0 else 2
-    return EdgeColoring.from_map(product, mapping)
+    def layer(i, j):
+        col = g_col.colors[j] + 2
+        if col == c and i in (0, s - 1):
+            return 2 if i == 0 else 1
+        return col
+    return product_coloring(path_graph(s), g, lambda i, v: 1 if i % 2 == 0 else 2, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -437,41 +412,11 @@ def _component_cycle_order(rest: Graph, comp: list[int]) -> list[int]:
     return order
 
 
-def _even_cycle_two_coloring(order: list[int]) -> dict[Edge, int]:
-    k = len(order)
-    out = {}
-    for j in range(k):
-        e = canonical_edge(order[j], order[(j + 1) % k])
-        out[e] = 1 + (j % 2)
-    return out
-
-
-def _torus_component_map(s: int, order: list[int], col: EdgeColoring,
-                         idx: ProductIndex) -> dict[Edge, int]:
-    """Pull a torus coloring back onto the layers of one odd component.
-
-    The component's product with the layer cycle is isomorphic to
-    C_max box C_min; vertices map as (layer, position) or transposed.
-    """
-    k = len(order)
-    big, small = max(s, k), min(s, k)
-    tidx = ProductIndex(big, small)
-
-    def torus_flat(layer: int, pos: int) -> int:
-        return tidx.flat(layer, pos) if s >= k else tidx.flat(pos, layer)
-
-    out: dict[Edge, int] = {}
-    for j in range(k):
-        u, v = order[j], order[(j + 1) % k]
-        for i in range(s):
-            key = canonical_edge(torus_flat(i, j), torus_flat(i, (j + 1) % k))
-            out[canonical_edge(idx.flat(i, u), idx.flat(i, v))] = col.color_of(*key)
-    for j in range(k):
-        v = order[j]
-        for i in range(s):
-            key = canonical_edge(torus_flat(i, j), torus_flat((i + 1) % s, j))
-            out[canonical_edge(idx.flat(i, v), idx.flat((i + 1) % s, v))] = col.color_of(*key)
-    return out
+def _cycle_coloring(k: int, closing: int) -> EdgeColoring:
+    """C_k with edge (j, j+1) colored 1 + j % 2 and the closing edge (0, k-1) ``closing``."""
+    mapping = {(j, j + 1): 1 + j % 2 for j in range(k - 1)}
+    mapping[(0, k - 1)] = closing
+    return EdgeColoring.from_map(cycle_graph(k), mapping)
 
 
 def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = None,
@@ -483,8 +428,10 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
     In cycle mode even blocks get the flat {1,2,3,4} coloring and odd
     blocks the three-palette torus coloring; in path mode every block is
     searched into the shared PATH_MODE_FAMILY.  The matching fibers, a
-    perfect matching of the product, then take one fresh color.  Cycle
-    mode ends with at most 3 distinct palettes, path mode with at most 4.
+    perfect matching of the product, then take one fresh color: 7 in
+    cycle mode, the least color the blocks leave unused in path mode.
+    Cycle mode ends with at most 3 distinct palettes, path mode with at
+    most 4.
     """
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be odd and at least 3")
@@ -504,70 +451,61 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
 
     rest = remove_edges(g, matching.edges)
     layers = cycle_graph(s) if mode == "cycle" else path_graph(s)
-    idx = ProductIndex(s, g.n)
-    mapping: dict[Edge, int] = {}
-    h_col = None
-    if mode == "cycle":
-        s_col = {canonical_edge(j, j + 1): 1 + (j % 2) for j in range(s - 1)}
-        s_col[canonical_edge(s - 1, 0)] = 3
-        h_col = EdgeColoring.from_map(cycle_graph(s), s_col)
+    layer_col = _cycle_coloring(s, 3) if mode == "cycle" else None
 
+    # Each component of ``rest``, a k-cycle in cycle order, times the layers
+    # is colored as one block.  Vertex (layer a, position j) of a block is
+    # a*k + j when the block is layer-major and j*s + a when it is not;
+    # place[v] holds v's block and the stride and offset of a*stride + offset.
+    blocks: list[EdgeColoring] = []
+    place: dict[int, tuple[EdgeColoring, int, int]] = {}
     for comp in connected_components(rest):
         if len(comp) == 1:
             raise ValueError("removing the matching left an isolated vertex; G is not cubic")
         order = _component_cycle_order(rest, comp)
         k = len(order)
         if mode == "path":
-            block = _family_block_coloring(s, order, idx, budget)
+            block, layer_major = _family_block_coloring(s, k, budget), True
         elif k % 2 == 0:
-            block = _flat_block_coloring(s, order, h_col, idx)
+            # The class-2 branch of the class-1 product coloring, c = 2: the
+            # component's class 2 drops into the layer cycle's missing color,
+            # class 1 shifts to 4, rungs keep layer_col.  Every palette is
+            # {1,2,3,4}.
+            block = class1_product_coloring(_cycle_coloring(k, 2), layer_col, 2)
+            layer_major = False
         else:
-            col = torus_three_palette_coloring(max(s, k), min(s, k))
-            block = _torus_component_map(s, order, col, idx)
-        mapping.update(block)
+            # three-palette torus coloring of C_max box C_min
+            block, layer_major = torus_three_palette_coloring(max(s, k), min(s, k)), s >= k
+        blocks.append(block)
+        for j, v in enumerate(order):
+            place[v] = (block, k, j) if layer_major else (block, 1, j * s)
+    if mode == "cycle":
+        fresh = 7
+    else:
+        used = set().union(*(b.used_colors() for b in blocks))
+        fresh = _missing_color(used, len(used) + 1)
+    matched = set(matching.edges)
 
-    rest_product_edges = set(mapping)
-    base_graph = Graph.from_edges(idx.g_size * idx.h_size, rest_product_edges,
-                                  f"product({layers.tag},{rest.tag})")
-    base = EdgeColoring.from_map(base_graph, mapping)
-    full = cartesian_product(layers, g)
-    fiber_edges = [canonical_edge(idx.flat(i, u), idx.flat(i, v))
-                   for (u, v) in matching.edges for i in range(s)]
-    fiber = Matching.from_edges(full, fiber_edges)
-    color = 7 if mode == "cycle" else None
-    return extend_coloring_by_matching(base, fiber, color)
+    def at(a, v):
+        _, stride, offset = place[v]
+        return a * stride + offset
 
+    def rung(i, v):
+        lo, hi = layers.edges[i]
+        return place[v][0].color_of(at(lo, v), at(hi, v))
 
-def _flat_block_coloring(s: int, order: list[int], h_col: EdgeColoring,
-                         idx: ProductIndex) -> dict[Edge, int]:
-    """Even component in cycle mode: every palette is {1,2,3,4}.
-
-    This is the class-2 branch of the class-1 product coloring with the
-    component 2-colored and c = 2: class 2 drops into the layer cycle's
-    missing color, class 1 shifts to 4, rungs keep the 3-coloring h_col.
-    """
-    k = len(order)
-    two = _even_cycle_two_coloring(order)
-    spare = [_missing_color(h_col.palette(i), 3) for i in range(s)]
-    out: dict[Edge, int] = {}
-    for e, col in two.items():
-        u, v = e
-        for i in range(s):
-            out[canonical_edge(idx.flat(i, u), idx.flat(i, v))] = spare[i] if col == 2 else 4
-    for j in range(k):
-        v = order[j]
-        for i in range(s - 1):
-            out[canonical_edge(idx.flat(i, v), idx.flat(i + 1, v))] = h_col.color_of(i, i + 1)
-        out[canonical_edge(idx.flat(s - 1, v), idx.flat(0, v))] = h_col.color_of(s - 1, 0)
-    return out
+    def fiber(a, j):
+        u, v = g.edges[j]
+        if (u, v) in matched:
+            return fresh
+        return place[u][0].color_of(at(a, u), at(a, v))
+    return product_coloring(layers, g, rung, fiber)
 
 
-def _family_block_coloring(s: int, order: list[int], idx: ProductIndex,
-                           budget=None) -> dict[Edge, int]:
-    """Path-mode component: search a coloring inside PATH_MODE_FAMILY."""
+def _family_block_coloring(s: int, k: int, budget=None) -> EdgeColoring:
+    """Path-mode block: a coloring of P_s box C_k inside PATH_MODE_FAMILY."""
     from palettebox.oracle import coloring_within_family
 
-    k = len(order)
     block = cartesian_product(path_graph(s), cycle_graph(k))
     status, col = coloring_within_family(block, PATH_MODE_FAMILY, budget)
     if status == BUDGET:
@@ -576,27 +514,8 @@ def _family_block_coloring(s: int, order: list[int], idx: ProductIndex,
     if col is None:
         raise RuntimeError(
             f"P_{s} box C_{k} admits no coloring with palettes in {_family_repr()}")
-    bidx = ProductIndex(s, k)
-    out: dict[Edge, int] = {}
-    for j in range(k):
-        u, v = order[j], order[(j + 1) % k]
-        for i in range(s):
-            key = canonical_edge(bidx.flat(i, j), bidx.flat(i, (j + 1) % k))
-            out[canonical_edge(idx.flat(i, u), idx.flat(i, v))] = col.color_of(*key)
-    for j in range(k):
-        v = order[j]
-        for i in range(s - 1):
-            key = canonical_edge(bidx.flat(i, j), bidx.flat(i + 1, j))
-            out[canonical_edge(idx.flat(i, v), idx.flat(i + 1, v))] = col.color_of(*key)
-    return out
+    return col
 
 
 def _family_repr() -> str:
     return "{" + ", ".join(sorted(str(sorted(p)) for p in PATH_MODE_FAMILY)) + "}"
-
-
-def extend_coloring_by_matching(base: EdgeColoring, fiber: Matching,
-                                color: Optional[int]) -> EdgeColoring:
-    from palettebox.coloring import extend_by_matching
-
-    return extend_by_matching(base, fiber, color)

@@ -127,6 +127,12 @@ def export_dot(coloring: EdgeColoring,
     if not ok:
         v, e1, e2 = witness
         raise ValueError(f"improper coloring: edges {e1} and {e2} share a color at vertex {v}")
+    return _render_dot(coloring, style_map, name)
+
+
+def _render_dot(coloring: EdgeColoring, style_map: Optional[dict[int, tuple[str, str]]],
+                name: str) -> str:
+    """DOT text with one styled line per edge; properness is not checked here."""
     if style_map is None:
         style_map = default_style_map(coloring.colors)
     lines = [f'graph "{name}" {{']
@@ -141,7 +147,7 @@ def class_coloring(dec: TorusDecomposition) -> EdgeColoring:
     """Label every torus edge by its walk class (1..3) for figure export.
 
     Not proper in the edge-coloring sense; only used for styling, so the
-    DOT export below bypasses the properness gate on purpose.
+    DOT export below renders it without the properness gate on purpose.
     """
     mapping = {}
     for i, walk in enumerate(dec.z_sets):
@@ -153,11 +159,4 @@ def class_coloring(dec: TorusDecomposition) -> EdgeColoring:
 
 def export_class_dot(dec: TorusDecomposition, name: str = "torus") -> str:
     """DOT of the even cycle decomposition, one line style per class."""
-    col = class_coloring(dec)
-    style_map = default_style_map(col.colors)
-    lines = [f'graph "{name}" {{']
-    for (u, v), c in zip(col.graph.edges, col.colors):
-        pen, style = style_map[c]
-        lines.append(f'  {u} -- {v} [label={c}, color="{pen}", style={style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _render_dot(class_coloring(dec), None, name)

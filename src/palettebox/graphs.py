@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Edge = tuple[int, int]
+T = TypeVar("T")
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -206,6 +207,36 @@ class ProductIndex:
         return divmod(idx, self.h_size)
 
 
+def map_product_edges(g: Graph, h: Graph, g_edge: Callable[[int, int], T],
+                      h_edge: Callable[[int, int], T]) -> tuple[T, ...]:
+    """One value per edge of G box H, in the product's canonical edge order.
+
+    The copy of G-edge i in the G-fiber at H-vertex b gets g_edge(i, b);
+    the copy of H-edge j in the H-fiber at G-vertex a gets h_edge(a, j).
+    For each lower endpoint (a, x) in flat order, the H-fiber edges to
+    (a, y), y > x, come first, then the G-fiber edges to (v, x), v > a:
+    that is the lexicographic order, because
+    a*|V(H)| + y < (a+1)*|V(H)| <= v*|V(H)| + x.
+    """
+    g_up, h_up = _edges_up(g), _edges_up(h)
+    out: list[T] = []
+    for a in range(g.n):
+        for x in range(h.n):
+            for j in h_up[x]:
+                out.append(h_edge(a, j))
+            for i in g_up[a]:
+                out.append(g_edge(i, x))
+    return tuple(out)
+
+
+def _edges_up(graph: Graph) -> list[list[int]]:
+    """Per vertex u, the positions of its edges (u, v) with v > u, in edge order."""
+    up: list[list[int]] = [[] for _ in range(graph.n)]
+    for i, (u, _) in enumerate(graph.edges):
+        up[u].append(i)
+    return up
+
+
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product G box H.
 
@@ -213,15 +244,17 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     Fibers of either factor appear as induced copies, so
     |E| = |E(G)|*|V(H)| + |E(H)|*|V(G)|.
     """
-    idx = ProductIndex(g.n, h.n)
-    edges = []
-    for u, v in g.edges:
-        for b in range(h.n):
-            edges.append((idx.flat(u, b), idx.flat(v, b)))
-    for x, y in h.edges:
-        for a in range(g.n):
-            edges.append((idx.flat(a, x), idx.flat(a, y)))
-    return Graph.from_edges(g.n * h.n, edges, f"product({g.tag},{h.tag})")
+    nh = h.n
+
+    def g_edge(i, b):
+        u, v = g.edges[i]
+        return u * nh + b, v * nh + b
+
+    def h_edge(a, j):
+        x, y = h.edges[j]
+        return a * nh + x, a * nh + y
+    edges = map_product_edges(g, h, g_edge, h_edge)
+    return Graph(g.n * h.n, edges, f"product({g.tag},{h.tag})")
 
 
 def remove_edges(graph: Graph, removed: Iterable[Sequence[int]]) -> Graph:

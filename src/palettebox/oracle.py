@@ -30,7 +30,7 @@ from palettebox import search
 from palettebox.coloring import EdgeColoring, palette_summary
 from palettebox.graphs import Graph
 from palettebox.search import ensure_tracker
-from palettebox.solver import ChromaticIndexResult, chromatic_index, coloring_from_search, solver_edge_order
+from palettebox.solver import ChromaticIndexResult, chromatic_index, coloring_from_search, ordered_endpoints
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,7 @@ def palette_index_exact(graph: Graph, max_palettes: Optional[int] = None,
 
     delta = graph.max_degree
     m = len(graph.edges)
-    order = solver_edge_order(graph)
-    eu = [graph.edges[i][0] for i in order]
-    ev = [graph.edges[i][1] for i in order]
+    order, eu, ev = ordered_endpoints(graph)
     deg = list(graph.degrees)
 
     proven, rule, chrom = _lower_bound_impl(graph, tracker)
@@ -157,11 +155,15 @@ def palette_index_exact(graph: Graph, max_palettes: Optional[int] = None,
 def certify(graph: Graph, candidates: Sequence[EdgeColoring], budget=None) -> Certificate:
     """Combine the structural lower bound with caller-supplied witnesses.
 
-    Each candidate must be a proper coloring of exactly this graph; the
-    best palette count becomes the upper bound.
+    Each candidate must be a proper coloring of exactly this graph.  The
+    chromatic-index witness that the lower bound computes on regular
+    graphs competes with them (on a class-1 regular graph it has one
+    palette); the best palette count becomes the upper bound.
     """
     tracker = ensure_tracker(budget)
-    value, rule, _ = _lower_bound_impl(graph, tracker)
+    value, rule, chrom = _lower_bound_impl(graph, tracker)
+    if chrom is not None and chrom.witness is not None:
+        candidates = [*candidates, chrom.witness]
     best_count: Optional[int] = None
     best: Optional[EdgeColoring] = None
     for cand in candidates:
@@ -179,9 +181,7 @@ def coloring_within_family(graph: Graph, family: Iterable[frozenset[int]],
 
     Returns (status, coloring) with search.FOUND / EXHAUSTED / BUDGET.
     """
-    order = solver_edge_order(graph)
-    eu = [graph.edges[i][0] for i in order]
-    ev = [graph.edges[i][1] for i in order]
+    order, eu, ev = ordered_endpoints(graph)
     status, colors = search.search_palette_family(eu, ev, graph.n, list(graph.degrees),
                                                   family, ensure_tracker(budget))
     if status == search.FOUND:

@@ -18,7 +18,8 @@ from palettebox.coloring import EdgeColoring
 from palettebox.graphs import Graph
 from palettebox.search import BudgetTracker, SearchBudget, ensure_tracker
 
-__all__ = ["SearchBudget", "ChromaticIndexResult", "chromatic_index", "solver_edge_order"]
+__all__ = ["SearchBudget", "ChromaticIndexResult", "chromatic_index", "ordered_endpoints",
+           "solver_edge_order"]
 
 
 def solver_edge_order(graph: Graph) -> list[int]:
@@ -30,10 +31,12 @@ def solver_edge_order(graph: Graph) -> list[int]:
     )
 
 
-def _ordered_endpoints(graph: Graph, order: list[int]):
+def ordered_endpoints(graph: Graph) -> tuple[list[int], list[int], list[int]]:
+    """(order, eu, ev): the solver edge order and the endpoints of the edges in it."""
+    order = solver_edge_order(graph)
     eu = [graph.edges[i][0] for i in order]
     ev = [graph.edges[i][1] for i in order]
-    return eu, ev
+    return order, eu, ev
 
 
 def coloring_from_search(graph: Graph, order: list[int], colors: list[int]) -> EdgeColoring:
@@ -76,8 +79,7 @@ def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
     """
     delta = graph.max_degree
     tracker = ensure_tracker(budget)
-    order = solver_edge_order(graph)
-    eu, ev = _ordered_endpoints(graph, order)
+    order, eu, ev = ordered_endpoints(graph)
 
     parity_class_two = delta > 0 and graph.is_regular and graph.n % 2 == 1
     if not parity_class_two:

@@ -279,9 +279,8 @@ def _cubic_suite(rec: _Recorder, budget):
     def certificate():
         col = cubic_matching_reduction(3, pet, mode="cycle", budget=budget)
         cert = certify(col.graph, [col], budget)
-        if cert.exact and cert.lower == 3:
-            return None
-        return _expect((cert.lower, cert.upper) == (1, 3),
+        # C_3 box Petersen is 5-regular and class 1: palette index 1
+        return _expect(cert.exact and cert.lower == 1,
                        f"certificate {cert.lower}..{cert.upper}")
     rec.run("cubic petersen s=3 certificate", certificate)
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from palettebox.coloring import (
     EdgeColoring,
@@ -7,9 +7,14 @@ from palettebox.coloring import (
     disjoint_product_coloring,
     extend_by_matching,
     palette_summary,
+    product_coloring,
 )
+from palettebox.corpus import random_graph
 from palettebox.graphs import (
     Matching,
+    ProductIndex,
+    canonical_edge,
+    cartesian_product,
     cycle_graph,
     path_graph,
     petersen_graph,
@@ -140,3 +145,83 @@ def test_disjoint_product_on_petersen():
     h_col = chromatic_index(path_graph(2)).witness
     prod = disjoint_product_coloring(g_col, h_col)
     assert check_proper(prod)[0]
+
+
+def brute_first_clash(col):
+    """First (vertex, edge, edge) clash, scanning each vertex's edges in edge order."""
+    g = col.graph
+    for v in range(g.n):
+        incident = [(e, c) for e, c in zip(g.edges, col.colors) if v in e]
+        for k, (e2, c2) in enumerate(incident):
+            for e1, c1 in incident[:k]:
+                if c1 == c2:
+                    return v, e1, e2
+    return None
+
+
+@st.composite
+def improper_colorings(draw):
+    g = draw(st.randoms(use_true_random=False).map(lambda rng: random_graph(rng, 3, 7)))
+    busy = [v for v in range(g.n) if g.degree(v) >= 2]
+    assume(busy)
+    colors = draw(st.lists(st.integers(1, 4), min_size=len(g.edges), max_size=len(g.edges)))
+    v = draw(st.sampled_from(busy))
+    e1, e2 = draw(st.lists(st.sampled_from(g.incident_edges(v)), min_size=2, max_size=2,
+                           unique=True))
+    colors[g.edge_index[e2]] = colors[g.edge_index[e1]]
+    return EdgeColoring(g, tuple(colors))
+
+
+@given(improper_colorings())
+def test_check_proper_finds_first_clash_of_brute_force_scan(col):
+    witness = brute_first_clash(col)
+    assert witness is not None
+    assert check_proper(col) == (False, witness)
+
+
+@st.composite
+def proper_colorings(draw):
+    g = draw(st.randoms(use_true_random=False).map(lambda rng: random_graph(rng, 2, 7)))
+    at = [set() for _ in range(g.n)]
+    colors = []
+    for u, v in g.edges:
+        free = [c for c in range(1, 2 * g.max_degree + 1) if c not in at[u] | at[v]]
+        c = draw(st.sampled_from(free))
+        at[u].add(c)
+        at[v].add(c)
+        colors.append(c)
+    return EdgeColoring(g, tuple(colors))
+
+
+@given(proper_colorings())
+def test_palette_summary_matches_per_vertex_definition(col):
+    g = col.graph
+    palettes = [frozenset(c for e, c in zip(g.edges, col.colors) if v in e) for v in range(g.n)]
+    summary = palette_summary(col)
+    assert check_proper(col) == (True, None)
+    assert summary.distinct == tuple(sorted({tuple(sorted(p)) for p in palettes}))
+    assert [summary.palette_of(v) for v in range(g.n)] == palettes
+
+
+factors = st.one_of(st.just(path_graph(1)),
+                    st.randoms(use_true_random=False).map(lambda rng: random_graph(rng, 1, 5)))
+
+
+@given(factors, factors, st.data())
+def test_product_coloring_matches_fiberwise_map(g, h, data):
+    table = st.integers(1, 6)
+    g_rule = data.draw(st.lists(st.lists(table, min_size=h.n, max_size=h.n),
+                                min_size=len(g.edges), max_size=len(g.edges)))
+    h_rule = data.draw(st.lists(st.lists(table, min_size=len(h.edges), max_size=len(h.edges)),
+                                min_size=g.n, max_size=g.n))
+    idx = ProductIndex(g.n, h.n)
+    mapping = {}
+    for i, (u, v) in enumerate(g.edges):
+        for b in range(h.n):
+            mapping[canonical_edge(idx.flat(u, b), idx.flat(v, b))] = g_rule[i][b]
+    for j, (x, y) in enumerate(h.edges):
+        for a in range(g.n):
+            mapping[canonical_edge(idx.flat(a, x), idx.flat(a, y))] = h_rule[a][j]
+    col = product_coloring(g, h, lambda i, b: g_rule[i][b], lambda a, j: h_rule[a][j])
+    assert col == EdgeColoring.from_map(cartesian_product(g, h), mapping)
+    assert col.graph.provenance == cartesian_product(g, h).provenance

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from palettebox.graphs import (
     Graph,
@@ -123,6 +123,30 @@ def test_product_size_formulas(n, m):
     prod = cartesian_product(g, h)
     assert prod.n == g.n * h.n
     assert len(prod.edges) == len(g.edges) * h.n + len(h.edges) * g.n
+
+
+@st.composite
+def small_graphs(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, edges, f"random({n})")
+
+
+@given(small_graphs(), small_graphs())
+@example(path_graph(1), cycle_graph(3))
+@example(cycle_graph(4), path_graph(1))
+@example(path_graph(1), path_graph(1))
+def test_product_matches_definition(g, h):
+    idx = ProductIndex(g.n, h.n)
+    vertices = [(a, x) for a in range(g.n) for x in range(h.n)]
+    defined = [(idx.flat(a, x), idx.flat(b, y))
+               for a, x in vertices for b, y in vertices
+               if (a == b and x != y and h.has_edge(x, y))
+               or (x == y and a != b and g.has_edge(a, b))]
+    prod = cartesian_product(g, h)
+    assert prod == Graph.from_edges(g.n * h.n, defined)
+    assert prod.provenance == f"product({g.tag},{h.tag})"
 
 
 def test_product_commutes_up_to_pair_swap():
