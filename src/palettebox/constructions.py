@@ -249,8 +249,7 @@ def nrg_product_coloring(spec: NrgSpec, host: Graph,
 
     def g_rule(i, b):
         return spare[b] if class_two and base[i] == 1 else base[i] + rp
-    h_colors = h_col.colors
-    return product_coloring(nrg, host, g_rule, lambda a, j: h_colors[j])
+    return product_coloring(nrg, host, g_rule, lambda a, j: h_col.colors[j])
 
 
 # ---------------------------------------------------------------------------
