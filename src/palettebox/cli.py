@@ -203,8 +203,7 @@ def _cmd_oracle(args) -> int:
     if cert.exact:
         text = f"palette index of {g.tag or 'graph'} = {cert.lower} (rule: {cert.rule})"
     else:
-        hi = cert.upper if cert.upper is not None else "?"
-        text = f"palette index of {g.tag or 'graph'} in [{cert.lower}, {hi}] (budget ran out)"
+        text = f"palette index of {g.tag or 'graph'} in [{cert.lower}, {cert.upper}] (budget ran out)"
     _emit(args, obj, text)
     return PASS if cert.exact else INDETERMINATE
 

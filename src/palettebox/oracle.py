@@ -18,7 +18,10 @@ Lower bound rules:
 * ``exhaustive``: every smaller p was exhausted by search.
 
 Budgets interrupt cleanly: the certificate then reports the proven
-interval and is never marked exact.
+interval and is never marked exact.  Its upper bound comes from the
+chromatic-index witness when the lower bound computed one, and otherwise
+from a Misra-Gries (Delta+1)-coloring, which needs no budget; so every
+certificate has an upper bound.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from palettebox import search
 from palettebox.coloring import EdgeColoring, palette_summary
 from palettebox.graphs import Graph
 from palettebox.search import ensure_tracker
-from palettebox.solver import ChromaticIndexResult, chromatic_index, coloring_from_search, ordered_endpoints
+from palettebox.solver import (
+    ChromaticIndexResult,
+    chromatic_index,
+    coloring_from_search,
+    misra_gries_coloring,
+    ordered_endpoints,
+)
 
 
 @dataclass(frozen=True)
@@ -119,17 +128,12 @@ def palette_index_exact(graph: Graph, max_palettes: Optional[int] = None,
 
     proven, rule, chrom = _lower_bound_impl(graph, tracker)
     proven = max(proven, 1)
-    fallback = chrom.witness if chrom is not None and chrom.witness is not None else None
+    fallback = chrom.witness if chrom is not None else None
 
     def finish_inexact(current_rule: str) -> Certificate:
-        nonlocal fallback
-        if fallback is None:
-            extra = chromatic_index(graph, tracker)
-            fallback = extra.witness
-        if fallback is None:
-            return Certificate(proven, None, current_rule, None, tracker.nodes)
-        upper = palette_summary(fallback).count
-        return Certificate(proven, upper, current_rule, fallback, tracker.nodes)
+        witness = fallback if fallback is not None else misra_gries_coloring(graph)
+        upper = palette_summary(witness).count
+        return Certificate(proven, upper, current_rule, witness, tracker.nodes)
 
     p = proven
     while p <= max_palettes:

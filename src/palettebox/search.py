@@ -11,10 +11,14 @@ is found, only whether the search finishes.
 The same function bodies serve both backends: when numba is importable
 they are compiled with ``njit``, and the uncompiled originals remain
 available as the fallback.  Select a backend explicitly with the
-environment variable ``PALETTEBOX_BACKEND=python`` or ``=numba``.
+environment variable ``PALETTEBOX_BACKEND=python`` or ``=numba``.  Each
+backend has its own buffer type, built by one constructor per backend:
+int64 numpy arrays for numba, plain lists of Python ints for the
+fallback, where indexing a list skips the boxing of numpy scalars.
 
-Colors are tracked in int64 bitmasks (bit c-1 for color c), which caps
-usable colors at 62; exact search beyond that is out of desk scale anyway.
+Colors are tracked in bitmasks (bit c-1 for color c).  Both backends
+cap usable colors at 62, so that every mask fits the int64 slots of the
+numba buffers; exact search beyond that is out of desk scale anyway.
 """
 
 from __future__ import annotations
@@ -48,7 +52,12 @@ EXHAUSTED = 0
 PAUSED = 2
 BUDGET = 3
 
-_CHUNK_NODES = 1 << 17
+# A kernel call runs about _CHUNK_SECONDS, sized from the node rate of the
+# previous call, so a wall-clock budget is overshot by about that much.  The
+# first call of a tracker, with no rate measured yet, runs the minimum.
+_CHUNK_SECONDS = 0.02
+_MIN_CHUNK_NODES = 1 << 10
+_MAX_CHUNK_NODES = 1 << 22
 
 
 def active_backend() -> str:
@@ -143,8 +152,8 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
                 new_v = vmask[v] | bit
                 ok = True
                 n_new = 0
-                w1 = np.int64(-1)
-                w2 = np.int64(-1)
+                w1 = -1
+                w2 = -1
                 if deg_left[u] == 1:
                     hit = False
                     for i in range(dcount):
@@ -307,10 +316,19 @@ if HAS_NUMBA:
     _family_chunk_nb = njit(cache=True)(_family_chunk_py)
 
 
-def _steps():
+def _int64(xs) -> np.ndarray:
+    return np.asarray(list(xs), dtype=np.int64)
+
+
+def _backend():
+    """The active backend's three kernels and the constructor of their buffers.
+
+    The constructor turns an iterable of ints into the buffer type the
+    kernels run on: an int64 array for numba, a plain list otherwise.
+    """
     if active_backend() == "numba":
-        return _color_chunk_nb, _pcount_chunk_nb, _family_chunk_nb
-    return _color_chunk_py, _pcount_chunk_py, _family_chunk_py
+        return _color_chunk_nb, _pcount_chunk_nb, _family_chunk_nb, _int64
+    return _color_chunk_py, _pcount_chunk_py, _family_chunk_py, list
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +363,8 @@ class BudgetTracker:
         self.max_seconds = None if budget.deterministic else budget.max_seconds
         self.started = time.monotonic()
         self.nodes = 0
+        self._chunk_nodes = _MIN_CHUNK_NODES
+        self._chunk_started = self.started
 
     def exceeded(self) -> bool:
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
@@ -354,9 +374,20 @@ class BudgetTracker:
         return False
 
     def next_chunk(self) -> int:
+        """Node limit of the kernel call about to start; 0 once max_nodes is spent."""
+        self._chunk_started = time.monotonic()
         if self.max_nodes is None:
-            return _CHUNK_NODES
-        return max(0, min(_CHUNK_NODES, self.max_nodes - self.nodes))
+            return self._chunk_nodes
+        return max(0, min(self._chunk_nodes, self.max_nodes - self.nodes))
+
+    def add_nodes(self, nodes: int) -> None:
+        """Charge a finished kernel call and size the next one from its rate."""
+        nodes = int(nodes)
+        self.nodes += nodes
+        if nodes > 0:
+            elapsed = max(time.monotonic() - self._chunk_started, 1e-6)
+            size = int(nodes / elapsed * _CHUNK_SECONDS)
+            self._chunk_nodes = min(_MAX_CHUNK_NODES, max(_MIN_CHUNK_NODES, size))
 
     @property
     def seconds(self) -> float:
@@ -371,10 +402,6 @@ def ensure_tracker(budget) -> BudgetTracker:
 
 # ---------------------------------------------------------------------------
 # wrappers
-
-
-def _int64(xs) -> np.ndarray:
-    return np.asarray(list(xs), dtype=np.int64)
 
 
 def search_k_coloring(eu, ev, n: int, k: int, budget=None):
@@ -392,18 +419,18 @@ def search_k_coloring(eu, ev, n: int, k: int, budget=None):
     if k > MAX_COLORS:
         raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
     tracker = ensure_tracker(budget)
-    step = _steps()[0]
-    eu_a, ev_a = _int64(eu), _int64(ev)
-    assign = np.zeros(m, dtype=np.int64)
-    vmask = np.zeros(n, dtype=np.int64)
-    maxused = np.zeros(m + 1, dtype=np.int64)
+    step, _, _, buf = _backend()
+    eu_a, ev_a = buf(eu), buf(ev)
+    assign = buf([0] * m)
+    vmask = buf([0] * n)
+    maxused = buf([0] * (m + 1))
     pos = 0
     while True:
         chunk = tracker.next_chunk()
         if chunk <= 0 or tracker.exceeded():
             return BUDGET, None
         status, pos, nodes = step(eu_a, ev_a, m, k, assign, vmask, maxused, pos, chunk)
-        tracker.nodes += int(nodes)
+        tracker.add_nodes(nodes)
         if status == FOUND:
             return FOUND, [int(c) for c in assign]
         if status == EXHAUSTED:
@@ -427,16 +454,16 @@ def search_palette_count(eu, ev, n: int, deg, k: int, p_target: int, budget=None
         return EXHAUSTED, None
     if k > MAX_COLORS:
         raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
-    step = _steps()[1]
-    eu_a, ev_a = _int64(eu), _int64(ev)
-    deg_a = _int64(deg)
-    assign = np.zeros(m, dtype=np.int64)
-    vmask = np.zeros(n, dtype=np.int64)
-    maxused = np.zeros(m + 1, dtype=np.int64)
-    deg_left = deg_a.copy()
-    distinct = np.zeros(p_target + 1, dtype=np.int64)
-    dsize = np.zeros(p_target + 1, dtype=np.int64)
-    added = np.zeros(m, dtype=np.int64)
+    _, step, _, buf = _backend()
+    eu_a, ev_a = buf(eu), buf(ev)
+    deg_a = buf(deg)
+    assign = buf([0] * m)
+    vmask = buf([0] * n)
+    maxused = buf([0] * (m + 1))
+    deg_left = buf(deg)
+    distinct = buf([0] * (p_target + 1))
+    dsize = buf([0] * (p_target + 1))
+    added = buf([0] * m)
     dcount = seed_empty
     pos = 0
     while True:
@@ -446,7 +473,7 @@ def search_palette_count(eu, ev, n: int, deg, k: int, p_target: int, budget=None
         status, pos, dcount, nodes = step(eu_a, ev_a, m, k, deg_a, p_target, assign,
                                           vmask, maxused, deg_left, distinct, dsize,
                                           added, dcount, pos, chunk)
-        tracker.nodes += int(nodes)
+        tracker.add_nodes(nodes)
         if status == FOUND:
             return FOUND, [int(c) for c in assign]
         if status == EXHAUSTED:
@@ -478,24 +505,24 @@ def search_palette_family(eu, ev, n: int, deg, family, budget=None):
     if m == 0:
         return FOUND, []
     tracker = ensure_tracker(budget)
-    step = _steps()[2]
+    _, _, step, buf = _backend()
     union = 0
     for mask in masks:
         union |= mask
     k = union.bit_length()
-    eu_a, ev_a = _int64(eu), _int64(ev)
-    allowed = _int64(masks)
-    assign = np.zeros(m, dtype=np.int64)
-    vmask = np.zeros(n, dtype=np.int64)
-    deg_left = _int64(deg)
+    eu_a, ev_a = buf(eu), buf(ev)
+    allowed = buf(masks)
+    assign = buf([0] * m)
+    vmask = buf([0] * n)
+    deg_left = buf(deg)
     pos = 0
     while True:
         chunk = tracker.next_chunk()
         if chunk <= 0 or tracker.exceeded():
             return BUDGET, None
         status, pos, nodes = step(eu_a, ev_a, m, k, allowed, len(masks),
-                                  np.int64(union), assign, vmask, deg_left, pos, chunk)
-        tracker.nodes += int(nodes)
+                                  union, assign, vmask, deg_left, pos, chunk)
+        tracker.add_nodes(nodes)
         if status == FOUND:
             return FOUND, [int(c) for c in assign]
         if status == EXHAUSTED:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palettebox.coloring import check_proper, palette_summary
+from palettebox.constructions import PATH_MODE_FAMILY
 from palettebox.graphs import (
     Graph,
     cartesian_product,
@@ -16,7 +17,7 @@ from palettebox.oracle import (
     naive_minimum_palettes,
     palette_index_exact,
 )
-from palettebox.search import EXHAUSTED, FOUND, SearchBudget
+from palettebox.search import EXHAUSTED, FOUND, BudgetTracker, SearchBudget
 from palettebox.solver import chromatic_index
 
 
@@ -79,7 +80,35 @@ def test_budget_exhaustion_yields_interval():
     cert = palette_index_exact(g, budget=SearchBudget(max_nodes=3))
     assert not cert.exact
     lo, hi = cert.interval
-    assert lo >= 1 and (hi is None or hi >= lo)
+    assert lo >= 1 and hi >= lo
+
+
+@pytest.mark.parametrize("budget", [
+    SearchBudget(max_nodes=1),
+    SearchBudget(max_nodes=5_000),
+    SearchBudget(max_seconds=0.0),
+])
+def test_interrupted_oracle_keeps_an_upper_bound(budget):
+    # P5 x C3 has palette index 4 and is not regular, so no chromatic-index
+    # witness exists to fall back on; the Misra-Gries coloring bounds it
+    g = cartesian_product(path_graph(5), cycle_graph(3))
+    cert = palette_index_exact(g, budget=budget)
+    assert not cert.exact
+    assert cert.lower <= 4 <= cert.upper
+    assert check_proper(cert.witness)[0]
+    assert palette_summary(cert.witness).count == cert.upper
+
+
+def test_palette_search_node_counts_are_pinned():
+    # a change here means the search tree changed
+    cert = palette_index_exact(cartesian_product(cycle_graph(3), cycle_graph(5)))
+    assert cert.interval == (3, 3)
+    assert cert.nodes == 48_050
+    tracker = BudgetTracker(None)
+    g = cartesian_product(path_graph(5), cycle_graph(5))
+    status, col = coloring_within_family(g, PATH_MODE_FAMILY, tracker)
+    assert status == FOUND and check_proper(col)[0]
+    assert tracker.nodes == 291_805
 
 
 def test_certify_uses_candidate_witnesses():

@@ -1,15 +1,25 @@
-import os
+from types import SimpleNamespace
 
 import pytest
 
 from palettebox import search
-from palettebox.graphs import cycle_graph, complete_graph, petersen_graph
+from palettebox.constructions import PATH_MODE_FAMILY
+from palettebox.graphs import (
+    Graph,
+    cartesian_product,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+)
 from palettebox.search import (
     BACKEND_ENV,
     BUDGET,
     EXHAUSTED,
     FOUND,
     MAX_COLORS,
+    PAUSED,
+    BudgetTracker,
     SearchBudget,
     active_backend,
     search_k_coloring,
@@ -141,3 +151,207 @@ def test_family_search_respects_budget():
     status, _ = search_palette_family(
         eu, ev, g.n, deg, family, budget=SearchBudget(max_nodes=5))
     assert status == BUDGET
+
+
+# ---------------------------------------------------------------------------
+# one kernel source on both buffer types
+#
+# numba runs the kernels on int64 arrays and the fallback on lists of
+# Python ints.  Driving each uncompiled kernel over both buffer types, in
+# small chunks so every pause and resume is compared too, stands in for a
+# numba parity check where numba is not installed.
+
+PARITY_CHUNK = 7
+PETERSEN = petersen_graph()
+K5 = complete_graph(5)
+P3C4 = cartesian_product(path_graph(3), cycle_graph(4))
+# every center edge needs its own color, so k = MAX_COLORS reaches bit 61
+STAR = Graph.from_edges(MAX_COLORS + 1, [(0, i) for i in range(1, MAX_COLORS + 1)])
+HIGH_FAMILY = [{60, 61, 62}, {59, 61, 62}, {59, 60, 62}, {59, 60, 61, 62}]
+
+
+def color_run(buf, g, k):
+    eu, ev = edge_arrays(g)
+    m = len(eu)
+    eu_b, ev_b = buf(eu), buf(ev)
+    assign, vmask, maxused = buf([0] * m), buf([0] * g.n), buf([0] * (m + 1))
+    calls, status, pos = [], PAUSED, 0
+    while status == PAUSED:
+        status, pos, nodes = search._color_chunk_py(eu_b, ev_b, m, k, assign, vmask,
+                                                    maxused, pos, PARITY_CHUNK)
+        calls.append((int(status), int(pos), int(nodes)))
+    return calls, [int(c) for c in assign]
+
+
+def pcount_run(buf, g, k, p_target):
+    eu, ev = edge_arrays(g)
+    m = len(eu)
+    eu_b, ev_b, deg = buf(eu), buf(ev), buf(g.degrees)
+    assign, vmask, maxused = buf([0] * m), buf([0] * g.n), buf([0] * (m + 1))
+    deg_left, added = buf(g.degrees), buf([0] * m)
+    distinct, dsize = buf([0] * (p_target + 1)), buf([0] * (p_target + 1))
+    calls, status, pos, dcount = [], PAUSED, 0, 0
+    while status == PAUSED:
+        status, pos, dcount, nodes = search._pcount_chunk_py(
+            eu_b, ev_b, m, k, deg, p_target, assign, vmask, maxused, deg_left,
+            distinct, dsize, added, dcount, pos, PARITY_CHUNK)
+        calls.append((int(status), int(pos), int(dcount), int(nodes)))
+    return calls, [int(c) for c in assign]
+
+
+def family_run(buf, g, family):
+    eu, ev = edge_arrays(g)
+    m = len(eu)
+    masks = [sum(1 << (c - 1) for c in pal) for pal in family]
+    union = 0
+    for mask in masks:
+        union |= mask
+    eu_b, ev_b, allowed = buf(eu), buf(ev), buf(masks)
+    assign, vmask, deg_left = buf([0] * m), buf([0] * g.n), buf(g.degrees)
+    calls, status, pos = [], PAUSED, 0
+    while status == PAUSED:
+        status, pos, nodes = search._family_chunk_py(
+            eu_b, ev_b, m, union.bit_length(), allowed, len(masks), union, assign,
+            vmask, deg_left, pos, PARITY_CHUNK)
+        calls.append((int(status), int(pos), int(nodes)))
+    return calls, [int(c) for c in assign]
+
+
+@pytest.mark.parametrize("g, k, final", [
+    (PETERSEN, 3, EXHAUSTED),
+    (PETERSEN, 4, FOUND),
+    (K5, 4, EXHAUSTED),
+    (K5, 5, FOUND),
+    (P3C4, 3, EXHAUSTED),
+    (P3C4, 4, FOUND),
+    (STAR, MAX_COLORS - 1, EXHAUSTED),
+    (STAR, MAX_COLORS, FOUND),
+])
+def test_color_kernel_same_on_list_and_int64_buffers(g, k, final):
+    on_lists = color_run(list, g, k)
+    assert on_lists == color_run(search._int64, g, k)
+    assert on_lists[0][-1][0] == final
+
+
+@pytest.mark.parametrize("g, k, p_target, final", [
+    (PETERSEN, 4, 2, EXHAUSTED),
+    (PETERSEN, 4, 3, FOUND),
+    (K5, 12, 3, EXHAUSTED),
+    (K5, 16, 4, FOUND),
+    (P3C4, 5, 1, EXHAUSTED),
+    (P3C4, 4, 2, FOUND),
+    (STAR, MAX_COLORS, MAX_COLORS, EXHAUSTED),
+    (STAR, MAX_COLORS, MAX_COLORS + 1, FOUND),
+])
+def test_pcount_kernel_same_on_list_and_int64_buffers(g, k, p_target, final):
+    on_lists = pcount_run(list, g, k, p_target)
+    assert on_lists == pcount_run(search._int64, g, k, p_target)
+    assert on_lists[0][-1][0] == final
+
+
+@pytest.mark.parametrize("g, family, final", [
+    (PETERSEN, [{1, 2, 3}], EXHAUSTED),
+    (PETERSEN, HIGH_FAMILY, FOUND),
+    (K5, [{1, 2, 3, 4}], EXHAUSTED),
+    (K5, HIGH_FAMILY, EXHAUSTED),
+    (P3C4, PATH_MODE_FAMILY, FOUND),
+    (P3C4, HIGH_FAMILY, FOUND),
+])
+def test_family_kernel_same_on_list_and_int64_buffers(g, family, final):
+    on_lists = family_run(list, g, family)
+    assert on_lists == family_run(search._int64, g, family)
+    assert on_lists[0][-1][0] == final
+
+
+def test_parity_cases_reach_the_top_color():
+    assert MAX_COLORS in color_run(list, STAR, MAX_COLORS)[1]
+    assert MAX_COLORS in pcount_run(list, STAR, MAX_COLORS, MAX_COLORS + 1)[1]
+    assert MAX_COLORS in family_run(list, PETERSEN, HIGH_FAMILY)[1]
+
+
+# ---------------------------------------------------------------------------
+# chunks sized by time
+
+
+class FakeClock:
+    """A monotonic clock that moves ``step`` seconds per reading, or by hand."""
+
+    def __init__(self, step=0.0):
+        self.now = 1000.0
+        self.step = step
+
+    def monotonic(self):
+        self.now += self.step
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=fake.monotonic))
+    return fake
+
+
+def test_chunk_follows_the_rate_of_the_last_call(clock):
+    tracker = BudgetTracker(None)
+    first = tracker.next_chunk()
+    assert first == search._MIN_CHUNK_NODES
+    clock.now += search._CHUNK_SECONDS / 4
+    tracker.add_nodes(first)
+    assert tracker.nodes == first
+    assert tracker.next_chunk() == 4 * first
+    clock.now += 10.0
+    tracker.add_nodes(4 * first)
+    assert tracker.next_chunk() == search._MIN_CHUNK_NODES
+    tracker.add_nodes(search._MIN_CHUNK_NODES)  # no time passed
+    assert tracker.next_chunk() == search._MAX_CHUNK_NODES
+
+
+def test_chunk_never_passes_the_node_cap(clock):
+    tracker = BudgetTracker(SearchBudget(max_nodes=1500))
+    assert tracker.next_chunk() == 1024
+    clock.now += 0.001
+    tracker.add_nodes(1024)
+    assert tracker.next_chunk() == 1500 - 1024
+    tracker.add_nodes(1500 - 1024)
+    assert tracker.next_chunk() == 0
+
+
+class NodeClock:
+    """A clock that advances with the nodes a tracker has been charged."""
+
+    rate = 100_000  # nodes per second
+
+    def __init__(self):
+        self.tracker = None
+
+    def monotonic(self):
+        return 0.0 if self.tracker is None else self.tracker.nodes / self.rate
+
+
+def p3c5_palette_search(tracker):
+    g = cartesian_product(path_graph(3), cycle_graph(5))
+    eu, ev = edge_arrays(g)
+    return search_palette_count(eu, ev, g.n, list(g.degrees), 12, 3, tracker)
+
+
+def test_time_budget_overshoots_by_about_one_chunk(monkeypatch):
+    clock = NodeClock()
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=clock.monotonic))
+    clock.tracker = BudgetTracker(SearchBudget(max_seconds=0.1))
+    status, _ = p3c5_palette_search(clock.tracker)
+    assert status == BUDGET
+    deadline = 0.1 * clock.rate
+    assert deadline <= clock.tracker.nodes <= deadline + search._CHUNK_SECONDS * clock.rate
+
+
+def test_deterministic_budget_is_node_exact_whatever_the_clock(monkeypatch):
+    # a frozen clock makes every chunk as large as the cap allows, a clock
+    # that jumps a second per reading makes them as small as they get
+    budget = SearchBudget(max_nodes=5_000, max_seconds=0.001, deterministic=True)
+    for step in (0.0, 1.0):
+        fake = FakeClock(step)
+        monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=fake.monotonic))
+        tracker = BudgetTracker(budget)
+        assert p3c5_palette_search(tracker) == (BUDGET, None)
+        assert tracker.nodes == 5_000

@@ -1,8 +1,13 @@
+from random import Random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palettebox.coloring import check_proper
+from palettebox.corpus import random_graph, small_corpus
 from palettebox.graphs import (
     Graph,
+    cartesian_product,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -10,7 +15,7 @@ from palettebox.graphs import (
     petersen_graph,
 )
 from palettebox.search import SearchBudget
-from palettebox.solver import chromatic_index, solver_edge_order
+from palettebox.solver import chromatic_index, misra_gries_coloring, solver_edge_order
 
 
 @pytest.mark.parametrize("graph, expected", [
@@ -60,3 +65,42 @@ def test_solver_edge_order_prefers_busy_endpoints():
     order = solver_edge_order(g)
     assert sorted(order) == [0, 1, 2]
     assert [g.edges[i] for i in order] == [(2, 3), (3, 4), (0, 1)]
+
+
+def test_k9_node_count_is_pinned():
+    # K9 is 8-regular of odd order, so only the 9-coloring is searched;
+    # a change here means the search tree changed
+    res = chromatic_index(complete_graph(9))
+    assert res.value == 9
+    assert res.nodes == 113_994
+
+
+def assert_vizing_coloring(g):
+    col = misra_gries_coloring(g)
+    assert check_proper(col)[0]
+    assert all(c <= g.max_degree + 1 for c in col.colors)
+    assert misra_gries_coloring(g) == col
+
+
+@pytest.mark.parametrize("g", [
+    *small_corpus(max_edges=40),
+    petersen_graph(),
+    complete_graph(8),
+    complete_graph(9),
+    hypercube_graph(4),
+    cartesian_product(path_graph(5), cycle_graph(3)),
+    cartesian_product(path_graph(3), cycle_graph(5)),
+    Graph(4, ()),
+    *(random_graph(Random(seed), 6, 10) for seed in range(40)),
+], ids=lambda g: g.tag or "edgeless")
+def test_misra_gries_on_corpus(g):
+    assert_vizing_coloring(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_misra_gries_on_random_graphs(data):
+    n = data.draw(st.integers(1, 12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.sets(st.sampled_from(possible))) if possible else set()
+    assert_vizing_coloring(Graph.from_edges(n, sorted(chosen)))
