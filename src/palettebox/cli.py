@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: gen, product, construct, torus, theta, oracle, verify,
-export.  Exit codes: 0 success, 1 a check failed, 2 a search budget ran
-out before a verdict.  The default budget comes from the
+export.  Exit codes: 0 success, 1 a check failed, 2 a search stopped
+before a verdict, because its budget ran out or because ``oracle``
+reached its --max-palettes cap.  The default budget comes from the
 PALETTEBOX_BUDGET_SECONDS and PALETTEBOX_BUDGET_NODES environment
 variables when flags are absent.
 """
@@ -26,7 +27,7 @@ from palettebox.constructions import (
     path_times_regular_coloring,
 )
 from palettebox.graphs import canonical_edge, cartesian_product
-from palettebox.oracle import certify, lower_bound, palette_index_exact
+from palettebox.oracle import certify, default_max_palettes, lower_bound, palette_index_exact
 from palettebox.search import SearchBudget
 from palettebox.solver import chromatic_index
 from palettebox.theta import is_partial_cube, theta_classes, theta_removal_coloring
@@ -203,7 +204,10 @@ def _cmd_oracle(args) -> int:
     if cert.exact:
         text = f"palette index of {g.tag or 'graph'} = {cert.lower} (rule: {cert.rule})"
     else:
-        text = f"palette index of {g.tag or 'graph'} in [{cert.lower}, {cert.upper}] (budget ran out)"
+        # the deepening ends at the cap exactly when it has proven every target up to it
+        cap = args.max_palettes if args.max_palettes is not None else default_max_palettes(g)
+        why = f"stopped at --max-palettes {cap}" if cert.lower > cap else "budget ran out"
+        text = f"palette index of {g.tag or 'graph'} in [{cert.lower}, {cert.upper}] ({why})"
     _emit(args, obj, text)
     return PASS if cert.exact else INDETERMINATE
 

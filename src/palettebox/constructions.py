@@ -453,35 +453,36 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
     layer_col = _cycle_coloring(s, 3) if mode == "cycle" else None
 
     # Each component of ``rest``, a k-cycle in cycle order, times the layers
-    # is colored as one block.  Vertex (layer a, position j) of a block is
+    # is colored as one block, which depends only on k, so components of
+    # one length share it.  Vertex (layer a, position j) of a block is
     # a*k + j when the block is layer-major and j*s + a when it is not;
     # place[v] holds v's block and the stride and offset of a*stride + offset.
-    blocks: list[EdgeColoring] = []
+    blocks: dict[int, tuple[EdgeColoring, bool]] = {}
     place: dict[int, tuple[EdgeColoring, int, int]] = {}
     for comp in connected_components(rest):
         if len(comp) == 1:
             raise ValueError("removing the matching left an isolated vertex; G is not cubic")
         order = _component_cycle_order(rest, comp)
         k = len(order)
-        if mode == "path":
-            block, layer_major = _family_block_coloring(s, k, budget), True
-        elif k % 2 == 0:
-            # The class-2 branch of the class-1 product coloring, c = 2: the
-            # component's class 2 drops into the layer cycle's missing color,
-            # class 1 shifts to 4, rungs keep layer_col.  Every palette is
-            # {1,2,3,4}.
-            block = class1_product_coloring(_cycle_coloring(k, 2), layer_col, 2)
-            layer_major = False
-        else:
-            # three-palette torus coloring of C_max box C_min
-            block, layer_major = torus_three_palette_coloring(max(s, k), min(s, k)), s >= k
-        blocks.append(block)
+        if k not in blocks:
+            if mode == "path":
+                blocks[k] = _family_block_coloring(s, k, budget), True
+            elif k % 2 == 0:
+                # The class-2 branch of the class-1 product coloring, c = 2:
+                # the component's class 2 drops into the layer cycle's missing
+                # color, class 1 shifts to 4, rungs keep layer_col.  Every
+                # palette is {1,2,3,4}.
+                blocks[k] = class1_product_coloring(_cycle_coloring(k, 2), layer_col, 2), False
+            else:
+                # three-palette torus coloring of C_max box C_min
+                blocks[k] = torus_three_palette_coloring(max(s, k), min(s, k)), s >= k
+        block, layer_major = blocks[k]
         for j, v in enumerate(order):
             place[v] = (block, k, j) if layer_major else (block, 1, j * s)
     if mode == "cycle":
         fresh = 7
     else:
-        used = set().union(*(b.used_colors() for b in blocks))
+        used = set().union(*(b.used_colors() for b, _ in blocks.values()))
         fresh = _missing_color(used, len(used) + 1)
     matched = set(matching.edges)
 

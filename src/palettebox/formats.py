@@ -149,12 +149,7 @@ def class_coloring(dec: TorusDecomposition) -> EdgeColoring:
     Not proper in the edge-coloring sense; only used for styling, so the
     DOT export below renders it without the properness gate on purpose.
     """
-    mapping = {}
-    for i, walk in enumerate(dec.z_sets):
-        c = dec.class_of_walk(i) + 1
-        for e in walk:
-            mapping[e.undirected(dec.s, dec.t)] = c
-    return EdgeColoring.from_map(dec.graph, mapping)
+    return dec.edge_coloring(lambda i, vertical: dec.class_of_walk(i) + 1)
 
 
 def export_class_dot(dec: TorusDecomposition, name: str = "torus") -> str:

@@ -309,37 +309,12 @@ class Matching:
 def find_perfect_matching(graph: Graph) -> Optional[Matching]:
     """Lexicographically least perfect matching, or None if none exists.
 
-    Depth-first search: repeatedly match the least unmatched vertex to its
-    least available neighbour.  Comparing the sorted edge lists of two
-    perfect matchings inspects partners in exactly this vertex order, so
-    the first matching found is the lexicographically least one.  The scan
-    order is fixed, which makes the result deterministic.
+    The first matching ``enumerate_perfect_matchings`` yields: its search
+    matches the least unmatched vertex to its least available neighbour
+    first, and comparing the sorted edge lists of two perfect matchings
+    inspects partners in exactly this vertex order.
     """
-    if graph.n % 2 != 0:
-        return None
-    adj = graph.adjacency
-    matched = [False] * graph.n
-    chosen: list[Edge] = []
-
-    def extend() -> bool:
-        u = next((i for i in range(graph.n) if not matched[i]), None)
-        if u is None:
-            return True
-        matched[u] = True
-        for v in adj[u]:
-            if not matched[v]:
-                matched[v] = True
-                chosen.append((u, v))
-                if extend():
-                    return True
-                chosen.pop()
-                matched[v] = False
-        matched[u] = False
-        return False
-
-    if extend():
-        return Matching.from_edges(graph, chosen)
-    return None
+    return next(enumerate_perfect_matchings(graph), None)
 
 
 def enumerate_perfect_matchings(graph: Graph):

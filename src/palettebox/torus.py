@@ -3,10 +3,16 @@
 The edge set of C_s box C_t (s >= t >= 3, both odd) splits into t closed
 walks Z_0..Z_{t-1}, each alternating vertical and horizontal edges and
 using every row of the grid exactly twice, so each Z_i is a single cycle
-of length 2s.  Grouping the Z_i by i mod 3 gives three classes, each a
-disjoint union of even cycles; coloring class j's horizontal edges 2j+1
-and vertical edges 2j+2 is proper and leaves exactly three distinct
-vertex palettes.
+of length 2s.  In closed form, with ell = ((s-t)/2) mod t, the vertical
+edge (j,k)-(j,k+1) and the horizontal edge (j,k)-(j+1,k) lie on
+
+    Z_i,  i = (k - j - [horizontal]) mod t    for rows j < ell,
+          i = (k + j - 2*ell + 1) mod t       for rows j >= ell,
+
+so a coloring by walk needs no walk at all.  Grouping the Z_i by i mod 3
+gives three classes, each a disjoint union of even cycles; coloring class
+j's horizontal edges 2j+1 and vertical edges 2j+2 is proper and leaves
+exactly three distinct vertex palettes.
 
 Vertices are (row j, column k) with j in [s], k in [t], flattened
 row-major to j*t + k.  For s < t use commutativity: decompose the
@@ -17,9 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
-from palettebox.coloring import EdgeColoring
-from palettebox.graphs import Edge, Graph, ProductIndex, canonical_edge, cartesian_product, cycle_graph
+from palettebox.coloring import EdgeColoring, product_coloring
+from palettebox.graphs import (
+    Edge,
+    Graph,
+    canonical_edge,
+    cartesian_product,
+    connected_components,
+    cycle_graph,
+)
 
 ASCENDING = "ascending-vertical"
 DESCENDING = "descending-vertical"
@@ -143,6 +157,31 @@ class TorusDecomposition:
     def graph(self) -> Graph:
         return cartesian_product(cycle_graph(self.s), cycle_graph(self.t))
 
+    def walk_of(self, j: int, k: int, vertical: bool) -> int:
+        """Index i of the walk Z_i through one edge, ``z_set`` solved for i.
+
+        The edge is (j,k)-(j,k+1) if vertical and (j,k)-(j+1,k) if not.
+        """
+        ell = self.ell
+        if j < ell:
+            return (k - j - (0 if vertical else 1)) % self.t
+        return (k + j - 2 * ell + 1) % self.t
+
+    def edge_coloring(self, color: Callable[[int, bool], int]) -> EdgeColoring:
+        """Color every edge by ``color(i, vertical)``, where Z_i is its walk."""
+        rows, cols = cycle_graph(self.s), cycle_graph(self.t)
+        row_of, col_of = _edge_starts(rows), _edge_starts(cols)
+        walk_of = self.walk_of
+        return product_coloring(
+            rows, cols,
+            lambda i, k: color(walk_of(row_of[i], k, False), False),
+            lambda j, i: color(walk_of(j, col_of[i], True), True))
+
+
+def _edge_starts(cycle: Graph) -> list[int]:
+    """Per cycle edge (u, u+1), its start u; the closing edge (0, n-1) starts at n-1."""
+    return [u if v == u + 1 else v for u, v in cycle.edges]
+
 
 def _walk_problems(dec: TorusDecomposition, i: int) -> list[str]:
     s, t = dec.s, dec.t
@@ -153,6 +192,12 @@ def _walk_problems(dec: TorusDecomposition, i: int) -> list[str]:
     seen_edges = {e.undirected(s, t) for e in walk}
     if len(seen_edges) != len(walk):
         problems.append(f"Z_{i} repeats an edge")
+    # a descending edge from (j, k) is the vertical edge that starts at (j, k-1)
+    strays = [e for e in walk
+              if dec.walk_of(e.j, (e.k - 1) % t if e.kind == DESCENDING else e.k,
+                             e.is_vertical) != i]
+    if strays:
+        problems.append(f"Z_{i} holds edges of other walks, first {strays[0]}")
     visited = []
     here = walk[0].endpoints(s, t)[0]
     start = here
@@ -172,24 +217,15 @@ def _walk_problems(dec: TorusDecomposition, i: int) -> list[str]:
 
 
 def verify_partition(dec: TorusDecomposition) -> tuple[bool, list[str]]:
-    """Check that the walks are disjoint simple 2s-cycles covering every edge."""
-    s, t = dec.s, dec.t
+    """Check that the walks are disjoint simple 2s-cycles covering every edge.
+
+    Each Z_i must be a closed simple walk of 2s distinct edges, all with
+    ``walk_of == i``.  Then no edge lies on two walks, and the t walks
+    hold 2st = |E| distinct edges, so they cover the torus.
+    """
     problems: list[str] = []
-    for i in range(t):
+    for i in range(dec.t):
         problems.extend(_walk_problems(dec, i))
-    union: set[Edge] = set()
-    total = 0
-    for walk in dec.z_sets:
-        keys = {e.undirected(s, t) for e in walk}
-        overlap = union & keys
-        if overlap:
-            problems.append(f"walks overlap on {sorted(overlap)[:3]}")
-        union |= keys
-        total += len(keys)
-    if total != 2 * s * t:
-        problems.append(f"walks cover {total} edge slots, expected {2 * s * t}")
-    if union != dec.graph.edge_set:
-        problems.append("walk union differs from the torus edge set")
     return not problems, problems
 
 
@@ -202,28 +238,14 @@ def even_cycle_classes(dec: TorusDecomposition) -> tuple[bool, list[str]]:
         if len(set(edges)) != len(edges):
             problems.append(f"class {j} repeats an edge")
             continue
-        sub = Graph.from_edges(dec.graph.n, edges, f"torus-class({j})")
+        sub = Graph.from_edges(s * t, edges, f"torus-class({j})")
         degs = [d for d in sub.degrees if d > 0]
         if any(d != 2 for d in degs):
             problems.append(f"class {j} is not 2-regular on its support")
             continue
-        comp_sizes = []
-        seen = [False] * sub.n
-        for v in range(sub.n):
-            if seen[v] or sub.degree(v) == 0:
-                continue
-            size = 0
-            stack = [v]
-            seen[v] = True
-            while stack:
-                u = stack.pop()
-                size += 1
-                for w in sub.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comp_sizes.append(size)
-        odd = [c for c in comp_sizes if c % 2 == 1]
+        # every vertex has degree 0 or 2, so the components with an edge are the cycles
+        cycles = [len(c) for c in connected_components(sub) if len(c) > 1]
+        odd = [c for c in cycles if c % 2 == 1]
         if odd:
             problems.append(f"class {j} contains odd cycles of lengths {odd}")
     return not problems, problems
@@ -237,8 +259,4 @@ def torus_three_palette_coloring(s: int, t: int) -> EdgeColoring:
     so the palettes are {1,2,3,4}, {1,2,5,6} and {3,4,5,6}.
     """
     dec = TorusDecomposition(s, t)
-    mapping: dict[Edge, int] = {}
-    for j, cls in enumerate(dec.classes):
-        for e in cls:
-            mapping[e.undirected(s, t)] = 2 * j + 1 if not e.is_vertical else 2 * j + 2
-    return EdgeColoring.from_map(dec.graph, mapping)
+    return dec.edge_coloring(lambda i, vertical: 2 * dec.class_of_walk(i) + (2 if vertical else 1))

@@ -48,7 +48,7 @@ def readme_examples():
             follow = lines[i + 1] if i + 1 < len(lines) else ""
             expect = follow.strip() if follow and not follow.startswith(("$", "```")) else None
             out.append((line[2:], expect))
-        elif fence == "bash" and ("palettebox" in line or "benchmarks/" in line):
+        elif fence == "bash" and "palettebox" in line:
             if line.startswith("pip ") or "-m pytest" in line:
                 continue
             out.append((line.strip(), None))
@@ -67,8 +67,7 @@ def test_readme_lists_examples():
 
 def test_readme_examples_run_clean(tmp_path):
     for command, expect in readme_examples():
-        runnable = command.replace("benchmarks/", f"{REPO}/benchmarks/")
-        proc = sh(runnable, cwd=tmp_path)
+        proc = sh(command, cwd=tmp_path)
         if "PALETTEBOX_BACKEND=numba" in command and not search.HAS_NUMBA:
             assert proc.returncode == 1, (command, proc.stderr or proc.stdout)
             assert "numba is not importable" in proc.stderr, command
@@ -115,6 +114,18 @@ def test_oracle_exit_codes(tmp_path):
     starved = sh("palettebox oracle petersen --budget-nodes 10", cwd=tmp_path)
     assert starved.returncode == 2
     assert "budget" in starved.stdout
+
+
+def test_oracle_says_the_cap_stopped_it(tmp_path):
+    capped = sh("palettebox oracle P5 --max-palettes 1", cwd=tmp_path)
+    assert capped.returncode == 2
+    assert capped.stdout.strip() == "palette index of path(5) in [2, 3] (stopped at --max-palettes 1)"
+
+
+def test_oracle_says_the_budget_stopped_it(tmp_path):
+    starved = sh("palettebox oracle petersen --max-palettes 3 --budget-nodes 10", cwd=tmp_path)
+    assert starved.returncode == 2
+    assert starved.stdout.strip().endswith("(budget ran out)")
 
 
 def test_budget_env_and_flag_precedence(tmp_path):

@@ -22,6 +22,7 @@ from palettebox.graphs import (
     petersen_graph,
     remove_edges,
 )
+from palettebox.search import BudgetTracker, SearchBudget
 from palettebox.solver import chromatic_index
 
 
@@ -246,6 +247,14 @@ def test_cubic_reduction_path_mode():
     assert check_proper(col)[0]
     assert len(sets_of(col)) <= 4
     assert all(6 in p for p in sets_of(col))
+
+
+def test_cubic_reduction_path_mode_searches_each_block_length_once():
+    # Petersen minus its matching is two 5-cycles: one P_3 box C_5 family
+    # search serves both, after the 94 nodes of the chromatic-index check
+    tracker = BudgetTracker(SearchBudget())
+    cubic_matching_reduction(3, petersen_graph(), mode="path", budget=tracker)
+    assert tracker.nodes == 1819
 
 
 def test_cubic_reduction_deterministic():

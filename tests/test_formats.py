@@ -149,6 +149,16 @@ def test_class_coloring_uses_one_color_per_class():
     assert col.used_colors() == frozenset({1, 2, 3})
 
 
+@pytest.mark.parametrize(
+    "s, t", [(s, t) for t in (3, 5, 7, 9) for s in (t, t + 2, t + 4)] + [(13, 3), (25, 7)])
+def test_class_coloring_colors_each_walk_by_its_class(s, t):
+    dec = TorusDecomposition(s, t)
+    col = class_coloring(dec)
+    for i, walk in enumerate(dec.z_sets):
+        for e in walk:
+            assert col.color_of(*e.undirected(s, t)) == dec.class_of_walk(i) + 1
+
+
 def test_torus_coloring_roundtrips_through_json():
     col = torus_three_palette_coloring(5, 3)
     assert coloring_from_json(coloring_to_json(col)) == col

@@ -18,6 +18,8 @@ THREE_PALETTES = {
 }
 
 ODD_PAIRS = [(s, t) for t in (3, 5, 7, 9) for s in (t, t + 2, t + 4)]
+# (13, 3) and (25, 7) have shift h = 1, which no pair of ODD_PAIRS reaches
+SHIFTED_PAIRS = ODD_PAIRS + [(13, 3), (25, 7)]
 
 
 def test_constructor_validation():
@@ -100,11 +102,38 @@ def test_three_palette_coloring(s, t):
     assert palette_summary(col).palette_sets() == THREE_PALETTES
 
 
-def test_coloring_matches_class_colors():
-    s, t = 5, 3
+@pytest.mark.parametrize("s, t", SHIFTED_PAIRS)
+def test_coloring_matches_class_colors(s, t):
     dec = TorusDecomposition(s, t)
     col = torus_three_palette_coloring(s, t)
     for j, cls in enumerate(dec.classes):
         for edge in cls:
             want = 2 * j + 1 if not edge.is_vertical else 2 * j + 2
             assert col.color_of(*edge.undirected(s, t)) == want
+
+
+def _with_walks(dec, walks):
+    """Replace the cached walks of ``dec``, as a broken decomposition would have them."""
+    dec.__dict__["z_sets"] = tuple(tuple(w) for w in walks)
+
+
+def test_partition_check_fails_when_two_walks_swap_an_edge():
+    dec = TorusDecomposition(7, 5)
+    z0, z1 = list(dec.z_sets[0]), list(dec.z_sets[1])
+    z0[3], z1[3] = z1[3], z0[3]
+    _with_walks(dec, [z0, z1, *dec.z_sets[2:]])
+    ok, problems = verify_partition(dec)
+    assert not ok
+    assert any(p.startswith("Z_0") for p in problems)
+    assert any(p.startswith("Z_1") for p in problems)
+
+
+def test_both_checks_fail_when_a_walk_copies_an_edge_of_another():
+    dec = TorusDecomposition(7, 5)
+    z0 = list(dec.z_sets[0])
+    z0[3] = dec.z_sets[1][3]
+    _with_walks(dec, [z0, *dec.z_sets[1:]])
+    ok, problems = verify_partition(dec)
+    assert not ok and problems
+    ok, problems = even_cycle_classes(dec)
+    assert not ok and problems
