@@ -3,9 +3,9 @@
 Subcommands: gen, product, construct, torus, theta, oracle, verify,
 export.  Exit codes: 0 success, 1 a check failed, 2 a search stopped
 before a verdict, because its budget ran out or because ``oracle``
-reached its --max-palettes cap.  The default budget comes from the
-PALETTEBOX_BUDGET_SECONDS and PALETTEBOX_BUDGET_NODES environment
-variables when flags are absent.
+reached its --max-palettes cap or the search's color limit.  The
+default budget comes from the PALETTEBOX_BUDGET_SECONDS and
+PALETTEBOX_BUDGET_NODES environment variables when flags are absent.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from palettebox.constructions import (
 )
 from palettebox.graphs import canonical_edge, cartesian_product
 from palettebox.oracle import certify, default_max_palettes, lower_bound, palette_index_exact
+from palettebox import search
 from palettebox.search import SearchBudget
 from palettebox.solver import chromatic_index
 from palettebox.theta import is_partial_cube, theta_classes, theta_removal_coloring
@@ -69,6 +70,15 @@ def _emit(args, obj: dict, text: str):
             fh.write(out if out.endswith("\n") else out + "\n")
     else:
         print(out)
+
+
+def _write_text(args, text: str):
+    """Write raw text, such as DOT, to --out when given and to stdout otherwise."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _coloring_report(col: EdgeColoring) -> tuple[dict, str]:
@@ -150,7 +160,7 @@ def _cmd_torus(args) -> int:
     dec = TorusDecomposition(args.s, args.t)
     ok, problems = verify_partition(dec)
     if args.dot:
-        sys.stdout.write(formats.export_class_dot(dec, f"C{args.s}xC{args.t}"))
+        _write_text(args, formats.export_class_dot(dec, f"C{args.s}xC{args.t}"))
         return PASS if ok else FAIL
     obj = formats.torus_to_json(dec)
     obj["partitionOk"] = ok
@@ -206,7 +216,13 @@ def _cmd_oracle(args) -> int:
     else:
         # the deepening ends at the cap exactly when it has proven every target up to it
         cap = args.max_palettes if args.max_palettes is not None else default_max_palettes(g)
-        why = f"stopped at --max-palettes {cap}" if cert.lower > cap else "budget ran out"
+        if cert.lower > cap:
+            why = f"stopped at --max-palettes {cap}"
+        elif min(cert.lower * g.max_degree, len(g.edges)) > search.MAX_COLORS:
+            # the same test palette_index_exact stops on
+            why = f"stopped at the search's {search.MAX_COLORS}-color limit"
+        else:
+            why = "budget ran out"
         text = f"palette index of {g.tag or 'graph'} in [{cert.lower}, {cert.upper}] ({why})"
     _emit(args, obj, text)
     return PASS if cert.exact else INDETERMINATE
@@ -233,12 +249,7 @@ def _cmd_export(args) -> int:
 
     with open(args.coloring) as fh:
         col = formats.coloring_from_json(json.load(fh))
-    dot = formats.export_dot(col, name=args.name)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dot)
-    else:
-        sys.stdout.write(dot)
+    _write_text(args, formats.export_dot(col, name=args.name))
     return PASS
 
 
@@ -266,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="the main factor G")
     p.add_argument("--host", help="the other factor H (mah, nrg)")
     p.add_argument("--s", type=int, help="layer count for cng/png/cubic")
-    p.add_argument("--c", type=int, help="recolored class (mah class-2 branch)")
+    p.add_argument("--c", type=int,
+                   help="recolored class of G when H is class 2 (mah); only the default"
+                        " Delta(G) gives regular factors the palette [Delta(G)+Delta(H)]")
     p.add_argument("--remove", help="edges u-v,x-y to delete (nrg)")
     p.add_argument("--mode", choices=("cycle", "path"), default="cycle")
     p.add_argument("--json", action="store_true")

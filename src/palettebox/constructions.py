@@ -75,7 +75,9 @@ def class1_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring,
     (default Delta(G)) is instead sent, in the copy of G at H-vertex z,
     to the color of [Delta(H)+1] missing from z's h-palette, and the
     remaining classes shift by Delta(H)+1.  When both factors are regular
-    every palette equals [Delta(G)+Delta(H)].
+    every vertex gets the same palette: [Delta(G)+Delta(H)] if H is class 1
+    or c = Delta(G), and otherwise [Delta(H)+1] plus the shifted classes
+    other than c, e.g. {1,2,3,5} for C_4 box C_5 with c = 1.
     """
     g, h = g_col.graph, h_col.graph
     dg, dh = g.max_degree, h.max_degree

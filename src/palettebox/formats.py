@@ -68,7 +68,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def torus_to_json(dec: TorusDecomposition) -> dict:
-    z_sets = [[[e.kind, e.j, e.k] for e in walk] for walk in dec.z_sets]
+    z_sets = [[list(step) for step in walk] for walk in dec.z_sets]
     classes = [sorted(i for i in range(dec.t) if dec.class_of_walk(i) == c)
                for c in range(3)]
     return {"s": dec.s, "t": dec.t, "ell": dec.ell, "shift": dec.shift,

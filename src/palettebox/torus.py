@@ -15,8 +15,15 @@ j's horizontal edges 2j+1 and vertical edges 2j+2 is proper and leaves
 exactly three distinct vertex palettes.
 
 Vertices are (row j, column k) with j in [s], k in [t], flattened
-row-major to j*t + k.  For s < t use commutativity: decompose the
-transposed grid and map edges through the coordinate swap.
+row-major to j*t + k.  A walk is stored as a tuple of (kind, j, k)
+steps in walk order: from (j, k), an ascending-vertical step goes to
+(j, k+1), a descending-vertical step to (j, k-1) and a horizontal step
+to (j+1, k), with wraparound.  The checks step through the stored walks
+in integer coordinates.  A walk that closes up after 2s steps and
+repeats no vertex is a cycle of even length 2s, so a class whose walks
+share no vertex is a disjoint union of even cycles.  For s < t use
+commutativity: decompose the transposed grid and map edges through the
+coordinate swap.
 """
 
 from __future__ import annotations
@@ -26,55 +33,14 @@ from functools import cached_property
 from typing import Callable
 
 from palettebox.coloring import EdgeColoring, product_coloring
-from palettebox.graphs import (
-    Edge,
-    Graph,
-    canonical_edge,
-    cartesian_product,
-    connected_components,
-    cycle_graph,
-)
+from palettebox.graphs import Graph, cycle_graph
 
 ASCENDING = "ascending-vertical"
 DESCENDING = "descending-vertical"
 HORIZONTAL = "horizontal"
 
-
-@dataclass(frozen=True)
-class TorusEdge:
-    """One edge of C_s box C_t, named by kind and initial vertex (j, k).
-
-    Ascending vertical edges go to (j, k+1), descending to (j, k-1), and
-    horizontal to (j+1, k), with wraparound.  Distinct (kind, j, k)
-    triples can denote the same undirected edge; ``undirected(s, t)``
-    gives the canonical identity used for partition checks.
-    """
-
-    kind: str
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.kind not in (ASCENDING, DESCENDING, HORIZONTAL):
-            raise ValueError(f"unknown torus edge kind {self.kind!r}")
-
-    def terminal(self, s: int, t: int) -> tuple[int, int]:
-        if self.kind == ASCENDING:
-            return self.j, (self.k + 1) % t
-        if self.kind == DESCENDING:
-            return self.j, (self.k - 1) % t
-        return (self.j + 1) % s, self.k
-
-    def endpoints(self, s: int, t: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return (self.j, self.k), self.terminal(s, t)
-
-    def undirected(self, s: int, t: int) -> Edge:
-        (j1, k1), (j2, k2) = self.endpoints(s, t)
-        return canonical_edge(j1 * t + k1, j2 * t + k2)
-
-    @property
-    def is_vertical(self) -> bool:
-        return self.kind != HORIZONTAL
+# One step of a walk: (kind, j, k), leaving (j, k) in the direction ``kind``.
+Step = tuple[str, int, int]
 
 
 def _check_odd_pair(s: int, t: int):
@@ -84,7 +50,7 @@ def _check_odd_pair(s: int, t: int):
         raise ValueError("both cycle lengths must be odd")
 
 
-def z_set(s: int, t: int, i: int) -> tuple[TorusEdge, ...]:
+def z_set(s: int, t: int, i: int) -> tuple[Step, ...]:
     """The i-th closed walk of the decomposition, edges in walk order.
 
     Starting at (0, i) the walk ascends for ell rows, then descends for
@@ -97,16 +63,16 @@ def z_set(s: int, t: int, i: int) -> tuple[TorusEdge, ...]:
         raise ValueError(f"walk index {i} out of range [0, {t})")
     ell = ((s - t) // 2) % t
     h = (s - t) // (2 * t)
-    walk: list[TorusEdge] = []
+    walk: list[Step] = []
     for j in range(ell):
-        walk.append(TorusEdge(ASCENDING, j, (i + j) % t))
-        walk.append(TorusEdge(HORIZONTAL, j, (i + j + 1) % t))
+        walk.append((ASCENDING, j, (i + j) % t))
+        walk.append((HORIZONTAL, j, (i + j + 1) % t))
     for j in range(ell):
-        walk.append(TorusEdge(DESCENDING, j + ell, (i - j + ell) % t))
-        walk.append(TorusEdge(HORIZONTAL, j + ell, (i - j + ell - 1) % t))
+        walk.append((DESCENDING, j + ell, (i - j + ell) % t))
+        walk.append((HORIZONTAL, j + ell, (i - j + ell - 1) % t))
     for j in range(t * (2 * h + 1)):
-        walk.append(TorusEdge(DESCENDING, j + 2 * ell, (i - j) % t))
-        walk.append(TorusEdge(HORIZONTAL, j + 2 * ell, (i - j - 1) % t))
+        walk.append((DESCENDING, j + 2 * ell, (i - j) % t))
+        walk.append((HORIZONTAL, j + 2 * ell, (i - j - 1) % t))
     return tuple(walk)
 
 
@@ -129,7 +95,7 @@ class TorusDecomposition:
         return (self.s - self.t) // (2 * self.t)
 
     @cached_property
-    def z_sets(self) -> tuple[tuple[TorusEdge, ...], ...]:
+    def z_sets(self) -> tuple[tuple[Step, ...], ...]:
         return tuple(z_set(self.s, self.t, i) for i in range(self.t))
 
     def class_of_walk(self, i: int) -> int:
@@ -144,18 +110,6 @@ class TorusDecomposition:
         if self.t % 3 == 1 and i == self.t - 1:
             return 1
         return i % 3
-
-    @cached_property
-    def classes(self) -> tuple[tuple[TorusEdge, ...], ...]:
-        """Three edge classes, each a union of vertex-disjoint walks."""
-        groups: list[list[TorusEdge]] = [[], [], []]
-        for i, walk in enumerate(self.z_sets):
-            groups[self.class_of_walk(i)].extend(walk)
-        return tuple(tuple(g) for g in groups)
-
-    @cached_property
-    def graph(self) -> Graph:
-        return cartesian_product(cycle_graph(self.s), cycle_graph(self.t))
 
     def walk_of(self, j: int, k: int, vertical: bool) -> int:
         """Index i of the walk Z_i through one edge, ``z_set`` solved for i.
@@ -183,37 +137,61 @@ def _edge_starts(cycle: Graph) -> list[int]:
     return [u if v == u + 1 else v for u, v in cycle.edges]
 
 
-def _walk_problems(dec: TorusDecomposition, i: int) -> list[str]:
+def _step_walk(dec: TorusDecomposition, i: int) -> tuple[list[str], set[int]]:
+    """Problems of the stored walk Z_i, and the flat vertices it leaves from.
+
+    One pass in integer coordinates checks that the walk has 2s edges,
+    each starting where the last one ended, that it closes up, that it
+    repeats no edge and no vertex, and that every edge has ``walk_of == i``.
+    """
     s, t = dec.s, dec.t
     walk = dec.z_sets[i]
     problems = []
     if len(walk) != 2 * s:
         problems.append(f"Z_{i} has {len(walk)} edges, expected {2 * s}")
-    seen_edges = {e.undirected(s, t) for e in walk}
-    if len(seen_edges) != len(walk):
-        problems.append(f"Z_{i} repeats an edge")
-    # a descending edge from (j, k) is the vertical edge that starts at (j, k-1)
-    strays = [e for e in walk
-              if dec.walk_of(e.j, (e.k - 1) % t if e.kind == DESCENDING else e.k,
-                             e.is_vertical) != i]
-    if strays:
-        problems.append(f"Z_{i} holds edges of other walks, first {strays[0]}")
-    visited = []
-    here = walk[0].endpoints(s, t)[0]
-    start = here
-    for e in walk:
-        init, term = e.endpoints(s, t)
-        if init != here:
-            problems.append(f"Z_{i} breaks at {e}: walk is at {here}, edge starts at {init}")
+    vertices: set[int] = set()
+    if not walk:
+        return problems, vertices
+    edges: set[int] = set()
+    walk_of = dec.walk_of
+    stray = None
+    steps = 0
+    start = here = walk[0][1] * t + walk[0][2]
+    for step in walk:
+        kind, j, k = step
+        v = j * t + k
+        if v != here:
+            problems.append(f"Z_{i} breaks at {step}: walk is at {divmod(here, t)}, "
+                            f"edge starts at {(j, k)}")
             break
-        visited.append(here)
-        here = term
+        # a vertical edge is named by its lower column: descending from (j, k) starts at (j, k-1)
+        if kind == HORIZONTAL:
+            vertical, low = False, k
+            here = (j + 1) % s * t + k
+        elif kind == ASCENDING:
+            vertical, low = True, k
+            here = j * t + (k + 1) % t
+        elif kind == DESCENDING:
+            vertical, low = True, (k - 1) % t
+            here = j * t + low
+        else:
+            problems.append(f"Z_{i} has a step of unknown kind {kind!r}")
+            break
+        vertices.add(v)
+        edges.add(2 * (j * t + low) + vertical)
+        steps += 1
+        if walk_of(j, low, vertical) != i and stray is None:
+            stray = step
     else:
         if here != start:
-            problems.append(f"Z_{i} does not close up (ends at {here})")
-        if len(set(visited)) != len(visited):
-            problems.append(f"Z_{i} revisits a vertex, so it is not a single cycle")
-    return problems
+            problems.append(f"Z_{i} does not close up (ends at {divmod(here, t)})")
+    if len(edges) != steps:
+        problems.append(f"Z_{i} repeats an edge")
+    if len(vertices) != steps:
+        problems.append(f"Z_{i} revisits a vertex, so it is not a single cycle")
+    if stray is not None:
+        problems.append(f"Z_{i} holds edges of other walks, first {stray}")
+    return problems, vertices
 
 
 def verify_partition(dec: TorusDecomposition) -> tuple[bool, list[str]]:
@@ -225,29 +203,26 @@ def verify_partition(dec: TorusDecomposition) -> tuple[bool, list[str]]:
     """
     problems: list[str] = []
     for i in range(dec.t):
-        problems.extend(_walk_problems(dec, i))
+        problems.extend(_step_walk(dec, i)[0])
     return not problems, problems
 
 
 def even_cycle_classes(dec: TorusDecomposition) -> tuple[bool, list[str]]:
-    """Check that each mod-3 class is a disjoint union of even cycles."""
-    s, t = dec.s, dec.t
+    """Check that each class of walks is a disjoint union of even cycles.
+
+    Each Z_i must be a closed simple walk of 2s edges, so a cycle of even
+    length, and walks of one class (``class_of_walk``) must share no
+    vertex, so their cycles are disjoint.
+    """
     problems: list[str] = []
-    for j, cls in enumerate(dec.classes):
-        edges = [e.undirected(s, t) for e in cls]
-        if len(set(edges)) != len(edges):
-            problems.append(f"class {j} repeats an edge")
-            continue
-        sub = Graph.from_edges(s * t, edges, f"torus-class({j})")
-        degs = [d for d in sub.degrees if d > 0]
-        if any(d != 2 for d in degs):
-            problems.append(f"class {j} is not 2-regular on its support")
-            continue
-        # every vertex has degree 0 or 2, so the components with an edge are the cycles
-        cycles = [len(c) for c in connected_components(sub) if len(c) > 1]
-        odd = [c for c in cycles if c % 2 == 1]
-        if odd:
-            problems.append(f"class {j} contains odd cycles of lengths {odd}")
+    seen: list[set[int]] = [set(), set(), set()]
+    for i in range(dec.t):
+        walk_problems, vertices = _step_walk(dec, i)
+        problems.extend(walk_problems)
+        c = dec.class_of_walk(i)
+        if not seen[c].isdisjoint(vertices):
+            problems.append(f"class {c}: Z_{i} shares a vertex with another walk of the class")
+        seen[c] |= vertices
     return not problems, problems
 
 

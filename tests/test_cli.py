@@ -128,6 +128,16 @@ def test_oracle_says_the_budget_stopped_it(tmp_path):
     assert starved.stdout.strip().endswith("(budget ran out)")
 
 
+def test_oracle_says_the_color_limit_stopped_it(tmp_path):
+    # K_{2,32}: at p = 2 the search would need min(2 * 32, 64) = 64 > 62 colors
+    edges = [[u, v] for u in range(2) for v in range(2, 34)]
+    (tmp_path / "k232.json").write_text(json.dumps({"n": 34, "edges": edges}))
+    stopped = sh("palettebox oracle k232.json", cwd=tmp_path)
+    assert stopped.returncode == 2
+    assert stopped.stdout.strip() == (
+        f"palette index of graph in [2, 17] (stopped at the search's {search.MAX_COLORS}-color limit)")
+
+
 def test_budget_env_and_flag_precedence(tmp_path):
     env = {"PALETTEBOX_BUDGET_NODES": "10"}
     starved = sh("palettebox oracle petersen", cwd=tmp_path, env=env)
@@ -184,6 +194,14 @@ def test_torus_dot_output(tmp_path):
     proc = sh("palettebox torus --s 5 --t 5 --dot", cwd=tmp_path)
     assert proc.returncode == 0
     assert proc.stdout.count("--") == 50
+
+
+def test_torus_dot_out_file_matches_stdout(tmp_path):
+    printed = sh("palettebox torus --s 7 --t 7 --dot", cwd=tmp_path)
+    written = sh("palettebox torus --s 7 --t 7 --dot --out torus.dot", cwd=tmp_path)
+    assert printed.returncode == written.returncode == 0
+    assert written.stdout == ""
+    assert (tmp_path / "torus.dot").read_text() == printed.stdout
 
 
 @pytest.mark.skipif(not search.HAS_NUMBA, reason="numba is not importable")

@@ -19,6 +19,7 @@ from palettebox.formats import (
     torus_to_json,
 )
 from palettebox.graphs import (
+    cartesian_product,
     cycle_graph,
     hypercube_graph,
     path_graph,
@@ -73,6 +74,7 @@ def test_torus_json_shape():
     obj = torus_to_json(dec)
     assert len(obj["zSets"]) == 3
     assert all(len(w) == 10 for w in obj["zSets"])
+    assert obj["zSets"][0][:2] == [["ascending-vertical", 0, 0], ["horizontal", 0, 1]]
     assert len(obj["classes"]) == 3
 
 
@@ -137,7 +139,7 @@ def test_default_style_map_cycles_styles():
 def test_class_dot_export():
     dec = TorusDecomposition(5, 5)
     dot = export_class_dot(dec)
-    assert dot.count("--") == len(dec.graph.edges)
+    assert dot.count("--") == len(cartesian_product(cycle_graph(5), cycle_graph(5)).edges)
     labels = {line.split("label=")[1].split(",")[0]
               for line in dot.splitlines() if "label=" in line}
     assert labels == {"1", "2", "3"}
@@ -151,12 +153,12 @@ def test_class_coloring_uses_one_color_per_class():
 
 @pytest.mark.parametrize(
     "s, t", [(s, t) for t in (3, 5, 7, 9) for s in (t, t + 2, t + 4)] + [(13, 3), (25, 7)])
-def test_class_coloring_colors_each_walk_by_its_class(s, t):
+def test_class_coloring_colors_each_walk_by_its_class(s, t, torus_edge):
     dec = TorusDecomposition(s, t)
     col = class_coloring(dec)
     for i, walk in enumerate(dec.z_sets):
-        for e in walk:
-            assert col.color_of(*e.undirected(s, t)) == dec.class_of_walk(i) + 1
+        for step in walk:
+            assert col.color_of(*torus_edge(s, t, step)) == dec.class_of_walk(i) + 1
 
 
 def test_torus_coloring_roundtrips_through_json():

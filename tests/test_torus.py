@@ -1,10 +1,9 @@
 import pytest
 
 from palettebox.coloring import check_proper, palette_summary
-from palettebox.graphs import ProductIndex, cartesian_product, cycle_graph
+from palettebox.graphs import ProductIndex
 from palettebox.torus import (
     TorusDecomposition,
-    TorusEdge,
     even_cycle_classes,
     torus_three_palette_coloring,
     verify_partition,
@@ -46,15 +45,15 @@ def test_shift_parameter_formulas(s, t):
     assert dec.shift == (s - t) // (2 * t)
 
 
-def test_walk_5_3_first_steps():
+def test_walk_5_3_first_steps(torus_edge):
     walk = z_set(5, 3, 0)
     assert len(walk) == 10
-    assert walk[0] == TorusEdge("ascending-vertical", 0, 0)
-    assert walk[1] == TorusEdge("horizontal", 0, 1)
-    assert walk[2] == TorusEdge("descending-vertical", 1, 1)
+    assert walk[0] == ("ascending-vertical", 0, 0)
+    assert walk[1] == ("horizontal", 0, 1)
+    assert walk[2] == ("descending-vertical", 1, 1)
     idx = ProductIndex(5, 3)
-    assert walk[0].undirected(5, 3) == (idx.flat(0, 0), idx.flat(0, 1))
-    assert walk[1].undirected(5, 3) == (idx.flat(0, 1), idx.flat(1, 1))
+    assert torus_edge(5, 3, walk[0]) == (idx.flat(0, 0), idx.flat(0, 1))
+    assert torus_edge(5, 3, walk[1]) == (idx.flat(0, 1), idx.flat(1, 1))
 
 
 @pytest.mark.parametrize("s, t", ODD_PAIRS)
@@ -69,7 +68,7 @@ def test_walks_partition_all_edges(s, t):
 @pytest.mark.parametrize("s, t", ODD_PAIRS)
 def test_classes_give_even_cycles(s, t):
     dec = TorusDecomposition(s, t)
-    assert len(dec.classes) == 3
+    assert {dec.class_of_walk(i) for i in range(t)} == {0, 1, 2}
     ok, problems = even_cycle_classes(dec)
     assert ok, problems
 
@@ -90,11 +89,6 @@ def test_repair_keeps_neighbouring_walks_apart(t):
         assert labels[i] != labels[(i + 1) % t]
 
 
-def test_decomposition_graph_is_the_product():
-    dec = TorusDecomposition(5, 3)
-    assert dec.graph == cartesian_product(cycle_graph(5), cycle_graph(3))
-
-
 @pytest.mark.parametrize("s, t", ODD_PAIRS)
 def test_three_palette_coloring(s, t):
     col = torus_three_palette_coloring(s, t)
@@ -103,13 +97,14 @@ def test_three_palette_coloring(s, t):
 
 
 @pytest.mark.parametrize("s, t", SHIFTED_PAIRS)
-def test_coloring_matches_class_colors(s, t):
+def test_coloring_matches_class_colors(s, t, torus_edge):
     dec = TorusDecomposition(s, t)
     col = torus_three_palette_coloring(s, t)
-    for j, cls in enumerate(dec.classes):
-        for edge in cls:
-            want = 2 * j + 1 if not edge.is_vertical else 2 * j + 2
-            assert col.color_of(*edge.undirected(s, t)) == want
+    for i, walk in enumerate(dec.z_sets):
+        j = dec.class_of_walk(i)
+        for step in walk:
+            want = 2 * j + 1 if step[0] == "horizontal" else 2 * j + 2
+            assert col.color_of(*torus_edge(s, t, step)) == want
 
 
 def _with_walks(dec, walks):
@@ -137,3 +132,62 @@ def test_both_checks_fail_when_a_walk_copies_an_edge_of_another():
     assert not ok and problems
     ok, problems = even_cycle_classes(dec)
     assert not ok and problems
+
+
+def test_partition_check_fails_when_a_walk_is_cut_short():
+    dec = TorusDecomposition(7, 5)
+    _with_walks(dec, [dec.z_sets[0][:-2], *dec.z_sets[1:]])
+    ok, problems = verify_partition(dec)
+    assert not ok
+    assert "Z_0 has 12 edges, expected 14" in problems
+    assert any(p.startswith("Z_0 does not close up") for p in problems)
+
+
+def test_partition_check_fails_when_a_walk_revisits_a_vertex():
+    dec = TorusDecomposition(7, 5)
+    # out along the edge (0,0)-(0,1) and straight back, seven times
+    there_and_back = [("ascending-vertical", 0, 0), ("descending-vertical", 0, 1)] * 7
+    _with_walks(dec, [there_and_back, *dec.z_sets[1:]])
+    ok, problems = verify_partition(dec)
+    assert not ok
+    assert any(p.startswith("Z_0 revisits a vertex") for p in problems)
+    assert "Z_0 repeats an edge" in problems
+
+
+def test_partition_check_fails_when_a_walk_steps_out_of_order():
+    dec = TorusDecomposition(7, 5)
+    z0 = list(dec.z_sets[0])
+    z0[2], z0[3] = z0[3], z0[2]
+    _with_walks(dec, [z0, *dec.z_sets[1:]])
+    ok, problems = verify_partition(dec)
+    assert not ok
+    assert any(p.startswith("Z_0 breaks at") for p in problems)
+
+
+def test_partition_check_fails_when_a_walk_follows_another():
+    # Z_1 is a closed simple 2s-cycle, so only walk_of tells it apart from Z_0
+    dec = TorusDecomposition(7, 5)
+    _with_walks(dec, [dec.z_sets[1], *dec.z_sets[1:]])
+    ok, problems = verify_partition(dec)
+    assert not ok
+    assert problems == [f"Z_0 holds edges of other walks, first {dec.z_sets[1][0]}"]
+
+
+def test_partition_check_fails_on_an_unknown_step_kind():
+    dec = TorusDecomposition(5, 3)
+    z0 = list(dec.z_sets[0])
+    z0[1] = ("diagonal", *z0[1][1:])
+    _with_walks(dec, [z0, *dec.z_sets[1:]])
+    ok, problems = verify_partition(dec)
+    assert not ok
+    assert any("unknown kind 'diagonal'" in p for p in problems)
+
+
+def test_class_check_fails_when_walks_of_one_class_share_a_vertex(monkeypatch):
+    # plain i mod 3 puts the neighbouring walks Z_6 and Z_0 of C_7 x C_7 in one class
+    monkeypatch.setattr(TorusDecomposition, "class_of_walk", lambda self, i: i % 3)
+    dec = TorusDecomposition(7, 7)
+    assert verify_partition(dec)[0]
+    ok, problems = even_cycle_classes(dec)
+    assert not ok
+    assert problems == ["class 0: Z_6 shares a vertex with another walk of the class"]
