@@ -35,7 +35,7 @@ from palettebox.graphs import Graph
 from palettebox.search import ensure_tracker
 from palettebox.solver import (
     ChromaticIndexResult,
-    chromatic_index,
+    _chromatic_index,
     coloring_from_search,
     misra_gries_coloring,
     ordered_endpoints,
@@ -76,7 +76,14 @@ def default_max_palettes(graph: Graph) -> int:
     return distinct + graph.max_degree
 
 
-def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[ChromaticIndexResult]]:
+def _lower_bound_impl(graph: Graph, tracker, endpoints=None
+                      ) -> tuple[int, str, Optional[ChromaticIndexResult]]:
+    """The lower bound, its rule and the chromatic-index result it used.
+
+    ``endpoints`` is ``ordered_endpoints(graph)`` where the caller has
+    already built it; otherwise it is built here, and only for a regular
+    graph, the one case that searches.
+    """
     if graph.n == 0:
         return 0, "degree-set", None
     distinct = len(set(graph.degrees))
@@ -84,7 +91,7 @@ def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[Chromat
         return distinct, "degree-set", None
     if graph.max_degree == 0:
         return 1, "degree-set", None
-    result = chromatic_index(graph, tracker)
+    result = _chromatic_index(graph, tracker, endpoints or ordered_endpoints(graph))
     if result.status == "exact" and result.is_class_one is False:
         return 3, "regular-class2", result
     return 1, "degree-set", result
@@ -123,10 +130,10 @@ def palette_index_exact(graph: Graph, max_palettes: Optional[int] = None,
 
     delta = graph.max_degree
     m = len(graph.edges)
-    order, eu, ev = ordered_endpoints(graph)
+    order, eu, ev = endpoints = ordered_endpoints(graph)
     deg = list(graph.degrees)
 
-    proven, rule, chrom = _lower_bound_impl(graph, tracker)
+    proven, rule, chrom = _lower_bound_impl(graph, tracker, endpoints)
     proven = max(proven, 1)
     fallback = chrom.witness if chrom is not None else None
 

@@ -1,8 +1,11 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from palettebox.coloring import check_proper, palette_summary
 from palettebox.constructions import PATH_MODE_FAMILY
+from palettebox.corpus import random_graph
 from palettebox.graphs import (
     Graph,
     cartesian_product,
@@ -103,12 +106,20 @@ def test_palette_search_node_counts_are_pinned():
     # a change here means the search tree changed
     cert = palette_index_exact(cartesian_product(cycle_graph(3), cycle_graph(5)))
     assert cert.interval == (3, 3)
-    assert cert.nodes == 48_050
+    assert cert.nodes == 164
     tracker = BudgetTracker(None)
     g = cartesian_product(path_graph(5), cycle_graph(5))
     status, col = coloring_within_family(g, PATH_MODE_FAMILY, tracker)
     assert status == FOUND and check_proper(col)[0]
-    assert tracker.nodes == 291_805
+    assert tracker.nodes == 127
+
+
+@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 64_717), (5, 3, 23_317)])
+def test_path_cycle_node_counts_are_pinned(path, cycle, nodes):
+    # both have palette index 4; the search exhausts p = 2 and 3 before finding it
+    cert = palette_index_exact(cartesian_product(path_graph(path), cycle_graph(cycle)))
+    assert cert.interval == (4, 4)
+    assert cert.nodes == nodes
 
 
 def test_certify_uses_candidate_witnesses():
@@ -141,6 +152,16 @@ def test_naive_oracle_known_values():
     assert naive_minimum_palettes(cycle_graph(5)) == 3
     assert naive_minimum_palettes(complete_graph(4)) == 1
     assert naive_minimum_palettes(Graph(2, ((0, 1),))) == 1
+
+
+def test_oracles_agree_on_seeded_random_graphs():
+    rng = Random(20261018)
+    graphs = [g for g in (random_graph(rng, 5, 7) for _ in range(60)) if len(g.edges) <= 11]
+    assert len(graphs) >= 50
+    for g in graphs:
+        cert = palette_index_exact(g)
+        assert cert.exact, g.edges
+        assert cert.lower == naive_minimum_palettes(g), g.edges
 
 
 @settings(max_examples=15, deadline=None)
