@@ -36,7 +36,7 @@ from palettebox.coloring import (
     product_coloring,
 )
 from palettebox.solver import SearchBudget, chromatic_index
-from palettebox.oracle import Certificate, certify, lower_bound, palette_index_exact
+from palettebox.oracle import Certificate, lower_bound, palette_index_exact
 from palettebox.constructions import (
     NrgSpec,
     class1_product_coloring,
@@ -68,7 +68,6 @@ __all__ = [
     "TorusDecomposition",
     "build_generator",
     "cartesian_product",
-    "certify",
     "check_proper",
     "chromatic_index",
     "class1_product_coloring",

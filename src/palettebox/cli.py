@@ -27,9 +27,8 @@ from palettebox.constructions import (
     path_times_regular_coloring,
 )
 from palettebox.graphs import canonical_edge, cartesian_product
-from palettebox.oracle import certify, default_max_palettes, lower_bound, palette_index_exact
-from palettebox import search
-from palettebox.search import SearchBudget
+from palettebox.oracle import default_max_palettes, lower_bound, palette_index_exact
+from palettebox.search import MAX_COLORS, SearchBudget
 from palettebox.solver import chromatic_index
 from palettebox.theta import is_partial_cube, theta_classes, theta_removal_coloring
 from palettebox.torus import TorusDecomposition, torus_three_palette_coloring, verify_partition
@@ -214,13 +213,11 @@ def _cmd_oracle(args) -> int:
     if cert.exact:
         text = f"palette index of {g.tag or 'graph'} = {cert.lower} (rule: {cert.rule})"
     else:
-        # the deepening ends at the cap exactly when it has proven every target up to it
-        cap = args.max_palettes if args.max_palettes is not None else default_max_palettes(g)
-        if cert.lower > cap:
+        if cert.stop == "max-palettes":
+            cap = args.max_palettes if args.max_palettes is not None else default_max_palettes(g)
             why = f"stopped at --max-palettes {cap}"
-        elif min(cert.lower * g.max_degree, len(g.edges)) > search.MAX_COLORS:
-            # the same test palette_index_exact stops on
-            why = f"stopped at the search's {search.MAX_COLORS}-color limit"
+        elif cert.stop == "color-width":
+            why = f"stopped at the search's {MAX_COLORS}-color limit"
         else:
             why = "budget ran out"
         text = f"palette index of {g.tag or 'graph'} in [{cert.lower}, {cert.upper}] ({why})"

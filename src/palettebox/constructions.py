@@ -42,6 +42,21 @@ def _require_exact_colors(coloring: EdgeColoring, colors: set[int], what: str):
         raise ValueError(f"{what} must use colors {sorted(colors)} exactly, got {sorted(used)}")
 
 
+def _h_is_class_two(h_col: EdgeColoring) -> bool:
+    """Whether a coloring of H uses [Delta(H)+1] rather than [Delta(H)].
+
+    Any other color set, or an improper coloring, is rejected.
+    """
+    dh = h_col.graph.max_degree
+    used = set(h_col.used_colors())
+    if used != set(range(1, dh + 1)) and used != set(range(1, dh + 2)):
+        raise ValueError(f"h must use [{dh}] or [{dh + 1}] exactly, got colors {sorted(used)}")
+    ok, witness = check_proper(h_col)
+    if not ok:
+        raise ValueError(f"h is not proper: clash at vertex {witness[0]}")
+    return len(used) == dh + 1
+
+
 class BudgetExhausted(RuntimeError):
     """Raised when the search budget runs out before a step is classified."""
 
@@ -82,17 +97,7 @@ def class1_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring,
     g, h = g_col.graph, h_col.graph
     dg, dh = g.max_degree, h.max_degree
     _require_exact_colors(g_col, set(range(1, dg + 1)), "g")
-    h_used = set(h_col.used_colors())
-    if h_used == set(range(1, dh + 1)):
-        class_two = False
-    elif h_used == set(range(1, dh + 2)):
-        class_two = True
-    else:
-        raise ValueError(
-            f"h must use [{dh}] or [{dh + 1}] exactly, got colors {sorted(h_used)}")
-    ok, witness = check_proper(h_col)
-    if not ok:
-        raise ValueError(f"h is not proper: clash at vertex {witness[0]}")
+    class_two = _h_is_class_two(h_col)
     if not class_two:
         if c is not None:
             raise ValueError("c applies only when h uses Delta(H)+1 colors")
@@ -231,16 +236,7 @@ def nrg_product_coloring(spec: NrgSpec, host: Graph,
         h_col = result.witness
     if h_col.graph.n != host.n or h_col.graph.edges != host.edges:
         raise ValueError("h must color H")
-    h_used = set(h_col.used_colors())
-    if h_used == set(range(1, rp + 1)):
-        class_two = False
-    elif h_used == set(range(1, rp + 2)):
-        class_two = True
-    else:
-        raise ValueError(f"h must use [{rp}] or [{rp + 1}] exactly, got {sorted(h_used)}")
-    ok, witness = check_proper(h_col)
-    if not ok:
-        raise ValueError(f"h is not proper: clash at vertex {witness[0]}")
+    class_two = _h_is_class_two(h_col)
 
     nrg = spec.graph
     base_map = spec.base.as_map()

@@ -63,7 +63,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         "upper": cert.upper,
         "exact": cert.exact,
         "rule": cert.rule,
-        "witness": coloring_to_json(cert.witness) if cert.witness is not None else None,
+        "witness": coloring_to_json(cert.witness),
     }
 
 

@@ -78,16 +78,20 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
-    @property
+    @cached_property
     def is_regular(self) -> bool:
         return len(set(self.degrees)) <= 1
 

@@ -1,10 +1,13 @@
 """Exact palette index oracle with lower-bound certificates.
 
 The palette index of a graph is the minimum number of distinct vertex
-palettes over all proper edge colorings.  The oracle deepens a target
-palette count p from a certified lower bound upward; for each p it runs
-an exhaustive search over colorings with at most p distinct palettes.
-A coloring with p distinct palettes mentions at most p*Delta colors, so
+palettes over all proper edge colorings.  ``palette_index_exact`` is the
+one place a ``Certificate`` is made.  Its upper bound u is the best
+known witness: a caller's candidate coloring or the chromatic-index
+witness the lower bound computes.  It then deepens a target palette
+count p from a certified lower bound up to u-1; for each p it runs an
+exhaustive search over colorings with at most p distinct palettes.  A
+coloring with p distinct palettes mentions at most p*Delta colors, so
 restricting the search to min(p*Delta, |E|) colors loses nothing.
 
 Lower bound rules:
@@ -17,17 +20,17 @@ Lower bound rules:
   p = 2 is skipped for the same reason.
 * ``exhaustive``: every smaller p was exhausted by search.
 
-Budgets interrupt cleanly: the certificate then reports the proven
-interval and is never marked exact.  Its upper bound comes from the
-chromatic-index witness when the lower bound computed one, and otherwise
-from a Misra-Gries (Delta+1)-coloring, which needs no budget; so every
-certificate has an upper bound.
+A search that stops early reports the proven interval and is never
+marked exact; ``Certificate.stop`` says why it stopped.  Its upper bound
+is the best known witness, and a Misra-Gries (Delta+1)-coloring, which
+needs no budget, when none is known; so every certificate has an upper
+bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from palettebox import search
 from palettebox.coloring import EdgeColoring, palette_summary
@@ -46,23 +49,26 @@ from palettebox.solver import (
 class Certificate:
     """A proven interval for the palette index of one graph.
 
-    ``lower`` always holds; ``upper`` is the palette count of ``witness``
-    when a witness is known.  ``exact`` is claimed only when the interval
-    collapses.
+    ``lower`` always holds, and ``upper`` is the palette count of
+    ``witness``.  ``stop`` says why the search stopped: ``exact`` once the
+    interval collapses, else ``budget``, ``max-palettes`` (every target
+    up to the cap was exhausted) or ``color-width`` (the next target
+    needs more colors than ``search.MAX_COLORS``).
     """
 
     lower: int
-    upper: Optional[int]
+    upper: int
     rule: str
-    witness: Optional[EdgeColoring]
-    nodes: int = 0
+    witness: EdgeColoring
+    nodes: int
+    stop: str
 
     @property
     def exact(self) -> bool:
-        return self.upper is not None and self.lower == self.upper
+        return self.lower == self.upper
 
     @property
-    def interval(self) -> tuple[int, Optional[int]]:
+    def interval(self) -> tuple[int, int]:
         return (self.lower, self.upper)
 
 
@@ -107,22 +113,29 @@ def lower_bound(graph: Graph, budget=None) -> tuple[int, str]:
     return value, rule
 
 
-def palette_index_exact(graph: Graph, max_palettes: Optional[int] = None,
-                        budget=None) -> Certificate:
+def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
+                        max_palettes: Optional[int] = None, budget=None) -> Certificate:
     """Exact palette index by iterative deepening, or a proven interval.
 
-    Deepening starts at the certified lower bound.  Exhausting target p
-    raises the proven lower bound to p+1 (skipping 2 on regular graphs).
-    The first target that admits a coloring is the palette index, since
-    any coloring with c distinct palettes can be relabeled into the
-    colors the target-c search explores.
+    Each candidate must be a proper coloring of exactly this graph.  The
+    best of them and of the chromatic-index witness sets the upper bound
+    u.  Deepening starts at the certified lower bound and runs only over
+    targets p < u (and p <= ``max_palettes``).  Exhausting target p raises
+    the proven lower bound to p+1 (skipping 2 on regular graphs).  The
+    first target that admits a coloring is the palette index, since any
+    coloring with c distinct palettes can be relabeled into the colors
+    the target-c search explores; reaching u proves u.
     """
     tracker = ensure_tracker(budget)
-    if graph.n == 0:
-        return Certificate(0, 0, "degree-set", EdgeColoring(graph, ()), tracker.nodes)
-    if not graph.edges:
-        witness = EdgeColoring(graph, ())
-        return Certificate(1, 1, "degree-set", witness, tracker.nodes)
+    known = []
+    for cand in candidates:
+        if cand.graph.n != graph.n or cand.graph.edges != graph.edges:
+            raise ValueError("candidate colors a different graph")
+        known.append((palette_summary(cand).count, cand))
+    if graph.n == 0 or not graph.edges:
+        value = 1 if graph.n else 0
+        return Certificate(value, value, "degree-set", EdgeColoring(graph, ()),
+                           tracker.nodes, "exact")
     if max_palettes is None:
         max_palettes = default_max_palettes(graph)
     if max_palettes < 1:
@@ -135,15 +148,16 @@ def palette_index_exact(graph: Graph, max_palettes: Optional[int] = None,
 
     proven, rule, chrom = _lower_bound_impl(graph, tracker, endpoints)
     proven = max(proven, 1)
-    fallback = chrom.witness if chrom is not None else None
+    if chrom is not None and chrom.witness is not None:
+        known.append((palette_summary(chrom.witness).count, chrom.witness))
+    upper, witness = min(known, key=lambda kc: kc[0], default=(None, None))
 
-    def finish_inexact(current_rule: str) -> Certificate:
-        witness = fallback if fallback is not None else misra_gries_coloring(graph)
-        upper = palette_summary(witness).count
-        return Certificate(proven, upper, current_rule, witness, tracker.nodes)
-
+    stop = "exact"
     p = proven
-    while p <= max_palettes:
+    while upper is None or p < upper:
+        if p > max_palettes:
+            stop = "max-palettes"
+            break
         if graph.is_regular and p == 2:
             proven, rule = 3, "regular-not-2"
             p = 3
@@ -151,39 +165,23 @@ def palette_index_exact(graph: Graph, max_palettes: Optional[int] = None,
         k = min(p * delta, m)
         if k > search.MAX_COLORS:
             # Exhaustion above the kernel's color width would be unsound.
-            return finish_inexact(rule)
+            stop = "color-width"
+            break
         status, colors = search.search_palette_count(eu, ev, graph.n, deg, k, p, tracker)
         if status == search.FOUND:
-            witness = coloring_from_search(graph, order, colors)
-            return Certificate(p, p, rule, witness, tracker.nodes)
+            upper, witness = p, coloring_from_search(graph, order, colors)
+            break
         if status == search.BUDGET:
-            return finish_inexact(rule)
+            stop = "budget"
+            break
         proven, rule = p + 1, "exhaustive"
         p += 1
-    return finish_inexact(rule)
-
-
-def certify(graph: Graph, candidates: Sequence[EdgeColoring], budget=None) -> Certificate:
-    """Combine the structural lower bound with caller-supplied witnesses.
-
-    Each candidate must be a proper coloring of exactly this graph.  The
-    chromatic-index witness that the lower bound computes on regular
-    graphs competes with them (on a class-1 regular graph it has one
-    palette); the best palette count becomes the upper bound.
-    """
-    tracker = ensure_tracker(budget)
-    value, rule, chrom = _lower_bound_impl(graph, tracker)
-    if chrom is not None and chrom.witness is not None:
-        candidates = [*candidates, chrom.witness]
-    best_count: Optional[int] = None
-    best: Optional[EdgeColoring] = None
-    for cand in candidates:
-        if cand.graph.n != graph.n or cand.graph.edges != graph.edges:
-            raise ValueError("candidate colors a different graph")
-        count = palette_summary(cand).count
-        if best_count is None or count < best_count:
-            best_count, best = count, cand
-    return Certificate(value, best_count, rule, best, tracker.nodes)
+    if witness is None:
+        witness = misra_gries_coloring(graph)
+        upper = palette_summary(witness).count
+    if proven == upper:
+        stop = "exact"
+    return Certificate(proven, upper, rule, witness, tracker.nodes, stop)
 
 
 def coloring_within_family(graph: Graph, family: Iterable[frozenset[int]],

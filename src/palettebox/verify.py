@@ -34,7 +34,6 @@ from palettebox.graphs import (
     petersen_graph,
 )
 from palettebox.oracle import (
-    certify,
     coloring_within_family,
     naive_minimum_palettes,
     palette_index_exact,
@@ -239,7 +238,7 @@ def _tpc_case(s: int, t: int, budget):
                 return f"witness has {count} palettes"
             # small cases: confirm 4 is optimal, not only achievable
             if s * t <= 15:
-                cert = palette_index_exact(block, budget=budget)
+                cert = palette_index_exact(block, [col], budget=budget)
                 if not cert.exact:
                     raise _Indeterminate("oracle budget out")
                 return _expect(cert.lower == 4, f"oracle says {cert.lower}")
@@ -278,7 +277,7 @@ def _cubic_suite(rec: _Recorder, budget):
 
     def certificate():
         col = cubic_matching_reduction(3, pet, mode="cycle", budget=budget)
-        cert = certify(col.graph, [col], budget)
+        cert = palette_index_exact(col.graph, [col], budget=budget)
         # C_3 box Petersen is 5-regular and class 1: palette index 1
         return _expect(cert.exact and cert.lower == 1,
                        f"certificate {cert.lower}..{cert.upper}")

@@ -31,7 +31,7 @@ from palettebox.graphs import (
     petersen_graph,
     remove_edges,
 )
-from palettebox.oracle import certify, naive_minimum_palettes, palette_index_exact
+from palettebox.oracle import naive_minimum_palettes, palette_index_exact
 from palettebox.search import SearchBudget
 from palettebox.solver import chromatic_index
 from palettebox.theta import theta_classes, theta_removal_coloring
@@ -151,7 +151,7 @@ def test_criterion_5_cubic_product_certificate():
     col = cubic_matching_reduction(3, petersen_graph())
     assert check_proper(col)[0]
     assert len(sets_of(col)) == 3
-    cert = certify(col.graph, [col])
+    cert = palette_index_exact(col.graph, [col], budget=SearchBudget(max_seconds=60.0))
     # C_3 box Petersen is 5-regular and class 1, so the chromatic-index
     # witness has a single palette
     assert cert.exact and cert.interval == (1, 1), cert.interval

@@ -139,6 +139,21 @@ def test_nrg_product_rejects_host_coloring_clash():
         nrg_product_coloring(spec, host, h_col=shifted)
 
 
+@pytest.mark.parametrize("colors, why", [
+    ((1, 1, 2, 2), "not proper"),  # uses [2] but clashes at vertex 0
+    ((1, 3, 3, 1), "must use"),  # proper but skips color 2
+])
+@pytest.mark.parametrize("build", ["class1", "nrg"])
+def test_products_reject_the_same_bad_host_colorings(build, colors, why):
+    host = cycle_graph(4)
+    h_col = EdgeColoring(host, colors)
+    with pytest.raises(ValueError, match=why):
+        if build == "class1":
+            class1_product_coloring(chromatic_index(cycle_graph(6)).witness, h_col)
+        else:
+            nrg_product_coloring(qualifying_q3_spec(), host, h_col=h_col)
+
+
 def test_nrg_with_larger_slice_removed():
     q3 = hypercube_graph(3)
     m = Matching.from_edges(q3, [(0, 1), (2, 3), (4, 5), (6, 7)])

@@ -149,6 +149,16 @@ def test_product_matches_definition(g, h):
     assert prod.provenance == f"product({g.tag},{h.tag})"
 
 
+@given(small_graphs(max_n=7))
+@example(Graph(0, ()))
+def test_degrees_match_the_edge_list(g):
+    want = [sum(v in e for e in g.edges) for v in range(g.n)]
+    assert list(g.degrees) == want
+    assert g.degrees == tuple(len(a) for a in g.adjacency)
+    assert g.max_degree == max(want, default=0)
+    assert g.is_regular == (len(set(want)) <= 1)
+
+
 def test_product_commutes_up_to_pair_swap():
     g, h = path_graph(3), cycle_graph(4)
     gh, hg = cartesian_product(g, h), cartesian_product(h, g)

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palettebox.coloring import check_proper, palette_summary
+from palettebox.coloring import EdgeColoring, check_proper, palette_summary
 from palettebox.constructions import PATH_MODE_FAMILY
 from palettebox.corpus import random_graph
 from palettebox.graphs import (
@@ -12,9 +12,9 @@ from palettebox.graphs import (
     complete_graph,
     cycle_graph,
     path_graph,
+    petersen_graph,
 )
 from palettebox.oracle import (
-    certify,
     coloring_within_family,
     lower_bound,
     naive_minimum_palettes,
@@ -122,18 +122,68 @@ def test_path_cycle_node_counts_are_pinned(path, cycle, nodes):
     assert cert.nodes == nodes
 
 
-def test_certify_uses_candidate_witnesses():
+def test_candidate_witness_sets_the_upper_bound():
     g = cycle_graph(5)
     col = chromatic_index(g).witness
-    cert = certify(g, [col])
+    cert = palette_index_exact(g, [col])
     assert cert.lower == 3 and cert.upper == 3 and cert.exact
 
 
-def test_certify_rejects_foreign_colorings():
+def test_candidates_for_another_graph_are_rejected():
     g = cycle_graph(5)
     col = chromatic_index(cycle_graph(7)).witness
     with pytest.raises(ValueError):
-        certify(g, [col])
+        palette_index_exact(g, [col])
+
+
+def test_improper_candidates_are_rejected():
+    g = cycle_graph(4)
+    with pytest.raises(ValueError):
+        palette_index_exact(g, [EdgeColoring(g, (1, 1, 2, 2))])
+
+
+def _family_witness(path, cycle):
+    g = cartesian_product(path_graph(path), cycle_graph(cycle))
+    status, col = coloring_within_family(g, PATH_MODE_FAMILY)
+    assert status == FOUND
+    return g, col
+
+
+@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 64_124), (5, 3, 23_118)])
+def test_family_witness_spares_the_last_target(path, cycle, nodes):
+    # the witness has 4 palettes, so only p = 2 and 3 are searched
+    g, col = _family_witness(path, cycle)
+    cert = palette_index_exact(g, [col])
+    assert cert.interval == (4, 4) and cert.stop == "exact"
+    assert cert.nodes == nodes
+
+
+@pytest.mark.parametrize("g, nodes", [(cycle_graph(5), 5), (petersen_graph(), 94)],
+                         ids=["C5", "petersen"])
+def test_chromatic_witness_meeting_the_lower_bound_skips_the_palette_search(g, nodes):
+    cert = palette_index_exact(g)
+    assert cert.exact and cert.rule == "regular-class2"
+    assert cert.nodes == chromatic_index(g).nodes == nodes
+
+
+def test_interrupted_oracle_keeps_the_candidate_upper_bound():
+    # P5 x C5 needs 25 M nodes to exhaust p = 3; a budget stops it first
+    g, col = _family_witness(5, 5)
+    budget = SearchBudget(max_nodes=100_000)
+    assert palette_index_exact(g, budget=budget).interval == (3, 5)
+    cert = palette_index_exact(g, [col], budget=budget)
+    assert cert.interval == (3, 4) and cert.stop == "budget"
+    assert cert.witness is col
+
+
+def test_certificate_says_why_it_stopped():
+    k232 = Graph.from_edges(34, [(u, v) for u in range(2) for v in range(2, 34)])
+    grid = cartesian_product(path_graph(3), path_graph(3))
+    assert palette_index_exact(cycle_graph(5)).stop == "exact"
+    assert palette_index_exact(grid, budget=SearchBudget(max_nodes=3)).stop == "budget"
+    assert palette_index_exact(path_graph(5), max_palettes=1).stop == "max-palettes"
+    # at p = 2 the search would need min(2 * 32, 64) = 64 colors
+    assert palette_index_exact(k232).stop == "color-width"
 
 
 def test_coloring_within_family():
