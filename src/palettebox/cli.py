@@ -109,6 +109,10 @@ def _cmd_product(args) -> int:
 def _cmd_construct(args) -> int:
     budget = _budget_from(args)
     theorem = args.theorem
+    if theorem in ("mah", "nrg") and args.host is None:
+        raise ValueError(f"--theorem {theorem} needs --host")
+    if theorem in ("cng", "png", "cubic") and args.s is None:
+        raise ValueError(f"--theorem {theorem} needs --s")
     if theorem == "mah":
         g = formats.parse_graph_spec(args.graph)
         h = formats.parse_graph_spec(args.host)
@@ -180,8 +184,8 @@ def _cmd_theta(args) -> int:
     tc = theta_classes(g)
     cube = is_partial_cube(tc)
     if args.remove is not None:
-        if args.klass is None or args.host is None:
-            raise ValueError("--remove needs --class and --host alongside it")
+        if args.host is None:
+            raise ValueError("--remove needs --host alongside it")
         removed = _parse_edges(args.remove)
         host = formats.parse_graph_spec(args.host)
         col = theta_removal_coloring(g, args.klass, removed, host,

@@ -1,20 +1,27 @@
 """Resumable backtracking kernels with numba and pure-Python backends.
 
-Three searches live here: proper k-edge-colorability, minimum-palette
-search with a distinct-palette cap, and search constrained to a fixed
-family of target palettes.  Each kernel advances by at most ``node_limit``
-nodes per call and leaves its entire stack in the caller's arrays, so
-wall-clock budgets are enforced between calls; compiled code never reads
-the clock.  Budget interruptions therefore cannot change which solution
-is found, only whether the search finishes.
+Two kernels serve three searches.  One searches a proper k-edge-coloring.
+The other searches a proper coloring whose completed vertex palettes come
+from a collection of at most ``p_target`` distinct masks.  The
+minimum-palette search starts it with an empty collection, or with only
+the empty palette of isolated vertices, and the collection grows as
+vertices complete.  The family search starts it with the family already
+collected and ``p_target`` its size, and with ``maxused[0] = k``: the cap
+on new colors is then k at every depth, which turns color-symmetry
+breaking off, as it must be since the family fixes concrete colors.
+
+Each kernel advances by at most ``node_limit`` nodes per call and leaves
+its entire stack in the caller's arrays; one driver calls it chunk by
+chunk and enforces wall-clock budgets between calls, so compiled code
+never reads the clock.  Budget interruptions therefore cannot change
+which solution is found, only whether the search finishes.
 
 The same function bodies serve both backends: when numba is importable
-they are compiled with ``njit``, and the uncompiled originals remain
-available as the fallback.  Select a backend explicitly with the
-environment variable ``PALETTEBOX_BACKEND=python`` or ``=numba``.  Each
-backend has its own buffer type, built by one constructor per backend:
-int64 numpy arrays for numba, plain lists of Python ints for the
-fallback, where indexing a list skips the boxing of numpy scalars.
+they are compiled with ``njit`` and run compiled, and otherwise the
+uncompiled originals run.  Each backend has its own buffer type, built by
+one constructor per backend: int64 numpy arrays for numba, plain lists
+of Python ints for the fallback, where indexing a list skips the boxing
+of numpy scalars.
 
 Colors are tracked in bitmasks (bit c-1 for color c).  Both backends
 cap usable colors at 62, so that every mask fits the int64 slots of the
@@ -23,7 +30,6 @@ numba buffers; exact search beyond that is out of desk scale anyway.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +50,6 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return wrap
 
 
-BACKEND_ENV = "PALETTEBOX_BACKEND"
 MAX_COLORS = 62
 
 FOUND = 1
@@ -61,16 +66,7 @@ _MAX_CHUNK_NODES = 1 << 22
 
 
 def active_backend() -> str:
-    """Resolve the kernel backend from the environment."""
-    choice = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if choice == "python":
-        return "python"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("PALETTEBOX_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unknown {BACKEND_ENV} value {choice!r}")
+    """The kernel backend: numba whenever it is importable, python otherwise."""
     return "numba" if HAS_NUMBA else "python"
 
 
@@ -124,18 +120,24 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
 
     ``vmask`` doubles as the running palette of each vertex.  A vertex is
     complete once its last incident edge is colored; completed palettes
-    are collected in ``distinct[:dcount]`` and may never exceed p_target
-    distinct values.  Once the cap is reached, every partially colored
-    vertex must still fit inside some collected palette of its exact
-    degree, which prunes hard.
+    are collected in ``distinct[:dcount]`` (sizes in ``dsize``) and may
+    never exceed p_target distinct values.  Once the cap is reached, every
+    partially colored vertex must still fit inside some collected palette
+    of its exact degree, which prunes hard.
 
-    Returns (status, pos, dcount, nodes).
+    The caller may seed the collection: ``distinct[:dcount]`` entries
+    present at the start are never removed, since backtracking removes
+    only what ``added`` records.  Seeding ``dcount = p_target`` fixes the
+    palettes outright.  ``maxused[0]`` seeds the symmetry-breaking cap:
+    0 lets depth 0 open color 1 only, k lets every depth use all k colors.
+
+    Returns (status, dcount, pos, nodes).
     """
     d = pos
     nodes = 0
     while True:
         if nodes >= node_limit:
-            return PAUSED, d, dcount, nodes
+            return PAUSED, dcount, d, nodes
         nodes += 1
         u = eu[d]
         v = ev[d]
@@ -222,12 +224,12 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
         if committed:
             d += 1
             if d == m:
-                return FOUND, d, dcount, nodes
+                return FOUND, dcount, d, nodes
         else:
             assign[d] = 0
             d -= 1
             if d < 0:
-                return EXHAUSTED, d, dcount, nodes
+                return EXHAUSTED, dcount, d, nodes
             bit = 1 << (assign[d] - 1)
             u = eu[d]
             v = ev[d]
@@ -238,82 +240,9 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
             dcount -= added[d]
 
 
-def _family_chunk_py(eu, ev, m, k, allowed, nallowed, union_mask, assign,
-                     vmask, deg_left, pos, node_limit):
-    """Proper-coloring search whose vertex palettes must land in a family.
-
-    Every partial palette must stay a subset of some allowed mask and
-    every completed palette must equal one.  The family fixes concrete
-    colors, so color-symmetry breaking does not apply here.
-
-    Returns (status, pos, nodes).
-    """
-    d = pos
-    nodes = 0
-    while True:
-        if nodes >= node_limit:
-            return PAUSED, d, nodes
-        nodes += 1
-        u = eu[d]
-        v = ev[d]
-        both = vmask[u] | vmask[v]
-        c = assign[d] + 1
-        committed = False
-        while c <= k:
-            bit = 1 << (c - 1)
-            if (both & bit) == 0 and (union_mask & bit) != 0:
-                new_u = vmask[u] | bit
-                new_v = vmask[v] | bit
-                ok = False
-                for i in range(nallowed):
-                    a = allowed[i]
-                    if deg_left[u] == 1:
-                        if a == new_u:
-                            ok = True
-                            break
-                    elif (new_u & ~a) == 0:
-                        ok = True
-                        break
-                if ok:
-                    ok = False
-                    for i in range(nallowed):
-                        a = allowed[i]
-                        if deg_left[v] == 1:
-                            if a == new_v:
-                                ok = True
-                                break
-                        elif (new_v & ~a) == 0:
-                            ok = True
-                            break
-                if ok:
-                    assign[d] = c
-                    vmask[u] = new_u
-                    vmask[v] = new_v
-                    deg_left[u] -= 1
-                    deg_left[v] -= 1
-                    committed = True
-                    break
-            c += 1
-        if committed:
-            d += 1
-            if d == m:
-                return FOUND, d, nodes
-        else:
-            assign[d] = 0
-            d -= 1
-            if d < 0:
-                return EXHAUSTED, d, nodes
-            bit = 1 << (assign[d] - 1)
-            vmask[eu[d]] ^= bit
-            vmask[ev[d]] ^= bit
-            deg_left[eu[d]] += 1
-            deg_left[ev[d]] += 1
-
-
 if HAS_NUMBA:
     _color_chunk_nb = njit(cache=True)(_color_chunk_py)
     _pcount_chunk_nb = njit(cache=True)(_pcount_chunk_py)
-    _family_chunk_nb = njit(cache=True)(_family_chunk_py)
 
 
 def _int64(xs) -> np.ndarray:
@@ -321,14 +250,14 @@ def _int64(xs) -> np.ndarray:
 
 
 def _backend():
-    """The active backend's three kernels and the constructor of their buffers.
+    """The active backend's two kernels and the constructor of their buffers.
 
     The constructor turns an iterable of ints into the buffer type the
     kernels run on: an int64 array for numba, a plain list otherwise.
     """
-    if active_backend() == "numba":
-        return _color_chunk_nb, _pcount_chunk_nb, _family_chunk_nb, _int64
-    return _color_chunk_py, _pcount_chunk_py, _family_chunk_py, list
+    if HAS_NUMBA:
+        return _color_chunk_nb, _pcount_chunk_nb, _int64
+    return _color_chunk_py, _pcount_chunk_py, list
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +279,11 @@ class SearchBudget:
     max_seconds: Optional[float] = None
     deterministic: bool = False
 
-    def tracker(self) -> "BudgetTracker":
-        return BudgetTracker(self)
+    def __post_init__(self):
+        for name in ("max_nodes", "max_seconds"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 class BudgetTracker:
@@ -400,8 +332,45 @@ def ensure_tracker(budget) -> BudgetTracker:
     return BudgetTracker(budget)
 
 
+
+
 # ---------------------------------------------------------------------------
 # wrappers
+
+
+def _drive(step, args, state, assign, budget):
+    """Run a kernel chunk by chunk until it settles or the budget runs out.
+
+    Each call is ``step(*args, *state, node_limit)`` and returns
+    ``(status, *state, nodes)``, where ``state`` holds the scalars the
+    kernel resumes from.  Returns (status, colors or None), the colors
+    read from ``assign`` in search order.
+    """
+    tracker = ensure_tracker(budget)
+    while True:
+        chunk = tracker.next_chunk()
+        if chunk <= 0 or tracker.exceeded():
+            return BUDGET, None
+        status, *state, nodes = step(*args, *state, chunk)
+        tracker.add_nodes(nodes)
+        if status == FOUND:
+            return FOUND, [int(c) for c in assign]
+        if status == EXHAUSTED:
+            return EXHAUSTED, None
+
+
+def _seeded_palette_search(eu, ev, n, deg, k, seed, p_target, maxused0, budget):
+    """Run the palette kernel with the masks ``seed`` already collected."""
+    m = len(eu)
+    _, step, buf = _backend()
+    free = [0] * (p_target + 1 - len(seed))
+    distinct = buf(list(seed) + free)
+    dsize = buf([bin(mask).count("1") for mask in seed] + free)
+    assign = buf([0] * m)
+    maxused = buf([maxused0] + [0] * m)
+    args = (buf(eu), buf(ev), m, k, buf(deg), p_target, assign, buf([0] * n),
+            maxused, buf(deg), distinct, dsize, buf([0] * m))
+    return _drive(step, args, (len(seed), 0), assign, budget)
 
 
 def search_k_coloring(eu, ev, n: int, k: int, budget=None):
@@ -418,23 +387,10 @@ def search_k_coloring(eu, ev, n: int, k: int, budget=None):
         return EXHAUSTED, None
     if k > MAX_COLORS:
         raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
-    tracker = ensure_tracker(budget)
-    step, _, _, buf = _backend()
-    eu_a, ev_a = buf(eu), buf(ev)
+    step, _, buf = _backend()
     assign = buf([0] * m)
-    vmask = buf([0] * n)
-    maxused = buf([0] * (m + 1))
-    pos = 0
-    while True:
-        chunk = tracker.next_chunk()
-        if chunk <= 0 or tracker.exceeded():
-            return BUDGET, None
-        status, pos, nodes = step(eu_a, ev_a, m, k, assign, vmask, maxused, pos, chunk)
-        tracker.add_nodes(nodes)
-        if status == FOUND:
-            return FOUND, [int(c) for c in assign]
-        if status == EXHAUSTED:
-            return EXHAUSTED, None
+    args = (buf(eu), buf(ev), m, k, assign, buf([0] * n), buf([0] * (m + 1)))
+    return _drive(step, args, (0,), assign, budget)
 
 
 def search_palette_count(eu, ev, n: int, deg, k: int, p_target: int, budget=None):
@@ -444,9 +400,8 @@ def search_palette_count(eu, ev, n: int, deg, k: int, p_target: int, budget=None
     collection.  Returns (status, colors or None).
     """
     m = len(eu)
-    tracker = ensure_tracker(budget)
-    seed_empty = 1 if any(d == 0 for d in deg) else 0
-    if seed_empty and p_target < 1:
+    seed = [0] if any(d == 0 for d in deg) else []
+    if len(seed) > p_target:
         return EXHAUSTED, None
     if m == 0:
         return FOUND, []
@@ -454,37 +409,16 @@ def search_palette_count(eu, ev, n: int, deg, k: int, p_target: int, budget=None
         return EXHAUSTED, None
     if k > MAX_COLORS:
         raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
-    _, step, _, buf = _backend()
-    eu_a, ev_a = buf(eu), buf(ev)
-    deg_a = buf(deg)
-    assign = buf([0] * m)
-    vmask = buf([0] * n)
-    maxused = buf([0] * (m + 1))
-    deg_left = buf(deg)
-    distinct = buf([0] * (p_target + 1))
-    dsize = buf([0] * (p_target + 1))
-    added = buf([0] * m)
-    dcount = seed_empty
-    pos = 0
-    while True:
-        chunk = tracker.next_chunk()
-        if chunk <= 0 or tracker.exceeded():
-            return BUDGET, None
-        status, pos, dcount, nodes = step(eu_a, ev_a, m, k, deg_a, p_target, assign,
-                                          vmask, maxused, deg_left, distinct, dsize,
-                                          added, dcount, pos, chunk)
-        tracker.add_nodes(nodes)
-        if status == FOUND:
-            return FOUND, [int(c) for c in assign]
-        if status == EXHAUSTED:
-            return EXHAUSTED, None
+    return _seeded_palette_search(eu, ev, n, deg, k, seed, p_target, 0, budget)
 
 
 def search_palette_family(eu, ev, n: int, deg, family, budget=None):
     """Search a proper coloring whose vertex palettes all lie in ``family``.
 
     ``family`` is an iterable of color sets.  Infeasible immediately if
-    some vertex degree matches no family member's size.
+    some vertex degree matches no family member's size.  The palette
+    kernel runs with the family as its full collection and with every
+    color allowed at every depth.
     """
     m = len(eu)
     masks = []
@@ -498,32 +432,9 @@ def search_palette_family(eu, ev, n: int, deg, family, budget=None):
     if not masks:
         raise ValueError("palette family must be nonempty")
     sizes = {bin(mask).count("1") for mask in masks}
-    if any(d not in sizes and d > 0 for d in deg):
-        return EXHAUSTED, None
-    if any(d == 0 for d in deg) and 0 not in sizes:
+    if any(d not in sizes for d in deg):
         return EXHAUSTED, None
     if m == 0:
         return FOUND, []
-    tracker = ensure_tracker(budget)
-    _, _, step, buf = _backend()
-    union = 0
-    for mask in masks:
-        union |= mask
-    k = union.bit_length()
-    eu_a, ev_a = buf(eu), buf(ev)
-    allowed = buf(masks)
-    assign = buf([0] * m)
-    vmask = buf([0] * n)
-    deg_left = buf(deg)
-    pos = 0
-    while True:
-        chunk = tracker.next_chunk()
-        if chunk <= 0 or tracker.exceeded():
-            return BUDGET, None
-        status, pos, nodes = step(eu_a, ev_a, m, k, allowed, len(masks),
-                                  union, assign, vmask, deg_left, pos, chunk)
-        tracker.add_nodes(nodes)
-        if status == FOUND:
-            return FOUND, [int(c) for c in assign]
-        if status == EXHAUSTED:
-            return EXHAUSTED, None
+    k = max(masks).bit_length()
+    return _seeded_palette_search(eu, ev, n, deg, k, masks, len(masks), k, budget)

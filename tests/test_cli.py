@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from palettebox import search
+from palettebox import cli, search
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 REPO = README.parent
@@ -68,10 +68,6 @@ def test_readme_lists_examples():
 def test_readme_examples_run_clean(tmp_path):
     for command, expect in readme_examples():
         proc = sh(command, cwd=tmp_path)
-        if "PALETTEBOX_BACKEND=numba" in command and not search.HAS_NUMBA:
-            assert proc.returncode == 1, (command, proc.stderr or proc.stdout)
-            assert "numba is not importable" in proc.stderr, command
-            continue
         assert proc.returncode == 0, (command, proc.stderr or proc.stdout)
         if expect is not None:
             assert proc.stdout.splitlines()[0].strip() == expect, command
@@ -155,6 +151,14 @@ def test_error_paths_exit_one(tmp_path):
         "palettebox theta Q3 --remove 0-1",
         "palettebox export missing.json",
         "palettebox torus --s 4 --t 3",
+        "palettebox construct --theorem cng --graph C5",
+        "palettebox construct --theorem png --graph C5",
+        "palettebox construct --theorem cubic --graph petersen",
+        "palettebox construct --theorem mah --graph C5",
+        "palettebox construct --theorem nrg --graph C5",
+        "palettebox oracle C5 --budget-nodes -1",
+        "palettebox oracle C5 --budget-seconds -1",
+        "PALETTEBOX_BUDGET_NODES=-1 palettebox oracle C5",
     ]
     for command in checks:
         proc = sh(command, cwd=tmp_path)
@@ -205,9 +209,10 @@ def test_torus_dot_out_file_matches_stdout(tmp_path):
 
 
 @pytest.mark.skipif(not search.HAS_NUMBA, reason="numba is not importable")
-def test_backend_switch_matches(tmp_path):
-    base = sh("palettebox oracle C7 --json", cwd=tmp_path,
-              env={"PALETTEBOX_BACKEND": "python"}).stdout
-    fast = sh("palettebox oracle C7 --json", cwd=tmp_path,
-              env={"PALETTEBOX_BACKEND": "numba"}).stdout
+def test_backend_switch_matches(monkeypatch, capsys):
+    assert cli.main(["oracle", "C7", "--json"]) == 0
+    fast = capsys.readouterr().out
+    monkeypatch.setattr(search, "HAS_NUMBA", False)
+    assert cli.main(["oracle", "C7", "--json"]) == 0
+    base = capsys.readouterr().out
     assert json.loads(base) == json.loads(fast)

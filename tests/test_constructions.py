@@ -269,7 +269,7 @@ def test_cubic_reduction_path_mode_searches_each_block_length_once():
     # search serves both, after the 94 nodes of the chromatic-index check
     tracker = BudgetTracker(SearchBudget())
     cubic_matching_reduction(3, petersen_graph(), mode="path", budget=tracker)
-    assert tracker.nodes == 201
+    assert tracker.nodes == 173
 
 
 def test_cubic_reduction_deterministic():

@@ -111,7 +111,7 @@ def test_palette_search_node_counts_are_pinned():
     g = cartesian_product(path_graph(5), cycle_graph(5))
     status, col = coloring_within_family(g, PATH_MODE_FAMILY, tracker)
     assert status == FOUND and check_proper(col)[0]
-    assert tracker.nodes == 127
+    assert tracker.nodes == 99
 
 
 @pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 64_717), (5, 3, 23_317)])

@@ -1,5 +1,8 @@
 from types import SimpleNamespace
 
+import itertools
+import random
+
 import pytest
 
 from palettebox import search
@@ -13,7 +16,6 @@ from palettebox.graphs import (
     petersen_graph,
 )
 from palettebox.search import (
-    BACKEND_ENV,
     BUDGET,
     EXHAUSTED,
     FOUND,
@@ -42,26 +44,19 @@ def check_proper_assignment(g, eu, ev, colors):
         at[v].add(c)
 
 
-def test_backend_env_selects_fallback(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "python")
+def test_backend_follows_numba_availability(monkeypatch):
+    assert active_backend() == ("numba" if search.HAS_NUMBA else "python")
+    monkeypatch.setattr(search, "HAS_NUMBA", False)
     assert active_backend() == "python"
-    monkeypatch.delenv(BACKEND_ENV)
-    assert active_backend() in ("numba", "python")
-
-
-def test_unknown_backend_rejected(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "fortran")
-    g = cycle_graph(4)
-    eu, ev = edge_arrays(g)
-    with pytest.raises(RuntimeError):
-        search_k_coloring(eu, ev, g.n, 2)
 
 
 @pytest.mark.parametrize("backend", ["python", "numba"])
 def test_k_coloring_on_both_backends(monkeypatch, backend):
     if backend == "numba" and not search.HAS_NUMBA:
         pytest.skip("numba unavailable")
-    monkeypatch.setenv(BACKEND_ENV, backend)
+    if backend == "python":
+        monkeypatch.setattr(search, "HAS_NUMBA", False)
+    assert active_backend() == backend
     g = petersen_graph()
     eu, ev = edge_arrays(g)
     status, colors = search_k_coloring(eu, ev, g.n, 3)
@@ -74,13 +69,22 @@ def test_k_coloring_on_both_backends(monkeypatch, backend):
 def test_backends_agree(monkeypatch):
     if not search.HAS_NUMBA:
         pytest.skip("numba unavailable")
-    g = complete_graph(5)
-    eu, ev = edge_arrays(g)
-    results = {}
-    for backend in ("python", "numba"):
-        monkeypatch.setenv(BACKEND_ENV, backend)
-        results[backend] = search_k_coloring(eu, ev, g.n, 5)
-    assert results["python"] == results["numba"]
+
+    def searches():
+        tracker = BudgetTracker(None)
+        g = complete_graph(5)
+        eu, ev = edge_arrays(g)
+        deg = list(g.degrees)
+        p3c4 = edge_arrays(P3C4)
+        results = (search_k_coloring(eu, ev, g.n, 5, tracker),
+                   search_palette_count(eu, ev, g.n, deg, 16, 4, tracker),
+                   search_palette_family(*p3c4, P3C4.n, list(P3C4.degrees),
+                                         PATH_MODE_FAMILY, tracker))
+        return results, tracker.nodes
+
+    compiled = searches()
+    monkeypatch.setattr(search, "HAS_NUMBA", False)
+    assert searches() == compiled
 
 
 def test_empty_and_zero_color_edges():
@@ -153,13 +157,59 @@ def test_family_search_respects_budget():
     assert status == BUDGET
 
 
+def test_negative_budgets_are_rejected():
+    with pytest.raises(ValueError):
+        SearchBudget(max_nodes=-1)
+    with pytest.raises(ValueError):
+        SearchBudget(max_seconds=-0.5)
+    assert SearchBudget(max_nodes=0, max_seconds=0.0).max_nodes == 0
+
+
+def first_in_family(g, eu, ev, family, k):
+    """The lexicographically first proper in-family coloring, by brute force.
+
+    ``itertools.product`` runs through the colorings in the order a
+    depth-first search over the edges, colors ascending, meets them.
+    """
+    for colors in itertools.product(range(1, k + 1), repeat=len(eu)):
+        at = [set() for _ in range(g.n)]
+        proper = True
+        for u, v, c in zip(eu, ev, colors):
+            if c in at[u] or c in at[v]:
+                proper = False
+                break
+            at[u].add(c)
+            at[v].add(c)
+        if proper and all(frozenset(p) in family for p in at):
+            return FOUND, list(colors)
+    return EXHAUSTED, None
+
+
+def test_family_search_finds_the_first_in_family_coloring():
+    rng = random.Random(2014)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(6, len(pairs)))))
+        eu, ev = edge_arrays(g)
+        sizes = sorted(set(g.degrees))
+        family = {frozenset(rng.sample(range(1, 5), rng.choice(sizes)))
+                  for _ in range(rng.randint(1, 4))}
+        expected = first_in_family(g, eu, ev, family, 4)
+        assert search_palette_family(eu, ev, g.n, list(g.degrees), family) == expected
+        outcomes.add(expected[0])
+    assert outcomes == {FOUND, EXHAUSTED}
+
+
 # ---------------------------------------------------------------------------
 # one kernel source on both buffer types
 #
 # numba runs the kernels on int64 arrays and the fallback on lists of
 # Python ints.  Driving each uncompiled kernel over both buffer types, in
 # small chunks so every pause and resume is compared too, stands in for a
-# numba parity check where numba is not installed.
+# numba parity check where numba is not installed.  The family cases run
+# the palette kernel seeded with the family, as search_palette_family does.
 
 PARITY_CHUNK = 7
 PETERSEN = petersen_graph()
@@ -183,38 +233,29 @@ def color_run(buf, g, k):
     return calls, [int(c) for c in assign]
 
 
-def pcount_run(buf, g, k, p_target):
+def pcount_run(buf, g, k, p_target, seed=(), maxused0=0):
     eu, ev = edge_arrays(g)
     m = len(eu)
     eu_b, ev_b, deg = buf(eu), buf(ev), buf(g.degrees)
-    assign, vmask, maxused = buf([0] * m), buf([0] * g.n), buf([0] * (m + 1))
+    assign, vmask, maxused = buf([0] * m), buf([0] * g.n), buf([maxused0] + [0] * m)
     deg_left, added = buf(g.degrees), buf([0] * m)
-    distinct, dsize = buf([0] * (p_target + 1)), buf([0] * (p_target + 1))
-    calls, status, pos, dcount = [], PAUSED, 0, 0
+    free = [0] * (p_target + 1 - len(seed))
+    distinct = buf([mask for mask, _ in seed] + free)
+    dsize = buf([size for _, size in seed] + free)
+    calls, status, pos, dcount = [], PAUSED, 0, len(seed)
     while status == PAUSED:
-        status, pos, dcount, nodes = search._pcount_chunk_py(
+        status, dcount, pos, nodes = search._pcount_chunk_py(
             eu_b, ev_b, m, k, deg, p_target, assign, vmask, maxused, deg_left,
             distinct, dsize, added, dcount, pos, PARITY_CHUNK)
-        calls.append((int(status), int(pos), int(dcount), int(nodes)))
+        calls.append((int(status), int(dcount), int(pos), int(nodes)))
     return calls, [int(c) for c in assign]
 
 
 def family_run(buf, g, family):
-    eu, ev = edge_arrays(g)
-    m = len(eu)
-    masks = [sum(1 << (c - 1) for c in pal) for pal in family]
-    union = 0
-    for mask in masks:
-        union |= mask
-    eu_b, ev_b, allowed = buf(eu), buf(ev), buf(masks)
-    assign, vmask, deg_left = buf([0] * m), buf([0] * g.n), buf(g.degrees)
-    calls, status, pos = [], PAUSED, 0
-    while status == PAUSED:
-        status, pos, nodes = search._family_chunk_py(
-            eu_b, ev_b, m, union.bit_length(), allowed, len(masks), union, assign,
-            vmask, deg_left, pos, PARITY_CHUNK)
-        calls.append((int(status), int(pos), int(nodes)))
-    return calls, [int(c) for c in assign]
+    """The palette kernel with ``family`` as its full collection, as the family search runs it."""
+    seed = [(sum(1 << (c - 1) for c in pal), len(pal)) for pal in family]
+    k = max(mask for mask, _ in seed).bit_length()
+    return pcount_run(buf, g, k, len(seed), seed, maxused0=k)
 
 
 @pytest.mark.parametrize("g, k, final", [
