@@ -201,10 +201,17 @@ def coloring_within_family(graph: Graph, family: Iterable[frozenset[int]],
 def naive_minimum_palettes(graph: Graph) -> int:
     """Minimum distinct palettes by enumerating partitions of E into matchings.
 
-    Deliberately independent of the backtracking kernels: it walks every
-    set partition of the edge list whose parts are matchings (parts
-    ordered by their first edge) and takes the best palette count seen.
-    Exponential; use on graphs with at most a dozen edges.
+    Deliberately independent of the backtracking kernels: it uses
+    nothing from ``search`` and walks every set partition of the edge
+    list whose parts are matchings (edges in list order, each joining an
+    existing part before a new one, so parts are ordered by their first
+    edge).  Each vertex keeps its palette as a bitmask of part indices.
+    A palette is final once the vertex's last incident edge is placed,
+    since later edges never touch it, so a branch is cut as soon as it
+    holds as many distinct final palettes as the best count seen; at a
+    leaf every palette is final and their number is the palette count.
+    Exponential: the cut reaches small products such as P_3 x C_5 (25
+    edges), while some irregular graphs with fewer edges take far longer.
     """
     m = len(graph.edges)
     if graph.n == 0:
@@ -212,41 +219,47 @@ def naive_minimum_palettes(graph: Graph) -> int:
     if m == 0:
         return 1
     edges = graph.edges
-    incident: list[list[int]] = [[] for _ in range(graph.n)]
+    last = [-1] * graph.n
     for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
+        last[u] = last[v] = i
+    # completes[i]: the vertices whose palette is final once edge i is placed
+    completes: list[list[int]] = [[] for _ in range(m)]
+    for v, i in enumerate(last):
+        if i >= 0:
+            completes[i].append(v)
 
-    class_of = [-1] * m
+    palette = [0] * graph.n
     part_masks: list[int] = []
     best = graph.n + 1
 
-    def leaf_count() -> int:
-        pals = set()
-        for v in range(graph.n):
-            pals.add(frozenset(class_of[i] for i in incident[v]))
-        return len(pals)
-
-    def rec(i: int):
+    def rec(i: int, final: frozenset[int]):
         nonlocal best
         if i == m:
-            count = leaf_count()
-            if count < best:
-                best = count
+            best = len(final)
             return
         u, v = edges[i]
         bit = (1 << u) | (1 << v)
-        for j in range(len(part_masks)):
-            if part_masks[j] & bit == 0:
-                part_masks[j] |= bit
-                class_of[i] = j
-                rec(i + 1)
-                part_masks[j] &= ~bit
-        part_masks.append(bit)
-        class_of[i] = len(part_masks) - 1
-        rec(i + 1)
-        part_masks.pop()
-        class_of[i] = -1
+        done = completes[i]
+        for j in range(len(part_masks) + 1):
+            fresh = j == len(part_masks)
+            if fresh:
+                part_masks.append(0)
+            elif part_masks[j] & bit:
+                continue
+            part_masks[j] |= bit
+            jbit = 1 << j
+            palette[u] |= jbit
+            palette[v] |= jbit
+            grown = final.union(palette[w] for w in done) if done else final
+            if len(grown) < best:
+                rec(i + 1, grown)
+            palette[u] ^= jbit
+            palette[v] ^= jbit
+            if fresh:
+                part_masks.pop()
+            else:
+                part_masks[j] ^= bit
 
-    rec(0)
+    # isolated vertices all have the empty palette, final from the start
+    rec(0, frozenset({0}) if -1 in last else frozenset())
     return best

@@ -34,8 +34,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 try:
     from numba import njit
 
@@ -245,8 +243,15 @@ if HAS_NUMBA:
     _pcount_chunk_nb = njit(cache=True)(_pcount_chunk_py)
 
 
-def _int64(xs) -> np.ndarray:
-    return np.asarray(list(xs), dtype=np.int64)
+def _int64(xs):
+    """An int64 numpy array of xs, the numba backend's buffer.
+
+    numpy is imported here, by its one user, so that a start-up without
+    numba never loads it.
+    """
+    import numpy
+
+    return numpy.asarray(list(xs), dtype=numpy.int64)
 
 
 def _backend():

@@ -309,7 +309,11 @@ def _oracle_cross_suite(rec: _Recorder, max_edges: int, budget):
 def run_verify_suite(suite: str, *, max_s: int = 13, max_n: int = 5,
                      max_edges: int = 12, budget: Optional[SearchBudget] = None,
                      deterministic: bool = False) -> dict:
-    """Run one named sweep and return its report dict."""
+    """Run one named sweep and return its report dict.
+
+    A bound that selects no case raises ``ValueError`` rather than
+    reporting an empty pass.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}: choose from {', '.join(SUITES)}")
     rec = _Recorder(deterministic)
@@ -328,5 +332,9 @@ def run_verify_suite(suite: str, *, max_s: int = 13, max_n: int = 5,
     else:
         _oracle_cross_suite(rec, max_edges, budget)
         params = {"max_edges": max_edges}
+    if not rec.cases:
+        # a sweep that checked nothing has proven nothing
+        bound = ", ".join(f"{key}={value}" for key, value in params.items())
+        raise ValueError(f"suite {suite} has no case at {bound}")
     params["deterministic"] = deterministic
     return rec.report(suite, params)

@@ -159,6 +159,9 @@ def test_error_paths_exit_one(tmp_path):
         "palettebox oracle C5 --budget-nodes -1",
         "palettebox oracle C5 --budget-seconds -1",
         "PALETTEBOX_BUDGET_NODES=-1 palettebox oracle C5",
+        "palettebox verify cycle-path --max 0",
+        "palettebox verify torus --max-s 2",
+        "palettebox verify oracle-cross --max-edges 0",
     ]
     for command in checks:
         proc = sh(command, cwd=tmp_path)
@@ -206,6 +209,15 @@ def test_torus_dot_out_file_matches_stdout(tmp_path):
     assert printed.returncode == written.returncode == 0
     assert written.stdout == ""
     assert (tmp_path / "torus.dot").read_text() == printed.stdout
+
+
+@pytest.mark.skipif(search.HAS_NUMBA, reason="the numba backend needs numpy")
+def test_cli_start_up_does_not_import_numpy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import palettebox.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(not search.HAS_NUMBA, reason="numba is not importable")

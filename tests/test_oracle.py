@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from palettebox.coloring import EdgeColoring, check_proper, palette_summary
 from palettebox.constructions import PATH_MODE_FAMILY
-from palettebox.corpus import random_graph
+from palettebox.corpus import random_graph, small_corpus
 from palettebox.graphs import (
     Graph,
     cartesian_product,
@@ -202,6 +202,72 @@ def test_naive_oracle_known_values():
     assert naive_minimum_palettes(cycle_graph(5)) == 3
     assert naive_minimum_palettes(complete_graph(4)) == 1
     assert naive_minimum_palettes(Graph(2, ((0, 1),))) == 1
+    # the odd blocks of the tpc-table, and the odd grid, confirmed without the kernels
+    assert naive_minimum_palettes(cartesian_product(path_graph(3), cycle_graph(5))) == 4
+    assert naive_minimum_palettes(cartesian_product(path_graph(5), cycle_graph(3))) == 4
+    assert naive_minimum_palettes(cartesian_product(path_graph(3), path_graph(5))) == 5
+
+
+def reference_minimum_palettes(graph):
+    """The plain enumerator the final-palette cut replaced: every partition
+    of the edges into matchings, palettes counted only at the leaves."""
+    m = len(graph.edges)
+    if graph.n == 0:
+        return 0
+    if m == 0:
+        return 1
+    edges = graph.edges
+    incident = [[] for _ in range(graph.n)]
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    class_of = [-1] * m
+    part_masks = []
+    best = graph.n + 1
+
+    def leaf_count():
+        return len({frozenset(class_of[i] for i in incident[v]) for v in range(graph.n)})
+
+    def rec(i):
+        nonlocal best
+        if i == m:
+            best = min(best, leaf_count())
+            return
+        u, v = edges[i]
+        bit = (1 << u) | (1 << v)
+        for j in range(len(part_masks)):
+            if part_masks[j] & bit == 0:
+                part_masks[j] |= bit
+                class_of[i] = j
+                rec(i + 1)
+                part_masks[j] &= ~bit
+        part_masks.append(bit)
+        class_of[i] = len(part_masks) - 1
+        rec(i + 1)
+        part_masks.pop()
+        class_of[i] = -1
+
+    rec(0)
+    return best
+
+
+def _reference_graphs():
+    rng = Random(1014)
+    graphs = list(small_corpus(10))
+    while len(graphs) < len(small_corpus(10)) + 200:
+        g = random_graph(rng, 2, 7)
+        if len(g.edges) <= 9:
+            graphs.append(g)
+    # isolated vertices, whose empty palette is final from the start
+    graphs += [Graph(5, ((0, 1), (1, 2))), Graph(6, ((0, 2), (2, 3), (4, 5))),
+               Graph.from_edges(7, ((0, 1), (1, 2), (2, 0), (4, 5))),
+               Graph(3, ()), Graph(0, ())]
+    return graphs
+
+
+def test_naive_oracle_matches_the_plain_enumerator():
+    for g in _reference_graphs():
+        assert naive_minimum_palettes(g) == reference_minimum_palettes(g), (g.n, g.edges)
 
 
 def test_oracles_agree_on_seeded_random_graphs():

@@ -66,3 +66,13 @@ def test_params_echoed_in_report():
     report = run_verify_suite("oracle-cross", max_edges=8, deterministic=True)
     assert report["params"]["max_edges"] == 8
     assert report["params"]["deterministic"] is True
+
+
+@pytest.mark.parametrize("suite, kwargs, bound", [
+    ("cycle-path", {"max_n": 0}, "max=0"),
+    ("torus", {"max_s": 2}, "max_s=2"),
+    ("oracle-cross", {"max_edges": 0}, "max_edges=0"),
+])
+def test_a_bound_that_selects_no_case_is_an_error(suite, kwargs, bound):
+    with pytest.raises(ValueError, match=f"suite {suite} has no case at {bound}"):
+        run_verify_suite(suite, **kwargs)
