@@ -44,7 +44,12 @@ def coloring_to_json(coloring: EdgeColoring) -> dict:
 def coloring_from_json(obj: dict, graph: Optional[Graph] = None) -> EdgeColoring:
     if graph is None:
         graph = graph_from_json(obj["graph"])
-    mapping = {canonical_edge(u, v): c for u, v, c in obj["colors"]}
+    mapping = {}
+    for u, v, c in obj["colors"]:
+        edge = canonical_edge(u, v)
+        if edge in mapping:
+            raise ValueError(f"edge {edge} is colored twice")
+        mapping[edge] = c
     return EdgeColoring.from_map(graph, mapping)
 
 

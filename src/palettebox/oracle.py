@@ -36,13 +36,7 @@ from palettebox import search
 from palettebox.coloring import EdgeColoring, palette_summary
 from palettebox.graphs import Graph
 from palettebox.search import ensure_tracker
-from palettebox.solver import (
-    ChromaticIndexResult,
-    _chromatic_index,
-    coloring_from_search,
-    misra_gries_coloring,
-    ordered_endpoints,
-)
+from palettebox.solver import ChromaticIndexResult, chromatic_index, misra_gries_coloring
 
 
 @dataclass(frozen=True)
@@ -82,14 +76,8 @@ def default_max_palettes(graph: Graph) -> int:
     return distinct + graph.max_degree
 
 
-def _lower_bound_impl(graph: Graph, tracker, endpoints=None
-                      ) -> tuple[int, str, Optional[ChromaticIndexResult]]:
-    """The lower bound, its rule and the chromatic-index result it used.
-
-    ``endpoints`` is ``ordered_endpoints(graph)`` where the caller has
-    already built it; otherwise it is built here, and only for a regular
-    graph, the one case that searches.
-    """
+def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[ChromaticIndexResult]]:
+    """The lower bound, its rule and the chromatic-index result it used."""
     if graph.n == 0:
         return 0, "degree-set", None
     distinct = len(set(graph.degrees))
@@ -97,7 +85,7 @@ def _lower_bound_impl(graph: Graph, tracker, endpoints=None
         return distinct, "degree-set", None
     if graph.max_degree == 0:
         return 1, "degree-set", None
-    result = _chromatic_index(graph, tracker, endpoints or ordered_endpoints(graph))
+    result = chromatic_index(graph, tracker)
     if result.status == "exact" and result.is_class_one is False:
         return 3, "regular-class2", result
     return 1, "degree-set", result
@@ -143,10 +131,8 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
 
     delta = graph.max_degree
     m = len(graph.edges)
-    order, eu, ev = endpoints = ordered_endpoints(graph)
-    deg = list(graph.degrees)
 
-    proven, rule, chrom = _lower_bound_impl(graph, tracker, endpoints)
+    proven, rule, chrom = _lower_bound_impl(graph, tracker)
     proven = max(proven, 1)
     if chrom is not None and chrom.witness is not None:
         known.append((palette_summary(chrom.witness).count, chrom.witness))
@@ -167,9 +153,9 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
             # Exhaustion above the kernel's color width would be unsound.
             stop = "color-width"
             break
-        status, colors = search.search_palette_count(eu, ev, graph.n, deg, k, p, tracker)
+        status, found = search.search_palette_count(graph, k, p, tracker)
         if status == search.FOUND:
-            upper, witness = p, coloring_from_search(graph, order, colors)
+            upper, witness = p, found
             break
         if status == search.BUDGET:
             stop = "budget"
@@ -190,12 +176,7 @@ def coloring_within_family(graph: Graph, family: Iterable[frozenset[int]],
 
     Returns (status, coloring) with search.FOUND / EXHAUSTED / BUDGET.
     """
-    order, eu, ev = ordered_endpoints(graph)
-    status, colors = search.search_palette_family(eu, ev, graph.n, list(graph.degrees),
-                                                  family, ensure_tracker(budget))
-    if status == search.FOUND:
-        return status, coloring_from_search(graph, order, colors)
-    return status, None
+    return search.search_palette_family(graph, family, budget)
 
 
 def naive_minimum_palettes(graph: Graph) -> int:

@@ -26,13 +26,25 @@ of numpy scalars.
 Colors are tracked in bitmasks (bit c-1 for color c).  Both backends
 cap usable colors at 62, so that every mask fits the int64 slots of the
 numba buffers; exact search beyond that is out of desk scale anyway.
+
+The three searches take a ``Graph`` and return an ``EdgeColoring`` with
+colors in canonical edge order, so the order in which the kernels color
+edges stays in this module.  They color edges in the order of
+``edge_order``, which always takes next an edge whose endpoints have the
+fewest uncolored edges left.  Vertices thus complete early, and a
+completed vertex is where the palette searches learn a palette and can
+prune on it.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from typing import Optional
+
+from palettebox.coloring import EdgeColoring
+from palettebox.graphs import Graph
 
 try:
     from numba import njit
@@ -337,19 +349,70 @@ def ensure_tracker(budget) -> BudgetTracker:
     return BudgetTracker(budget)
 
 
+# ---------------------------------------------------------------------------
+# edge order
+
+
+def edge_order(graph: Graph) -> list[int]:
+    """Edge positions in completion order: each next edge finishes vertices soonest.
+
+    With ``left[x]`` the number of x's edges not yet in the order, the
+    next edge is the one whose key (min(left[u], left[v]),
+    max(left[u], left[v]), position) is smallest.  A vertex is complete
+    once its last edge is colored, and only then is its palette known;
+    the palette-count search prunes at completed vertices, so visiting
+    them early makes the cap bite near the root instead of deep in the
+    tree.
+
+    The keys are single ints, (min * (Delta+1) + max) * m + position, in
+    a heap.  ``left`` only falls, so an edge's keys only fall too: its
+    first entry to leave the heap is its current key, and the stale ones
+    after it are skipped, or left in the heap once every edge is placed.
+    O(m * Delta * log m) time.
+    """
+    edges = graph.edges
+    m = len(edges)
+    width = graph.max_degree + 1
+    left = list(graph.degrees)
+    incident: list[list[int]] = [[] for _ in range(graph.n)]
+    heap = []
+    for i, (u, v) in enumerate(edges):
+        incident[u].append(i)
+        incident[v].append(i)
+        a, b = left[u], left[v]
+        heap.append((a * width + b if a < b else b * width + a) * m + i)
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    done = [False] * m
+    order = []
+    for _ in range(m):
+        i = pop(heap) % m
+        while done[i]:
+            i = pop(heap) % m
+        done[i] = True
+        order.append(i)
+        for x in edges[i]:
+            left[x] -= 1
+            for j in incident[x]:
+                if not done[j]:
+                    a, b = edges[j]
+                    a, b = left[a], left[b]
+                    push(heap, (a * width + b if a < b else b * width + a) * m + j)
+    return order
 
 
 # ---------------------------------------------------------------------------
 # wrappers
 
 
-def _drive(step, args, state, assign, budget):
+def _drive(graph, order, step, args, state, assign, budget):
     """Run a kernel chunk by chunk until it settles or the budget runs out.
 
     Each call is ``step(*args, *state, node_limit)`` and returns
     ``(status, *state, nodes)``, where ``state`` holds the scalars the
-    kernel resumes from.  Returns (status, colors or None), the colors
-    read from ``assign`` in search order.
+    kernel resumes from.  Returns (status, coloring or None): on FOUND,
+    ``assign[d]`` colors edge ``order[d]``.  ``int()`` turns numba's int64
+    values into the Python ints ``EdgeColoring`` requires.
     """
     tracker = ensure_tracker(budget)
     while True:
@@ -359,65 +422,72 @@ def _drive(step, args, state, assign, budget):
         status, *state, nodes = step(*args, *state, chunk)
         tracker.add_nodes(nodes)
         if status == FOUND:
-            return FOUND, [int(c) for c in assign]
+            colors = [0] * len(order)
+            for slot, c in zip(order, assign):
+                colors[slot] = int(c)
+            return FOUND, EdgeColoring(graph, tuple(colors))
         if status == EXHAUSTED:
             return EXHAUSTED, None
 
 
-def _seeded_palette_search(eu, ev, n, deg, k, seed, p_target, maxused0, budget):
+def _seeded_palette_search(graph, k, seed, p_target, maxused0, budget):
     """Run the palette kernel with the masks ``seed`` already collected."""
-    m = len(eu)
+    order = edge_order(graph)
+    m = len(order)
     _, step, buf = _backend()
     free = [0] * (p_target + 1 - len(seed))
     distinct = buf(list(seed) + free)
     dsize = buf([bin(mask).count("1") for mask in seed] + free)
     assign = buf([0] * m)
     maxused = buf([maxused0] + [0] * m)
-    args = (buf(eu), buf(ev), m, k, buf(deg), p_target, assign, buf([0] * n),
-            maxused, buf(deg), distinct, dsize, buf([0] * m))
-    return _drive(step, args, (len(seed), 0), assign, budget)
+    eu = buf(graph.edges[i][0] for i in order)
+    ev = buf(graph.edges[i][1] for i in order)
+    args = (eu, ev, m, k, buf(graph.degrees), p_target, assign, buf([0] * graph.n),
+            maxused, buf(graph.degrees), distinct, dsize, buf([0] * m))
+    return _drive(graph, order, step, args, (len(seed), 0), assign, budget)
 
 
-def search_k_coloring(eu, ev, n: int, k: int, budget=None):
-    """Search a proper edge coloring with colors in [k].
+def search_k_coloring(graph: Graph, k: int, budget=None):
+    """Search a proper edge coloring of ``graph`` with colors in [k].
 
-    ``eu``/``ev`` give edge endpoints in the intended search order.
-    Returns (status, colors or None) with status FOUND, EXHAUSTED, or
-    BUDGET; colors follow the search order.
+    Returns (status, coloring or None) with status FOUND, EXHAUSTED, or
+    BUDGET.
     """
-    m = len(eu)
+    m = len(graph.edges)
     if m == 0:
-        return FOUND, []
+        return FOUND, EdgeColoring(graph, ())
     if k <= 0:
         return EXHAUSTED, None
     if k > MAX_COLORS:
         raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
+    order = edge_order(graph)
     step, _, buf = _backend()
     assign = buf([0] * m)
-    args = (buf(eu), buf(ev), m, k, assign, buf([0] * n), buf([0] * (m + 1)))
-    return _drive(step, args, (0,), assign, budget)
+    eu = buf(graph.edges[i][0] for i in order)
+    ev = buf(graph.edges[i][1] for i in order)
+    args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([0] * (m + 1)))
+    return _drive(graph, order, step, args, (0,), assign, budget)
 
 
-def search_palette_count(eu, ev, n: int, deg, k: int, p_target: int, budget=None):
+def search_palette_count(graph: Graph, k: int, p_target: int, budget=None):
     """Search a proper coloring with at most p_target distinct palettes.
 
     Isolated vertices contribute an empty palette, pre-seeded into the
-    collection.  Returns (status, colors or None).
+    collection.  Returns (status, coloring or None).
     """
-    m = len(eu)
-    seed = [0] if any(d == 0 for d in deg) else []
+    seed = [0] if any(d == 0 for d in graph.degrees) else []
     if len(seed) > p_target:
         return EXHAUSTED, None
-    if m == 0:
-        return FOUND, []
+    if not graph.edges:
+        return FOUND, EdgeColoring(graph, ())
     if p_target < 1 or k <= 0:
         return EXHAUSTED, None
     if k > MAX_COLORS:
         raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
-    return _seeded_palette_search(eu, ev, n, deg, k, seed, p_target, 0, budget)
+    return _seeded_palette_search(graph, k, seed, p_target, 0, budget)
 
 
-def search_palette_family(eu, ev, n: int, deg, family, budget=None):
+def search_palette_family(graph: Graph, family, budget=None):
     """Search a proper coloring whose vertex palettes all lie in ``family``.
 
     ``family`` is an iterable of color sets.  Infeasible immediately if
@@ -425,7 +495,6 @@ def search_palette_family(eu, ev, n: int, deg, family, budget=None):
     kernel runs with the family as its full collection and with every
     color allowed at every depth.
     """
-    m = len(eu)
     masks = []
     for pal in family:
         mask = 0
@@ -437,9 +506,9 @@ def search_palette_family(eu, ev, n: int, deg, family, budget=None):
     if not masks:
         raise ValueError("palette family must be nonempty")
     sizes = {bin(mask).count("1") for mask in masks}
-    if any(d not in sizes for d in deg):
+    if any(d not in sizes for d in graph.degrees):
         return EXHAUSTED, None
-    if m == 0:
-        return FOUND, []
+    if not graph.edges:
+        return FOUND, EdgeColoring(graph, ())
     k = max(masks).bit_length()
-    return _seeded_palette_search(eu, ev, n, deg, k, masks, len(masks), k, budget)
+    return _seeded_palette_search(graph, k, masks, len(masks), k, budget)

@@ -7,93 +7,21 @@ unused one; on exhaustion it produces a (Delta+1)-witness.  A budget can
 interrupt either phase, in which case the verdict is explicitly
 indeterminate rather than a guess.
 
-All searches (here and in ``oracle``) color edges in the order of
-``solver_edge_order``, which always takes next an edge whose endpoints
-have the fewest uncolored edges left.  Vertices thus complete early, and
-a completed vertex is where the palette searches learn a palette and
-can prune on it.
-
 ``misra_gries_coloring`` builds a (Delta+1)-coloring without search, so
 an upper bound is always at hand when a budget runs out.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
 from palettebox import search
 from palettebox.coloring import EdgeColoring
 from palettebox.graphs import Graph
-from palettebox.search import BudgetTracker, SearchBudget, ensure_tracker
+from palettebox.search import SearchBudget, ensure_tracker
 
-__all__ = ["SearchBudget", "ChromaticIndexResult", "chromatic_index", "misra_gries_coloring",
-           "ordered_endpoints", "solver_edge_order"]
-
-
-def solver_edge_order(graph: Graph) -> list[int]:
-    """Edge positions in completion order: each next edge finishes vertices soonest.
-
-    With ``left[x]`` the number of x's edges not yet in the order, the
-    next edge is the one whose key (min(left[u], left[v]),
-    max(left[u], left[v]), position) is smallest.  A vertex is complete
-    once its last edge is colored, and only then is its palette known;
-    the palette-count search prunes at completed vertices, so visiting
-    them early makes the cap bite near the root instead of deep in the
-    tree.
-
-    The keys are single ints, (min * (Delta+1) + max) * m + position, in
-    a heap.  ``left`` only falls, so an edge's keys only fall too: its
-    first entry to leave the heap is its current key, and the stale ones
-    after it are skipped, or left in the heap once every edge is placed.
-    O(m * Delta * log m) time.
-    """
-    edges = graph.edges
-    m = len(edges)
-    width = graph.max_degree + 1
-    left = list(graph.degrees)
-    incident: list[list[int]] = [[] for _ in range(graph.n)]
-    heap = []
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-        a, b = left[u], left[v]
-        heap.append((a * width + b if a < b else b * width + a) * m + i)
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    done = [False] * m
-    order = []
-    for _ in range(m):
-        i = pop(heap) % m
-        while done[i]:
-            i = pop(heap) % m
-        done[i] = True
-        order.append(i)
-        for x in edges[i]:
-            left[x] -= 1
-            for j in incident[x]:
-                if not done[j]:
-                    a, b = edges[j]
-                    a, b = left[a], left[b]
-                    push(heap, (a * width + b if a < b else b * width + a) * m + j)
-    return order
-
-
-def ordered_endpoints(graph: Graph) -> tuple[list[int], list[int], list[int]]:
-    """(order, eu, ev): the solver edge order and the endpoints of the edges in it."""
-    order = solver_edge_order(graph)
-    eu = [graph.edges[i][0] for i in order]
-    ev = [graph.edges[i][1] for i in order]
-    return order, eu, ev
-
-
-def coloring_from_search(graph: Graph, order: list[int], colors: list[int]) -> EdgeColoring:
-    """Reassemble a search-order color list into a canonical-order coloring."""
-    arr = [0] * len(graph.edges)
-    for slot, c in zip(order, colors):
-        arr[slot] = c
-    return EdgeColoring(graph, tuple(arr))
+__all__ = ["SearchBudget", "ChromaticIndexResult", "chromatic_index", "misra_gries_coloring"]
 
 
 @dataclass(frozen=True)
@@ -126,30 +54,15 @@ def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
     the Delta search likewise yields class 2, and a (Delta+1)-witness is
     then searched for (it always exists).
     """
-    return _chromatic_index(graph, ensure_tracker(budget), ordered_endpoints(graph))
-
-
-def _chromatic_index(graph: Graph, tracker: BudgetTracker,
-                     endpoints: tuple[list[int], list[int], list[int]]) -> ChromaticIndexResult:
-    """``chromatic_index`` on the caller's ``ordered_endpoints(graph)``."""
+    tracker = ensure_tracker(budget)
     delta = graph.max_degree
-    order, eu, ev = endpoints
-
     parity_class_two = delta > 0 and graph.is_regular and graph.n % 2 == 1
-    if not parity_class_two:
-        status, colors = search.search_k_coloring(eu, ev, graph.n, delta, tracker)
+    for k in (delta + 1,) if parity_class_two else (delta, delta + 1):
+        status, witness = search.search_k_coloring(graph, k, tracker)
         if status == search.FOUND:
-            witness = coloring_from_search(graph, order, colors)
-            return ChromaticIndexResult("exact", delta, witness, delta, tracker.nodes)
+            return ChromaticIndexResult("exact", k, witness, delta, tracker.nodes)
         if status == search.BUDGET:
             return ChromaticIndexResult("indeterminate", None, None, delta, tracker.nodes)
-
-    status, colors = search.search_k_coloring(eu, ev, graph.n, delta + 1, tracker)
-    if status == search.FOUND:
-        witness = coloring_from_search(graph, order, colors)
-        return ChromaticIndexResult("exact", delta + 1, witness, delta, tracker.nodes)
-    if status == search.BUDGET:
-        return ChromaticIndexResult("indeterminate", None, None, delta, tracker.nodes)
     raise RuntimeError("no (Delta+1)-coloring found; this contradicts Vizing's bound")
 
 

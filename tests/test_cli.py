@@ -144,12 +144,16 @@ def test_budget_env_and_flag_precedence(tmp_path):
 
 
 def test_error_paths_exit_one(tmp_path):
+    (tmp_path / "twice.json").write_text(json.dumps({
+        "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+        "colors": [[0, 1, 1], [1, 0, 5], [0, 2, 2], [1, 2, 3]]}))
     checks = [
         "palettebox gen X9",
         "palettebox construct --theorem png --graph C5 --s 4",
         "palettebox construct --theorem cubic --graph K4 --s 3",
         "palettebox theta Q3 --remove 0-1",
         "palettebox export missing.json",
+        "palettebox export twice.json",
         "palettebox torus --s 4 --t 3",
         "palettebox construct --theorem cng --graph C5",
         "palettebox construct --theorem png --graph C5",

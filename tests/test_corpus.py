@@ -16,6 +16,11 @@ def test_small_corpus_contains_products_and_paths():
     assert len(tags) == len(list(small_corpus()))
 
 
+def test_small_corpus_holds_each_graph_once():
+    graphs = small_corpus(max_edges=40)
+    assert len({(g.n, g.edges) for g in graphs}) == len(graphs)
+
+
 def test_smaller_cap_gives_subset():
     wide = {g.tag for g in small_corpus(max_edges=12)}
     narrow = {g.tag for g in small_corpus(max_edges=6)}

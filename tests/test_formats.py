@@ -53,6 +53,13 @@ def test_coloring_json_roundtrip():
         coloring_from_json(obj, graph=cycle_graph(7))
 
 
+def test_coloring_json_rejects_an_edge_colored_twice():
+    obj = {"graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+           "colors": [[0, 1, 1], [1, 0, 5], [0, 2, 2], [1, 2, 3]]}
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is colored twice"):
+        coloring_from_json(obj)
+
+
 def test_palettes_json_shape():
     col = chromatic_index(cycle_graph(4)).witness
     obj = palettes_to_json(palette_summary(col))

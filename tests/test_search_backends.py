@@ -6,6 +6,7 @@ import random
 import pytest
 
 from palettebox import search
+from palettebox.coloring import EdgeColoring, palette_summary
 from palettebox.constructions import PATH_MODE_FAMILY
 from palettebox.graphs import (
     Graph,
@@ -28,20 +29,17 @@ from palettebox.search import (
     search_palette_count,
     search_palette_family,
 )
-from palettebox.solver import solver_edge_order
 
 
 def edge_arrays(g):
-    order = solver_edge_order(g)
+    """Edge endpoints in search order, as the kernels take them."""
+    order = search.edge_order(g)
     return ([g.edges[i][0] for i in order], [g.edges[i][1] for i in order])
 
 
-def check_proper_assignment(g, eu, ev, colors):
-    at = {v: set() for v in range(g.n)}
-    for u, v, c in zip(eu, ev, colors):
-        assert c not in at[u] and c not in at[v]
-        at[u].add(c)
-        at[v].add(c)
+def palette_count(col):
+    """Distinct palettes of a coloring; palette_summary rejects improper ones."""
+    return palette_summary(col).count
 
 
 def test_backend_follows_numba_availability(monkeypatch):
@@ -58,102 +56,94 @@ def test_k_coloring_on_both_backends(monkeypatch, backend):
         monkeypatch.setattr(search, "HAS_NUMBA", False)
     assert active_backend() == backend
     g = petersen_graph()
-    eu, ev = edge_arrays(g)
-    status, colors = search_k_coloring(eu, ev, g.n, 3)
-    assert status == EXHAUSTED and colors is None  # class 2, needs 4
-    status, colors = search_k_coloring(eu, ev, g.n, 4)
-    assert status == FOUND
-    check_proper_assignment(g, eu, ev, colors)
+    status, col = search_k_coloring(g, 3)
+    assert status == EXHAUSTED and col is None  # class 2, needs 4
+    status, col = search_k_coloring(g, 4)
+    assert status == FOUND and col.graph is g
+    assert col.max_color == 4
+    assert palette_count(col) >= 3  # regular and class 2
+
+
+def wrapper_results():
+    """Every wrapper on small graphs, sharing one tracker, and its node total."""
+    tracker = BudgetTracker(None)
+    results = (search_k_coloring(K5, 5, tracker),
+               search_palette_count(K5, 16, 4, tracker),
+               search_palette_family(P3C4, PATH_MODE_FAMILY, tracker),
+               search_palette_family(PETERSEN, HIGH_FAMILY, tracker))
+    return results, tracker.nodes
 
 
 def test_backends_agree(monkeypatch):
     if not search.HAS_NUMBA:
         pytest.skip("numba unavailable")
-
-    def searches():
-        tracker = BudgetTracker(None)
-        g = complete_graph(5)
-        eu, ev = edge_arrays(g)
-        deg = list(g.degrees)
-        p3c4 = edge_arrays(P3C4)
-        results = (search_k_coloring(eu, ev, g.n, 5, tracker),
-                   search_palette_count(eu, ev, g.n, deg, 16, 4, tracker),
-                   search_palette_family(*p3c4, P3C4.n, list(P3C4.degrees),
-                                         PATH_MODE_FAMILY, tracker))
-        return results, tracker.nodes
-
-    compiled = searches()
+    compiled = wrapper_results()
     monkeypatch.setattr(search, "HAS_NUMBA", False)
-    assert searches() == compiled
+    assert wrapper_results() == compiled
+
+
+def test_wrappers_same_on_list_and_int64_buffers(monkeypatch):
+    # the Python kernels on int64 arrays stand in for numba: the colorings
+    # read back from the buffers must hold Python ints either way
+    kernels = (search._color_chunk_py, search._pcount_chunk_py)
+    monkeypatch.setattr(search, "_backend", lambda: (*kernels, list))
+    on_lists = wrapper_results()
+    monkeypatch.setattr(search, "_backend", lambda: (*kernels, search._int64))
+    assert wrapper_results() == on_lists
+    for status, col in on_lists[0]:
+        assert status == FOUND
+        assert all(type(c) is int for c in col.colors)
 
 
 def test_empty_and_zero_color_edges():
-    assert search_k_coloring([], [], 0, 3) == (FOUND, [])
-    g = cycle_graph(3)
-    eu, ev = edge_arrays(g)
-    status, colors = search_k_coloring(eu, ev, g.n, 0)
-    assert status == EXHAUSTED and colors is None
+    empty = Graph(0, ())
+    assert search_k_coloring(empty, 3) == (FOUND, EdgeColoring(empty, ()))
+    status, col = search_k_coloring(cycle_graph(3), 0)
+    assert status == EXHAUSTED and col is None
 
 
 def test_max_colors_guard():
-    g = cycle_graph(3)
-    eu, ev = edge_arrays(g)
     with pytest.raises(ValueError):
-        search_k_coloring(eu, ev, g.n, MAX_COLORS + 1)
+        search_k_coloring(cycle_graph(3), MAX_COLORS + 1)
 
 
 def test_node_budget_reports_budget_status():
-    g = petersen_graph()
-    eu, ev = edge_arrays(g)
     tight = SearchBudget(max_nodes=1)
-    status, colors = search_k_coloring(eu, ev, g.n, 4, budget=tight)
-    assert status == BUDGET and colors is None
+    status, col = search_k_coloring(petersen_graph(), 4, budget=tight)
+    assert status == BUDGET and col is None
 
 
 def test_deterministic_budget_repeatable():
     g = petersen_graph()
-    eu, ev = edge_arrays(g)
     budget = SearchBudget(max_nodes=10_000_000, deterministic=True)
-    first = search_k_coloring(eu, ev, g.n, 4, budget=budget)
-    second = search_k_coloring(eu, ev, g.n, 4, budget=budget)
+    first = search_k_coloring(g, 4, budget=budget)
+    second = search_k_coloring(g, 4, budget=budget)
     assert first == second
     assert first[0] == FOUND
 
 
 def test_palette_count_search():
     g = cycle_graph(5)
-    eu, ev = edge_arrays(g)
-    deg = list(g.degrees)
-    status, colors = search_palette_count(eu, ev, g.n, deg, 3, 2)
+    status, col = search_palette_count(g, 3, 2)
     assert status == EXHAUSTED  # regular graphs never land on exactly 2
-    status, colors = search_palette_count(eu, ev, g.n, deg, 3, 3)
+    status, col = search_palette_count(g, 3, 3)
     assert status == FOUND
-    check_proper_assignment(g, eu, ev, colors)
-    palettes = {frozenset(c for u, v, c in zip(eu, ev, colors) if w in (u, v))
-                for w in range(g.n)}
-    assert len(palettes) == 3
+    assert palette_count(col) == 3
 
 
 def test_palette_family_search():
     g = cycle_graph(4)
-    eu, ev = edge_arrays(g)
-    deg = list(g.degrees)
-    status, colors = search_palette_family(eu, ev, g.n, deg, [{1, 2}])
+    status, col = search_palette_family(g, [{1, 2}])
     assert status == FOUND
-    check_proper_assignment(g, eu, ev, colors)
-    c5 = cycle_graph(5)
-    eu5, ev5 = edge_arrays(c5)
-    status, _ = search_palette_family(eu5, ev5, c5.n, list(c5.degrees), [{1, 2}])
-    assert status == EXHAUSTED  # an odd cycle has no 2-coloring
+    assert palette_summary(col).palette_sets() == {frozenset({1, 2})}
+    status, col = search_palette_family(cycle_graph(5), [{1, 2}])
+    assert status == EXHAUSTED and col is None  # an odd cycle has no 2-coloring
 
 
 def test_family_search_respects_budget():
-    g = petersen_graph()
-    eu, ev = edge_arrays(g)
-    deg = list(g.degrees)
     family = [frozenset({1, 2, 3}), frozenset({1, 4, 5}), frozenset({2, 4, 6})]
-    status, _ = search_palette_family(
-        eu, ev, g.n, deg, family, budget=SearchBudget(max_nodes=5))
+    status, _ = search_palette_family(petersen_graph(), family,
+                                      budget=SearchBudget(max_nodes=5))
     assert status == BUDGET
 
 
@@ -165,13 +155,16 @@ def test_negative_budgets_are_rejected():
     assert SearchBudget(max_nodes=0, max_seconds=0.0).max_nodes == 0
 
 
-def first_in_family(g, eu, ev, family, k):
+def first_in_family(g, family, k):
     """The lexicographically first proper in-family coloring, by brute force.
 
     ``itertools.product`` runs through the colorings in the order a
-    depth-first search over the edges, colors ascending, meets them.
+    depth-first search over the edges in search order, colors ascending,
+    meets them.
     """
-    for colors in itertools.product(range(1, k + 1), repeat=len(eu)):
+    order = search.edge_order(g)
+    eu, ev = edge_arrays(g)
+    for colors in itertools.product(range(1, k + 1), repeat=len(order)):
         at = [set() for _ in range(g.n)]
         proper = True
         for u, v, c in zip(eu, ev, colors):
@@ -181,7 +174,10 @@ def first_in_family(g, eu, ev, family, k):
             at[u].add(c)
             at[v].add(c)
         if proper and all(frozenset(p) in family for p in at):
-            return FOUND, list(colors)
+            canonical = [0] * len(order)
+            for i, c in zip(order, colors):
+                canonical[i] = c
+            return FOUND, EdgeColoring(g, tuple(canonical))
     return EXHAUSTED, None
 
 
@@ -192,12 +188,11 @@ def test_family_search_finds_the_first_in_family_coloring():
         n = rng.randint(2, 6)
         pairs = list(itertools.combinations(range(n), 2))
         g = Graph.from_edges(n, rng.sample(pairs, rng.randint(1, min(6, len(pairs)))))
-        eu, ev = edge_arrays(g)
         sizes = sorted(set(g.degrees))
         family = {frozenset(rng.sample(range(1, 5), rng.choice(sizes)))
                   for _ in range(rng.randint(1, 4))}
-        expected = first_in_family(g, eu, ev, family, 4)
-        assert search_palette_family(eu, ev, g.n, list(g.degrees), family) == expected
+        expected = first_in_family(g, family, 4)
+        assert search_palette_family(g, family) == expected
         outcomes.add(expected[0])
     assert outcomes == {FOUND, EXHAUSTED}
 
@@ -371,9 +366,7 @@ class NodeClock:
 
 
 def p3c5_palette_search(tracker):
-    g = cartesian_product(path_graph(3), cycle_graph(5))
-    eu, ev = edge_arrays(g)
-    return search_palette_count(eu, ev, g.n, list(g.degrees), 12, 3, tracker)
+    return search_palette_count(cartesian_product(path_graph(3), cycle_graph(5)), 12, 3, tracker)
 
 
 def test_time_budget_overshoots_by_about_one_chunk(monkeypatch):

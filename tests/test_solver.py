@@ -14,8 +14,8 @@ from palettebox.graphs import (
     path_graph,
     petersen_graph,
 )
-from palettebox.search import SearchBudget
-from palettebox.solver import chromatic_index, misra_gries_coloring, solver_edge_order
+from palettebox.search import SearchBudget, edge_order
+from palettebox.solver import chromatic_index, misra_gries_coloring
 
 
 @pytest.mark.parametrize("graph, expected", [
@@ -64,7 +64,7 @@ def test_solver_edge_order_completes_vertices_first():
     # every edge has an end with one edge left; (3, 4) wins on its other end
     # (2 left, against the centre's 3), then the leaves go in position order
     g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    assert [g.edges[i] for i in solver_edge_order(g)] == [(3, 4), (0, 1), (0, 2), (0, 3)]
+    assert [g.edges[i] for i in edge_order(g)] == [(3, 4), (0, 1), (0, 2), (0, 3)]
 
 
 def completion_order_reference(g):
@@ -85,10 +85,10 @@ def completion_order_reference(g):
 
 
 def assert_completion_order(g):
-    order = solver_edge_order(g)
+    order = edge_order(g)
     assert sorted(order) == list(range(len(g.edges)))
     assert order == completion_order_reference(g)
-    assert solver_edge_order(g) == order
+    assert edge_order(g) == order
 
 
 @pytest.mark.parametrize("g", [
