@@ -5,10 +5,20 @@ palettes over all proper edge colorings.  ``palette_index_exact`` is the
 one place a ``Certificate`` is made.  Its upper bound u is the best
 known witness: a caller's candidate coloring or the chromatic-index
 witness the lower bound computes.  It then deepens a target palette
-count p from a certified lower bound up to u-1; for each p it runs an
-exhaustive search over colorings with at most p distinct palettes.  A
-coloring with p distinct palettes mentions at most p*Delta colors, so
-restricting the search to min(p*Delta, |E|) colors loses nothing.
+count p from a certified lower bound up to u-1.  A coloring with p
+distinct palettes mentions at most p*Delta colors, so restricting the
+search to min(p*Delta, |E|) colors loses nothing.
+
+Each target p is settled by two searches that take turns under a node
+allowance that doubles every round: the palette-count search, which
+explores every coloring with at most p distinct palettes, and the
+family search over the parity-feasible palette families of p (see
+``_parity_families``).  A color class is a matching, so each color lies
+on an even number of vertices (Hornak, Kalinowski, Meszka and Wozniak,
+"Minimum number of palettes in edge colorings", Graphs and
+Combinatorics 2014), which leaves few families to exhaust.  The count
+search tends to find colorings fast and the families to refute targets
+fast.
 
 Lower bound rules:
 
@@ -18,7 +28,10 @@ Lower bound rules:
   palettes are impossible on a regular graph).
 * ``regular-not-2``: p = 1 was exhausted and the graph is regular, so
   p = 2 is skipped for the same reason.
-* ``exhaustive``: every smaller p was exhausted by search.
+* ``exhaustive``: the count search exhausted the last target.
+* ``parity``: the last target has no parity-feasible palette family.
+* ``parity-families``: the family search exhausted every parity-feasible
+  palette family of the last target.
 
 A search that stops early reports the proven interval and is never
 marked exact; ``Certificate.stop`` says why it stopped.  Its upper bound
@@ -29,14 +42,19 @@ bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from palettebox import search
 from palettebox.coloring import EdgeColoring, palette_summary
 from palettebox.graphs import Graph
 from palettebox.search import ensure_tracker
 from palettebox.solver import ChromaticIndexResult, chromatic_index, misra_gries_coloring
+
+# Nodes each of the two searches of a target gets in the first round of
+# _settle_target; every later round doubles it.
+_FIRST_ALLOWANCE = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -101,6 +119,170 @@ def lower_bound(graph: Graph, budget=None) -> tuple[int, str]:
     return value, rule
 
 
+def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozenset[int]]]:
+    """Yield, lazily, the palette families a coloring with exactly p palettes can have.
+
+    Let n_P vertices carry palette P.  Every color class is a matching,
+    so for each color c the sum of n_P over the palettes P that hold c
+    is even: each color lies in an even number of odd palettes (n_P
+    odd).  Among the c_d palettes of degree d, o_d are odd, with
+    o_d = n_d (mod 2), and o_d + 2(c_d - o_d) <= n_d since an even
+    palette is on at least two vertices.  Isolated vertices take the
+    empty palette, which is added to every family, and the others share
+    the remaining palettes.
+
+    Up to renaming colors a family is a vector x over the nonempty sets
+    S of palette positions: x_S colors lie in exactly the palettes S.
+    Only S holding an even number of odd palettes may have x_S > 0,
+    palette i needs sum(x_S for S holding i) = its degree, and there are
+    at most ``colors`` colors in all.  Positions are filled in order,
+    each by the sets whose least member it is.  Palettes of one degree
+    must be distinct, and two neighbouring palettes of one degree and
+    parity are kept only in the order that makes x lexicographically
+    largest over the two (sets in integer order as bitmasks), which
+    keeps the largest x of every relabeling of those groups.  Every
+    coloring with exactly p distinct palettes relabels into a family
+    yielded here, under the parity pattern of its own palette counts, so
+    exhausting them all refutes p whenever the palette index is at least p.
+    """
+    counts = Counter(graph.degrees)
+    tail = [frozenset()] if counts.pop(0, 0) else []
+    slots = p - len(tail)
+    groups = sorted(counts.items())
+
+    def kinds(j: int, left: int):
+        """(degree, odd) of each palette of the degrees groups[j:], ``left`` palettes in all."""
+        if j == len(groups):
+            if left == 0:
+                yield []
+            return
+        d, n = groups[j]
+        for c in range(1, left - len(groups) + j + 2):
+            for o in range(n % 2, c + 1, 2):
+                if 2 * c - o <= n:
+                    for rest in kinds(j + 1, left - c):
+                        yield [(d, True)] * o + [(d, False)] * (c - o) + rest
+
+    for kind in kinds(0, slots):
+        need = [d for d, _ in kind]
+        odd = sum(1 << i for i, (_, is_odd) in enumerate(kind) if is_odd)
+        # by_least[i]: the allowed sets whose least member is position i
+        by_least: list[list[tuple[int, list[int]]]] = [[] for _ in kind]
+        for s in range(1, 1 << slots):
+            if bin(s & odd).count("1") % 2 == 0:
+                members = [i for i in range(slots) if s >> i & 1]
+                by_least[members[0]].append((s, members))
+        x: dict[int, int] = {}
+
+        def distinct_and_ordered(i: int) -> bool:
+            """Whether palette i, now complete, passes the checks against earlier ones."""
+            bit = 1 << i
+            for h in range(i):
+                if kind[h][0] != kind[i][0]:
+                    continue
+                hbit = 1 << h
+                if all(bool(s & hbit) == bool(s & bit) for s in x):
+                    return False
+            if i == 0 or kind[i - 1] != kind[i]:
+                return True
+            # x on the sets holding palette i-1 but not i, and i but not i-1,
+            # each keyed by its other members
+            hbit = 1 << (i - 1)
+            first = {s & ~hbit: v for s, v in x.items() if s & hbit and not s & bit}
+            second = {s & ~bit: v for s, v in x.items() if s & bit and not s & hbit}
+            for t in sorted(first.keys() | second.keys()):
+                if first.get(t, 0) != second.get(t, 0):
+                    return first.get(t, 0) > second.get(t, 0)
+            return True
+
+        def fill(i: int, used: int):
+            """Fill the palettes from i on, those before i being complete."""
+            if i > 0 and not distinct_and_ordered(i - 1):
+                return
+            if i == slots:
+                family = [set() for _ in kind]
+                color = 1
+                for s in sorted(x):
+                    for h in range(slots):
+                        if s >> h & 1:
+                            family[h].update(range(color, color + x[s]))
+                    color += x[s]
+                yield [frozenset(pal) for pal in family] + tail
+                return
+            yield from place(i, 0, used)
+
+        def place(i: int, start: int, used: int):
+            """Give palette i its missing colors from the sets by_least[i][start:]."""
+            if need[i] == 0:
+                yield from fill(i + 1, used)
+                return
+            for j in range(start, len(by_least[i])):
+                s, members = by_least[i][j]
+                for v in range(min(colors - used, min(need[m] for m in members)), 0, -1):
+                    x[s] = v
+                    for m in members:
+                        need[m] -= v
+                    yield from place(i, j + 1, used + v)
+                    del x[s]
+                    for m in members:
+                        need[m] += v
+
+        yield from fill(0, 0)
+
+
+def _capped(tracker, allowance: int, run, *args):
+    """``run(*args, tracker)`` with at most ``allowance`` more nodes on ``tracker``."""
+    limit = tracker.max_nodes
+    cap = tracker.nodes + allowance
+    tracker.max_nodes = cap if limit is None else min(limit, cap)
+    try:
+        return run(*args, tracker)
+    finally:
+        tracker.max_nodes = limit
+
+
+def _settle_target(graph: Graph, k: int, p: int, tracker):
+    """Decide whether some coloring has at most p palettes, p being a proven lower bound.
+
+    Returns (status, rule, coloring): FOUND with a coloring, EXHAUSTED
+    with the rule that refuted p, or BUDGET.  Round r gives the count
+    search, restarted from scratch, and then the family search, resumed
+    at its current family, _FIRST_ALLOWANCE * 2**r nodes each.  Nothing
+    here reads the clock, so node counts repeat from run to run.  The
+    families are enumerated only once the first round of the count
+    search fails to settle, so graphs it settles never pay for them.
+    """
+    allowance = _FIRST_ALLOWANCE
+    families = family = None
+    while True:
+        status, found = _capped(tracker, allowance, search.search_palette_count, graph, k, p)
+        if status == search.FOUND:
+            return status, None, found
+        if status == search.EXHAUSTED:
+            return status, "exhaustive", None
+        if tracker.exceeded():
+            return search.BUDGET, None, None
+        if families is None:
+            families = _parity_families(graph, p, k)
+            family = next(families, None)
+            if family is None:
+                return search.EXHAUSTED, "parity", None
+        end = tracker.nodes + allowance
+        while family is not None and tracker.nodes < end:
+            status, found = _capped(tracker, end - tracker.nodes, search.search_palette_family,
+                                    graph, family)
+            if status == search.FOUND:
+                return status, None, found
+            if status == search.BUDGET:
+                if tracker.exceeded():
+                    return status, None, None
+                break
+            family = next(families, None)
+        if family is None:
+            return search.EXHAUSTED, "parity-families", None
+        allowance *= 2
+
+
 def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
                         max_palettes: Optional[int] = None, budget=None) -> Certificate:
     """Exact palette index by iterative deepening, or a proven interval.
@@ -108,11 +290,12 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     Each candidate must be a proper coloring of exactly this graph.  The
     best of them and of the chromatic-index witness sets the upper bound
     u.  Deepening starts at the certified lower bound and runs only over
-    targets p < u (and p <= ``max_palettes``).  Exhausting target p raises
-    the proven lower bound to p+1 (skipping 2 on regular graphs).  The
-    first target that admits a coloring is the palette index, since any
-    coloring with c distinct palettes can be relabeled into the colors
-    the target-c search explores; reaching u proves u.
+    targets p < u (and p <= ``max_palettes``).  Refuting target p raises
+    the proven lower bound to p+1 (skipping 2 on regular graphs), so p
+    is always the proven lower bound, which the family search needs.
+    The first target that admits a coloring is the palette index, since
+    any coloring with c distinct palettes can be relabeled into the
+    colors the target-c search explores; reaching u proves u.
     """
     tracker = ensure_tracker(budget)
     known = []
@@ -153,14 +336,14 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
             # Exhaustion above the kernel's color width would be unsound.
             stop = "color-width"
             break
-        status, found = search.search_palette_count(graph, k, p, tracker)
+        status, why, found = _settle_target(graph, k, p, tracker)
         if status == search.FOUND:
             upper, witness = p, found
             break
         if status == search.BUDGET:
             stop = "budget"
             break
-        proven, rule = p + 1, "exhaustive"
+        proven, rule = p + 1, why
         p += 1
     if witness is None:
         witness = misra_gries_coloring(graph)

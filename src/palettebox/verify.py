@@ -236,13 +236,11 @@ def _tpc_case(s: int, t: int, budget):
             count = palette_summary(col).count
             if count != 4:
                 return f"witness has {count} palettes"
-            # small cases: confirm 4 is optimal, not only achievable
-            if s * t <= 15:
-                cert = palette_index_exact(block, [col], budget=budget)
-                if not cert.exact:
-                    raise _Indeterminate("oracle budget out")
-                return _expect(cert.lower == 4, f"oracle says {cert.lower}")
-            return None
+            # confirm 4 is optimal, not only achievable
+            cert = palette_index_exact(block, [col], budget=budget)
+            if not cert.exact:
+                raise _Indeterminate("oracle budget out")
+            return _expect(cert.lower == 4, f"oracle says {cert.lower}")
         if t % 2 == 0:
             spec = make_nrg_spec(cycle_graph(t), [(0, 1)], budget=budget)
             col = nrg_product_coloring(spec, cycle_graph(s), budget=budget)

@@ -15,12 +15,20 @@ from palettebox.graphs import (
     petersen_graph,
 )
 from palettebox.oracle import (
+    _parity_families,
     coloring_within_family,
     lower_bound,
     naive_minimum_palettes,
     palette_index_exact,
 )
-from palettebox.search import EXHAUSTED, FOUND, BudgetTracker, SearchBudget
+from palettebox.search import (
+    EXHAUSTED,
+    FOUND,
+    BudgetTracker,
+    SearchBudget,
+    search_palette_count,
+    search_palette_family,
+)
 from palettebox.solver import chromatic_index
 
 
@@ -88,12 +96,14 @@ def test_budget_exhaustion_yields_interval():
 
 @pytest.mark.parametrize("budget", [
     SearchBudget(max_nodes=1),
-    SearchBudget(max_nodes=5_000),
+    SearchBudget(max_nodes=1_700),
     SearchBudget(max_seconds=0.0),
 ])
 def test_interrupted_oracle_keeps_an_upper_bound(budget):
     # P5 x C3 has palette index 4 and is not regular, so no chromatic-index
-    # witness exists to fall back on; the Misra-Gries coloring bounds it
+    # witness exists to fall back on; the Misra-Gries coloring bounds it.
+    # 1,700 nodes stop it at p = 4, after the families refuted p = 3; it
+    # needs 1,771.
     g = cartesian_product(path_graph(5), cycle_graph(3))
     cert = palette_index_exact(g, budget=budget)
     assert not cert.exact
@@ -114,11 +124,13 @@ def test_palette_search_node_counts_are_pinned():
     assert tracker.nodes == 99
 
 
-@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 64_717), (5, 3, 23_317)])
+@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 2_951), (5, 3, 1_771)],
+                         ids=["P3xC5", "P5xC3"])
 def test_path_cycle_node_counts_are_pinned(path, cycle, nodes):
-    # both have palette index 4; the search exhausts p = 2 and 3 before finding it
+    # both have palette index 4; the count search exhausts p = 2, the one
+    # parity family of p = 3 is exhausted, and the count search finds p = 4
     cert = palette_index_exact(cartesian_product(path_graph(path), cycle_graph(cycle)))
-    assert cert.interval == (4, 4)
+    assert cert.interval == (4, 4) and cert.rule == "parity-families"
     assert cert.nodes == nodes
 
 
@@ -149,7 +161,8 @@ def _family_witness(path, cycle):
     return g, col
 
 
-@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 64_124), (5, 3, 23_118)])
+@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 2_358), (5, 3, 1_572)],
+                         ids=["P3xC5", "P5xC3"])
 def test_family_witness_spares_the_last_target(path, cycle, nodes):
     # the witness has 4 palettes, so only p = 2 and 3 are searched
     g, col = _family_witness(path, cycle)
@@ -167,13 +180,54 @@ def test_chromatic_witness_meeting_the_lower_bound_skips_the_palette_search(g, n
 
 
 def test_interrupted_oracle_keeps_the_candidate_upper_bound():
-    # P5 x C5 needs 25 M nodes to exhaust p = 3; a budget stops it first
-    g, col = _family_witness(5, 5)
+    # P7 x P7 has no parity family at p = 3, and p = 4 outlasts the budget;
+    # without the candidate the Misra-Gries coloring's 6 palettes bound it
+    g = cartesian_product(path_graph(7), path_graph(7))
+    status, col = search_palette_count(g, 20, 5)
+    assert status == FOUND
     budget = SearchBudget(max_nodes=100_000)
-    assert palette_index_exact(g, budget=budget).interval == (3, 5)
+    assert palette_index_exact(g, budget=budget).interval == (4, 6)
     cert = palette_index_exact(g, [col], budget=budget)
-    assert cert.interval == (3, 4) and cert.stop == "budget"
+    assert cert.interval == (4, 5) and cert.stop == "budget"
     assert cert.witness is col
+
+
+def _soundness_graphs():
+    rng = Random(1)
+    graphs = list(small_corpus(12)) + [random_graph(rng, 2, 7) for _ in range(200)]
+    # isolated vertices, whose empty palette every family must hold
+    graphs += [Graph(5, ((0, 1), (1, 2))), Graph(6, ((0, 2), (2, 3), (4, 5))),
+               Graph.from_edges(7, ((0, 1), (1, 2), (2, 0), (4, 5)))]
+    return graphs
+
+
+def test_parity_families_agree_with_the_count_search():
+    # at every p up to the index, exhausting every parity-feasible family
+    # must say what exhausting the count search says
+    graphs = _soundness_graphs()
+    assert sum(0 in g.degrees for g in graphs) >= 20
+    for g in graphs:
+        index = palette_index_exact(g).lower
+        for p in range(1, index + 1):
+            k = min(p * g.max_degree, len(g.edges))
+            families = all(search_palette_family(g, family)[0] == EXHAUSTED
+                           for family in _parity_families(g, p, k))
+            count = search_palette_count(g, k, p)[0] == EXHAUSTED
+            assert families == count, (g.n, g.edges, p)
+
+
+def test_parity_rules_name_the_refutation():
+    # P5 x P5 has degrees 2, 3 and 4 on 4, 12 and 9 vertices.  At p = 3 its
+    # one degree-4 palette is odd and alone, so it has no family: the first
+    # 1,024 count-search nodes do not settle p = 3, and parity does.
+    grid = cartesian_product(path_graph(5), path_graph(5))
+    assert next(_parity_families(grid, 3, 12), None) is None
+    cert = palette_index_exact(grid, max_palettes=3)
+    assert (cert.interval, cert.rule, cert.nodes) == ((4, 6), "parity", 1_024)
+    # p = 4 is refuted by exhausting its 11 families
+    assert sum(1 for _ in _parity_families(grid, 4, 16)) == 11
+    cert = palette_index_exact(grid)
+    assert (cert.interval, cert.rule) == ((5, 5), "parity-families")
 
 
 def test_certificate_says_why_it_stopped():
