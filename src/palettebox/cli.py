@@ -18,6 +18,7 @@ from typing import Optional
 from palettebox import formats
 from palettebox.coloring import EdgeColoring, check_proper, palette_summary
 from palettebox.constructions import (
+    BudgetExhausted,
     class1_product_coloring,
     cubic_matching_reduction,
     cycle_times_regular_coloring,
@@ -25,11 +26,11 @@ from palettebox.constructions import (
     nrg_product_coloring,
     path_times_class1_regular_coloring,
     path_times_regular_coloring,
+    solve_exact,
 )
 from palettebox.graphs import canonical_edge, cartesian_product
 from palettebox.oracle import default_max_palettes, lower_bound, palette_index_exact
 from palettebox.search import MAX_COLORS, SearchBudget
-from palettebox.solver import chromatic_index
 from palettebox.theta import is_partial_cube, theta_classes, theta_removal_coloring
 from palettebox.torus import TorusDecomposition, torus_three_palette_coloring, verify_partition
 from palettebox.verify import SUITES, run_verify_suite
@@ -116,12 +117,9 @@ def _cmd_construct(args) -> int:
     if theorem == "mah":
         g = formats.parse_graph_spec(args.graph)
         h = formats.parse_graph_spec(args.host)
-        g_res = chromatic_index(g, budget)
-        h_res = chromatic_index(h, budget)
-        if g_res.status != "exact" or h_res.status != "exact":
-            print("budget ran out while classifying a factor", file=sys.stderr)
-            return INDETERMINATE
-        col = class1_product_coloring(g_res.witness, h_res.witness, args.c)
+        g_col = solve_exact(g, budget).witness
+        h_col = solve_exact(h, budget).witness
+        col = class1_product_coloring(g_col, h_col, args.c)
     elif theorem == "nrg":
         g = formats.parse_graph_spec(args.graph)
         h = formats.parse_graph_spec(args.host)
@@ -133,14 +131,11 @@ def _cmd_construct(args) -> int:
         col = cycle_times_regular_coloring(args.s, g, budget=budget)
     elif theorem == "png":
         g = formats.parse_graph_spec(args.graph)
-        result = chromatic_index(g, budget)
-        if result.status != "exact":
-            print("budget ran out while classifying the factor", file=sys.stderr)
-            return INDETERMINATE
+        result = solve_exact(g, budget)
         if result.value == g.max_degree:
-            col = path_times_class1_regular_coloring(args.s, g, budget=budget)
+            col = path_times_class1_regular_coloring(args.s, g, g_col=result.witness)
         else:
-            col = path_times_regular_coloring(args.s, g, budget=budget)
+            col = path_times_regular_coloring(args.s, g, g_col=result.witness)
     else:
         g = formats.parse_graph_spec(args.graph)
         col = cubic_matching_reduction(args.s, g, mode=args.mode, budget=budget)
@@ -340,6 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExhausted as exc:
+        print(str(exc), file=sys.stderr)
+        return INDETERMINATE
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL

@@ -61,7 +61,8 @@ class BudgetExhausted(RuntimeError):
     """Raised when the search budget runs out before a step is classified."""
 
 
-def _solve_exact(graph: Graph, budget=None):
+def solve_exact(graph: Graph, budget=None):
+    """The exact ``chromatic_index`` result, or ``BudgetExhausted``."""
     result = chromatic_index(graph, budget)
     if result.status != "exact":
         raise BudgetExhausted(f"could not classify {graph.tag} within the search budget")
@@ -187,7 +188,7 @@ def make_nrg_spec(g_prime: Graph, removed: Sequence[Edge],
             raise ValueError("no perfect matching contains the removed edges")
     rest = remove_edges(g_prime, matching.edges)
     r = g_prime.max_degree
-    result = _solve_exact(rest, budget)
+    result = solve_exact(rest, budget)
     if result.value != r - 1:
         raise ValueError("g_prime minus the matching is not class 1, so the matching does not qualify")
     mapping = result.witness.as_map()
@@ -232,7 +233,7 @@ def nrg_product_coloring(spec: NrgSpec, host: Graph,
         raise ValueError("H must be regular with at least one edge")
     rp = host.max_degree
     if h_col is None:
-        result = _solve_exact(host, budget)
+        result = solve_exact(host, budget)
         h_col = result.witness
     if h_col.graph.n != host.n or h_col.graph.edges != host.edges:
         raise ValueError("h must color H")
@@ -260,7 +261,7 @@ def _regular_class2_colorings(g: Graph, g_col: Optional[EdgeColoring],
         raise ValueError("G must be regular with at least one edge")
     r = g.max_degree
     if g_col is None:
-        result = _solve_exact(g, budget)
+        result = solve_exact(g, budget)
         if result.value == r:
             raise ValueError("G is class 1; use class1_product_coloring or the class-1 path route")
         g_col = result.witness
@@ -351,7 +352,7 @@ def path_times_class1_regular_coloring(s: int, g: Graph, c: Optional[int] = None
         raise ValueError("G must be regular with at least one edge")
     r = g.max_degree
     if g_col is None:
-        result = _solve_exact(g, budget)
+        result = solve_exact(g, budget)
         if result.value != r:
             raise ValueError("G is class 2; use path_times_regular_coloring")
         g_col = result.witness
@@ -436,7 +437,7 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
         raise ValueError(f"mode must be 'cycle' or 'path', got {mode!r}")
     if set(g.degrees) != {3}:
         raise ValueError("G must be cubic")
-    result = _solve_exact(g, budget)
+    result = solve_exact(g, budget)
     if result.value == 3:
         raise ValueError("G is class 1; use class1_product_coloring or the class-1 path route")
     if matching is None:

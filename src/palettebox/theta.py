@@ -5,13 +5,16 @@ d(x,u) + d(y,v) != d(x,v) + d(y,u) for e = xy and f = uv.  On partial
 cubes the transitive closure of this relation cuts the edge set into
 parallelism classes, each a perfect matching when every vertex meets
 every class; removing part of one class then feeds the nearly-regular
-two-palette product construction.
+two-palette product construction.  Partial cubes are recognised by
+Winkler's theorem: a connected graph is a partial cube exactly when it
+is bipartite and the relation is already transitive (P. Winkler,
+Isometric embedding in products of complete graphs, Discrete Applied
+Mathematics 7 (1984) 221-225).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from palettebox.coloring import EdgeColoring
@@ -22,7 +25,6 @@ from palettebox.graphs import (
     Matching,
     all_pairs_distances,
     canonical_edge,
-    connected_components,
     is_bipartite,
     is_connected,
 )
@@ -53,20 +55,12 @@ class ThetaClasses:
                 return i
         raise KeyError(f"edge {e} not in graph")
 
-    @cached_property
-    def per_vertex_counts(self) -> tuple[tuple[int, ...], ...]:
-        """How many edges of each class meet each vertex."""
-        counts = [[0] * self.count for _ in range(self.graph.n)]
-        for i, cls in enumerate(self.classes):
-            for u, v in cls:
-                counts[u][i] += 1
-                counts[v][i] += 1
-        return tuple(tuple(row) for row in counts)
-
     @property
     def every_vertex_in_every_class(self) -> bool:
         """True when each class is a perfect matching of the graph."""
-        return all(all(c == 1 for c in row) for row in self.per_vertex_counts)
+        n = self.graph.n
+        return all(2 * len(cls) == n and len({v for e in cls for v in e}) == n
+                   for cls in self.classes)
 
     def matchings(self) -> tuple[Matching, ...]:
         if not self.every_vertex_in_every_class:
@@ -95,12 +89,11 @@ def theta_classes(graph: Graph) -> ThetaClasses:
             a = parent[a]
         return a
 
-    related: list[list[int]] = [[] for _ in range(m)]
+    related = 0
     for i in range(m):
         for j in range(i + 1, m):
             if _theta_related(dist, graph.edges[i], graph.edges[j]):
-                related[i].append(j)
-                related[j].append(i)
+                related += 1
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -109,66 +102,20 @@ def theta_classes(graph: Graph) -> ThetaClasses:
     for i in range(m):
         groups.setdefault(find(i), []).append(graph.edges[i])
     classes = tuple(tuple(g) for _, g in sorted(groups.items()))
-
-    # raw relation is transitive iff every class is a clique of it
-    index = {e: i for i, e in enumerate(graph.edges)}
-    transitive = True
-    for cls in classes:
-        ids = [index[e] for e in cls]
-        for a in range(len(ids)):
-            rel = set(related[ids[a]])
-            for b in range(a + 1, len(ids)):
-                if ids[b] not in rel:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if not transitive:
-            break
-    return ThetaClasses(graph, classes, transitive)
-
-
-def _side_is_convex(dist, side: set[int], other: Sequence[int]) -> bool:
-    inside = sorted(side)
-    for ai, x in enumerate(inside):
-        for y in inside[ai + 1:]:
-            d = dist[x][y]
-            for z in other:
-                if dist[x][z] + dist[z][y] == d:
-                    return False
-    return True
+    # every related pair lies inside one class, so the relation is
+    # transitive exactly when each class is a clique of it
+    cliques = sum(len(cls) * (len(cls) - 1) // 2 for cls in classes)
+    return ThetaClasses(graph, classes, related == cliques)
 
 
 def is_partial_cube(tc: ThetaClasses) -> bool:
-    """Check the Djokovic characterization directly at desk scale.
+    """Decide partial-cube-ness by Winkler's theorem (DAM 7, 1984).
 
-    Connected (guaranteed by construction), bipartite, the raw relation
-    already transitive, every class a proper cut whose removal leaves
-    exactly two components, both convex.
+    A connected graph, which ``theta_classes`` guarantees, is a partial
+    cube exactly when it is bipartite and its theta relation is
+    transitive.
     """
-    g = tc.graph
-    if not is_bipartite(g) or not tc.raw_is_transitive:
-        return False
-    dist = all_pairs_distances(g)
-    for cls in tc.classes:
-        # no two class edges may share a vertex
-        seen: set[int] = set()
-        for u, v in cls:
-            if u in seen or v in seen:
-                return False
-            seen.update((u, v))
-        removed = set(cls)
-        rest_edges = [e for e in g.edges if e not in removed]
-        rest = Graph.from_edges(g.n, rest_edges)
-        comps = connected_components(rest)
-        if len(comps) != 2:
-            return False
-        a, b = (set(c) for c in comps)
-        if not _side_is_convex(dist, a, sorted(b)):
-            return False
-        if not _side_is_convex(dist, b, sorted(a)):
-            return False
-    return True
+    return tc.raw_is_transitive and is_bipartite(tc.graph)
 
 
 def theta_removal_coloring(graph: Graph, class_index: int, removed: Sequence[Edge],

@@ -63,7 +63,7 @@ class _Recorder:
         try:
             detail = fn()
             outcome = "pass" if detail is None else "fail"
-        except (_Indeterminate, BudgetExhausted) as stop:
+        except BudgetExhausted as stop:
             outcome, detail = "indeterminate", str(stop)
         except Exception as exc:  # a crash is a failing case, not a crashed suite
             outcome, detail = "fail", f"{type(exc).__name__}: {exc}"
@@ -88,10 +88,6 @@ class _Recorder:
             "indeterminate": outcomes.count("indeterminate"),
             "status": status,
         }
-
-
-class _Indeterminate(RuntimeError):
-    pass
 
 
 def _expect(cond: bool, detail: str) -> Optional[str]:
@@ -135,7 +131,7 @@ def _nrg_suite(rec: _Recorder, budget):
                 for size in range(1, len(matching.edges))
                 for removed in itertools.combinations(matching.edges, size)
             ]
-        except (_Indeterminate, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             def setup_case(exc=exc):
                 raise exc
             rec.run(f"nrg {base.tag} setup", setup_case)
@@ -166,7 +162,7 @@ def _qualifying_matching(base: Graph, budget):
             return matching
         out_of_budget = out_of_budget or result.status == "indeterminate"
     if out_of_budget:
-        raise _Indeterminate(
+        raise BudgetExhausted(
             f"could not certify a matching on {base.tag} within the budget")
     raise ValueError(f"no qualifying perfect matching on {base.tag}")
 
@@ -230,7 +226,7 @@ def _tpc_case(s: int, t: int, budget):
             block = cartesian_product(path_graph(t), cycle_graph(s))
             status, col = coloring_within_family(block, PATH_MODE_FAMILY, budget)
             if status == BUDGET:
-                raise _Indeterminate(f"family search budget out on C_{s} box P_{t}")
+                raise BudgetExhausted(f"family search budget out on C_{s} box P_{t}")
             if status != FOUND:
                 return "no 4-palette coloring found"
             count = palette_summary(col).count
@@ -239,7 +235,7 @@ def _tpc_case(s: int, t: int, budget):
             # confirm 4 is optimal, not only achievable
             cert = palette_index_exact(block, [col], budget=budget)
             if not cert.exact:
-                raise _Indeterminate("oracle budget out")
+                raise BudgetExhausted("oracle budget out")
             return _expect(cert.lower == 4, f"oracle says {cert.lower}")
         if t % 2 == 0:
             spec = make_nrg_spec(cycle_graph(t), [(0, 1)], budget=budget)
@@ -298,7 +294,7 @@ def _oracle_cross_suite(rec: _Recorder, max_edges: int, budget):
         def case(graph=graph):
             cert = palette_index_exact(graph, budget=budget)
             if not cert.exact:
-                raise _Indeterminate("oracle budget out")
+                raise BudgetExhausted("oracle budget out")
             naive = naive_minimum_palettes(graph)
             return _expect(cert.lower == naive, f"oracle {cert.lower} naive {naive}")
         rec.run(f"oracle-cross {graph.tag}", case)

@@ -173,6 +173,35 @@ def test_error_paths_exit_one(tmp_path):
         assert proc.stderr.startswith("error:"), command
 
 
+def test_budget_stops_exit_two(capsys):
+    commands = [
+        "construct --theorem cng --graph C5 --s 5 --budget-nodes 1",
+        "construct --theorem nrg --graph Q3 --host C3 --remove 0-1 --budget-nodes 1",
+        "construct --theorem mah --graph C5 --host C3 --budget-nodes 1",
+        "construct --theorem png --graph C5 --s 5 --budget-nodes 1",
+        "construct --theorem cubic --graph petersen --s 3 --budget-nodes 1",
+        "theta Q3 --class 0 --remove 0-1 --host C5 --budget-nodes 1",
+    ]
+    for command in commands:
+        assert cli.main(command.split()) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        assert captured.err.endswith("within the search budget\n"), command
+
+
+@pytest.mark.parametrize("graph", ["C5", "C4"])
+def test_png_classifies_its_factor_once(graph, monkeypatch, capsys):
+    calls = []
+    kernel = search.search_k_coloring
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+    monkeypatch.setattr(search, "search_k_coloring", counted)
+    assert cli.main(["construct", "--theorem", "png", "--graph", graph, "--s", "5"]) == 0
+    assert len(calls) == 1
+
+
 def test_verify_exit_codes(tmp_path):
     ok = sh("palettebox verify torus --max-s 5", cwd=tmp_path)
     assert ok.returncode == 0
