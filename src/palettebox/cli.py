@@ -176,8 +176,6 @@ def _cmd_torus(args) -> int:
 
 def _cmd_theta(args) -> int:
     g = formats.parse_graph_spec(args.graph)
-    tc = theta_classes(g)
-    cube = is_partial_cube(tc)
     if args.remove is not None:
         if args.host is None:
             raise ValueError("--remove needs --host alongside it")
@@ -188,6 +186,8 @@ def _cmd_theta(args) -> int:
         obj, text = _coloring_report(col)
         _emit(args, obj, text)
         return PASS
+    tc = theta_classes(g)
+    cube = is_partial_cube(tc)
     obj = {
         "classes": [[list(e) for e in cls] for cls in tc.classes],
         "count": tc.count,
@@ -274,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", help="the other factor H (mah, nrg)")
     p.add_argument("--s", type=int, help="layer count for cng/png/cubic")
     p.add_argument("--c", type=int,
-                   help="recolored class of G when H is class 2 (mah); only the default"
-                        " Delta(G) gives regular factors the palette [Delta(G)+Delta(H)]")
+                   help="class of G sent to H's missing colors when H is class 2 (mah),"
+                        " default Delta(G); any c gives regular factors [Delta(G)+Delta(H)]")
     p.add_argument("--remove", help="edges u-v,x-y to delete (nrg)")
     p.add_argument("--mode", choices=("cycle", "path"), default="cycle")
     p.add_argument("--json", action="store_true")

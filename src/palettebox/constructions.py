@@ -12,6 +12,7 @@ rechecked by the verification suites rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from palettebox.coloring import EdgeColoring, check_proper, product_coloring
@@ -31,30 +32,6 @@ from palettebox.graphs import (
 from palettebox.search import BUDGET
 from palettebox.solver import chromatic_index
 from palettebox.torus import torus_three_palette_coloring
-
-
-def _require_exact_colors(coloring: EdgeColoring, colors: set[int], what: str):
-    ok, witness = check_proper(coloring)
-    if not ok:
-        raise ValueError(f"{what} is not proper: clash at vertex {witness[0]}")
-    used = set(coloring.used_colors())
-    if used != colors:
-        raise ValueError(f"{what} must use colors {sorted(colors)} exactly, got {sorted(used)}")
-
-
-def _h_is_class_two(h_col: EdgeColoring) -> bool:
-    """Whether a coloring of H uses [Delta(H)+1] rather than [Delta(H)].
-
-    Any other color set, or an improper coloring, is rejected.
-    """
-    dh = h_col.graph.max_degree
-    used = set(h_col.used_colors())
-    if used != set(range(1, dh + 1)) and used != set(range(1, dh + 2)):
-        raise ValueError(f"h must use [{dh}] or [{dh + 1}] exactly, got colors {sorted(used)}")
-    ok, witness = check_proper(h_col)
-    if not ok:
-        raise ValueError(f"h is not proper: clash at vertex {witness[0]}")
-    return len(used) == dh + 1
 
 
 class BudgetExhausted(RuntimeError):
@@ -77,6 +54,41 @@ def _missing_color(palette: frozenset[int], limit: int) -> int:
     raise ValueError(f"palette {sorted(palette)} already covers [{limit}]")
 
 
+def _spare_colors(col: EdgeColoring) -> list[int]:
+    """Per vertex, the smallest color of [Delta+1] missing from its palette."""
+    limit = col.graph.max_degree + 1
+    return [_missing_color(col.palette(v), limit) for v in range(col.graph.n)]
+
+
+def _is_class_two(col: EdgeColoring, what: str) -> bool:
+    """Whether a proper coloring uses [Delta+1] rather than [Delta] exactly.
+
+    An improper coloring, or any other color set, is rejected.
+    """
+    ok, witness = check_proper(col)
+    if not ok:
+        raise ValueError(f"{what} is not proper: clash at vertex {witness[0]}")
+    d = col.graph.max_degree
+    used = col.used_colors()
+    if used != frozenset(range(1, d + 1)) and used != frozenset(range(1, d + 2)):
+        raise ValueError(f"{what} must use [{d}] or [{d + 1}] exactly, got colors {sorted(used)}")
+    return len(used) == d + 1
+
+
+def _factor(graph: Graph, col: Optional[EdgeColoring], budget,
+            what: str) -> tuple[EdgeColoring, bool]:
+    """A checked coloring of a factor and whether it is class two.
+
+    Without ``col`` the exact chromatic-index witness of ``graph`` is
+    taken; a given ``col`` must color exactly ``graph``.
+    """
+    if col is None:
+        col = solve_exact(graph, budget).witness
+    elif col.graph != graph:
+        raise ValueError(f"{what} must color {graph.tag}")
+    return col, _is_class_two(col, what)
+
+
 # ---------------------------------------------------------------------------
 # products with a class-1 factor
 
@@ -89,35 +101,29 @@ def class1_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring,
     Delta(H) colors (H class 1), G-fiber edges are shifted by Delta(H).
     If it uses Delta(H)+1 colors (H class 2), the G-color class ``c``
     (default Delta(G)) is instead sent, in the copy of G at H-vertex z,
-    to the color of [Delta(H)+1] missing from z's h-palette, and the
-    remaining classes shift by Delta(H)+1.  When both factors are regular
-    every vertex gets the same palette: [Delta(G)+Delta(H)] if H is class 1
-    or c = Delta(G), and otherwise [Delta(H)+1] plus the shifted classes
-    other than c, e.g. {1,2,3,5} for C_4 box C_5 with c = 1.
+    to the color of [Delta(H)+1] missing from z's h-palette, and every
+    other class g goes to g + Delta(H) + (g < c), which packs them into
+    Delta(H)+2..Delta(H)+Delta(G).  When both factors are regular every
+    vertex gets the palette [Delta(G)+Delta(H)], whatever c is.
     """
     g, h = g_col.graph, h_col.graph
     dg, dh = g.max_degree, h.max_degree
-    _require_exact_colors(g_col, set(range(1, dg + 1)), "g")
-    class_two = _h_is_class_two(h_col)
-    if not class_two:
-        if c is not None:
-            raise ValueError("c applies only when h uses Delta(H)+1 colors")
-    else:
-        if c is None:
-            c = dg
+    if _is_class_two(g_col, "g"):
+        raise ValueError(f"g must be a {dg}-coloring of a class-1 G, got {dg + 1} colors")
+    spare = None
+    if _is_class_two(h_col, "h"):
+        c = dg if c is None else c
         if not (1 <= c <= dg):
             raise ValueError(f"c must be one of g's colors 1..{dg}, got {c}")
-
-    g_colors, h_colors = g_col.colors, h_col.colors
-    if not class_two:
-        def g_rule(i, b):
-            return g_colors[i] + dh
+        spare = _spare_colors(h_col)
+        # class c is marked 0 and takes the spare color of its H-vertex
+        shifted = [0 if col == c else col + dh + (col < c) for col in g_col.colors]
+    elif c is not None:
+        raise ValueError("c applies only when h uses Delta(H)+1 colors")
     else:
-        spare = [_missing_color(h_col.palette(z), dh + 1) for z in range(h.n)]
-
-        def g_rule(i, b):
-            return spare[b] if g_colors[i] == c else g_colors[i] + dh + 1
-    return product_coloring(g, h, g_rule, lambda a, j: h_colors[j])
+        shifted = [col + dh for col in g_col.colors]
+    h_colors = h_col.colors
+    return product_coloring(g, h, lambda i, b: shifted[i] or spare[b], lambda a, j: h_colors[j])
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +152,7 @@ class NrgSpec:
             raise ValueError("g_prime must be regular and have edges")
         if not is_connected(g):
             raise ValueError("g_prime must be connected")
-        if self.matching.host is not g and (self.matching.host.n != g.n
-                                            or self.matching.host.edges != g.edges):
+        if self.matching.host != g:
             raise ValueError("matching must live on g_prime")
         if not self.matching.is_perfect:
             raise ValueError("matching must be perfect")
@@ -155,9 +160,8 @@ class NrgSpec:
         if not removed or not removed < set(self.matching.edges):
             raise ValueError("removed edges must form a nonempty proper subset of the matching")
         r = g.max_degree
-        _require_exact_colors(self.base, set(range(1, r + 1)), "base coloring")
-        if self.base.graph.edges != g.edges:
-            raise ValueError("base coloring must color g_prime")
+        if _factor(g, self.base, None, "base coloring")[1]:
+            raise ValueError(f"base coloring must use [{r}] exactly")
         class_r = {e for e, col in zip(g.edges, self.base.colors) if col == r}
         if class_r != set(self.matching.edges):
             raise ValueError("color class r of the base coloring must equal the matching")
@@ -166,7 +170,7 @@ class NrgSpec:
     def degree(self) -> int:
         return self.g_prime.max_degree
 
-    @property
+    @cached_property
     def graph(self) -> Graph:
         """The nearly regular graph itself."""
         return remove_edges(self.g_prime, self.removed)
@@ -222,33 +226,21 @@ def nrg_product_coloring(spec: NrgSpec, host: Graph,
                          h_col: Optional[EdgeColoring] = None, budget=None) -> EdgeColoring:
     """Two-palette coloring of (G' - X) box H for regular H.
 
-    H-fiber edges keep h's colors.  G-fiber edges move their base color j
-    up by r' = deg(H), except that when h is a class-2 (r'+1)-coloring,
-    class 1 is instead sent, per H-vertex z, to the single color of
-    [r'+1] missing at z.  The removed edges all sat in class r, so full
-    vertices see the palette [r+r'] and the removal endpoints see
-    [r+r'-1]: exactly two palettes.
+    This is the class-1 product coloring of the base coloring, restricted
+    to G' - X, with c = 1: H-fiber edges keep h's colors and G-fiber
+    edges move their base color j up by r' = deg(H), except that when h
+    is a class-2 (r'+1)-coloring, class 1 is instead sent, per H-vertex
+    z, to the single color of [r'+1] missing at z.  The removed edges all
+    sat in class r, so full vertices see the palette [r+r'] and the
+    removal endpoints see [r+r'-1]: exactly two palettes.
     """
     if not host.is_regular or host.max_degree < 1:
         raise ValueError("H must be regular with at least one edge")
-    rp = host.max_degree
-    if h_col is None:
-        result = solve_exact(host, budget)
-        h_col = result.witness
-    if h_col.graph.n != host.n or h_col.graph.edges != host.edges:
-        raise ValueError("h must color H")
-    class_two = _h_is_class_two(h_col)
-
+    h_col, class_two = _factor(host, h_col, budget, "h")
     nrg = spec.graph
-    base_map = spec.base.as_map()
-    base = [base_map[e] for e in nrg.edges]
-    spare = None
-    if class_two:
-        spare = [_missing_color(h_col.palette(z), rp + 1) for z in range(host.n)]
-
-    def g_rule(i, b):
-        return spare[b] if class_two and base[i] == 1 else base[i] + rp
-    return product_coloring(nrg, host, g_rule, lambda a, j: h_col.colors[j])
+    base = spec.base.as_map()
+    g_col = EdgeColoring(nrg, tuple(base[e] for e in nrg.edges))
+    return class1_product_coloring(g_col, h_col, 1 if class_two else None)
 
 
 # ---------------------------------------------------------------------------
@@ -260,37 +252,33 @@ def _regular_class2_colorings(g: Graph, g_col: Optional[EdgeColoring],
     if not g.is_regular or g.max_degree < 1:
         raise ValueError("G must be regular with at least one edge")
     r = g.max_degree
-    if g_col is None:
-        result = solve_exact(g, budget)
-        if result.value == r:
-            raise ValueError("G is class 1; use class1_product_coloring or the class-1 path route")
-        g_col = result.witness
-    _require_exact_colors(g_col, set(range(1, r + 2)), "g")
-    if g_col.graph.edges != g.edges or g_col.graph.n != g.n:
-        raise ValueError("g must color G")
+    g_col, class_two = _factor(g, g_col, budget, "g")
+    if not class_two:
+        raise ValueError("G is class 1; use class1_product_coloring or the class-1 path route")
     if h_col is None:
-        h_col = g_col
+        return r, g_col, g_col
+    if h_col.graph != g:
+        raise ValueError(f"h must color {g.tag}")
     ok, witness = check_proper(h_col)
     if not ok:
         raise ValueError(f"h is not proper: clash at vertex {witness[0]}")
-    if h_col.graph.edges != g.edges or h_col.graph.n != g.n:
-        raise ValueError("h must color G")
     banned = {r + 2, r + 3} & set(h_col.used_colors())
     if banned:
         raise ValueError(f"h must avoid colors {r + 2} and {r + 3}, uses {sorted(banned)}")
     return r, g_col, h_col
 
 
-def _layered_rung_coloring(s: int, g: Graph, r: int, g_col: EdgeColoring,
-                           h_col: EdgeColoring, wrap: bool) -> EdgeColoring:
+def _layered_rung_coloring(s: int, g: Graph, g_col: Optional[EdgeColoring],
+                           h_col: Optional[EdgeColoring], budget, wrap: bool) -> EdgeColoring:
     """Shared body of the cycle and path constructions for class-2 G.
 
     Layers 0..s-2 carry g, layer s-1 carries h.  The rung between layers
     i and i+1 at G-vertex v takes v's missing g-color for even i and
     r+2 for odd i; the wraparound rung (cycle only) takes r+3.
     """
+    r, g_col, h_col = _regular_class2_colorings(g, g_col, h_col, budget)
     layers = cycle_graph(s) if wrap else path_graph(s)
-    missing = [_missing_color(g_col.palette(v), r + 1) for v in range(g.n)]
+    missing = _spare_colors(g_col)
 
     def rung(i, v):
         lo, hi = layers.edges[i]
@@ -317,8 +305,7 @@ def cycle_times_regular_coloring(s: int, g: Graph, g_col: Optional[EdgeColoring]
     """
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be odd and at least 3 (for even s use class1_product_coloring)")
-    r, g_col, h_col = _regular_class2_colorings(g, g_col, h_col, budget)
-    return _layered_rung_coloring(s, g, r, g_col, h_col, wrap=True)
+    return _layered_rung_coloring(s, g, g_col, h_col, budget, wrap=True)
 
 
 def path_times_regular_coloring(s: int, g: Graph, g_col: Optional[EdgeColoring] = None,
@@ -331,8 +318,7 @@ def path_times_regular_coloring(s: int, g: Graph, g_col: Optional[EdgeColoring] 
     """
     if s < 3 or s % 2 == 0:
         raise ValueError("s must be odd and at least 3 (for even s use the nearly-regular route)")
-    r, g_col, h_col = _regular_class2_colorings(g, g_col, h_col, budget)
-    return _layered_rung_coloring(s, g, r, g_col, h_col, wrap=False)
+    return _layered_rung_coloring(s, g, g_col, h_col, budget, wrap=False)
 
 
 def path_times_class1_regular_coloring(s: int, g: Graph, c: Optional[int] = None,
@@ -351,14 +337,9 @@ def path_times_class1_regular_coloring(s: int, g: Graph, c: Optional[int] = None
     if not g.is_regular or g.max_degree < 1:
         raise ValueError("G must be regular with at least one edge")
     r = g.max_degree
-    if g_col is None:
-        result = solve_exact(g, budget)
-        if result.value != r:
-            raise ValueError("G is class 2; use path_times_regular_coloring")
-        g_col = result.witness
-    _require_exact_colors(g_col, set(range(1, r + 1)), "g")
-    if g_col.graph.edges != g.edges or g_col.graph.n != g.n:
-        raise ValueError("g must color G")
+    g_col, class_two = _factor(g, g_col, budget, "g")
+    if class_two:
+        raise ValueError("G is class 2; use path_times_regular_coloring")
     if c is None:
         c = r + 2
     if not (3 <= c <= r + 2):
@@ -437,14 +418,13 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
         raise ValueError(f"mode must be 'cycle' or 'path', got {mode!r}")
     if set(g.degrees) != {3}:
         raise ValueError("G must be cubic")
-    result = solve_exact(g, budget)
-    if result.value == 3:
+    if solve_exact(g, budget).value == 3:
         raise ValueError("G is class 1; use class1_product_coloring or the class-1 path route")
     if matching is None:
         matching = find_perfect_matching(g)
         if matching is None:
             raise ValueError("G has no perfect matching")
-    if matching.host.edges != g.edges or not matching.is_perfect:
+    if matching.host != g or not matching.is_perfect:
         raise ValueError("need a perfect matching of G")
 
     rest = remove_edges(g, matching.edges)
@@ -467,11 +447,11 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
             if mode == "path":
                 blocks[k] = _family_block_coloring(s, k, budget), True
             elif k % 2 == 0:
-                # The class-2 branch of the class-1 product coloring, c = 2:
-                # the component's class 2 drops into the layer cycle's missing
-                # color, class 1 shifts to 4, rungs keep layer_col.  Every
-                # palette is {1,2,3,4}.
-                blocks[k] = class1_product_coloring(_cycle_coloring(k, 2), layer_col, 2), False
+                # The class-2 branch of the class-1 product coloring at its
+                # default c = 2: the component's class 2 drops into the layer
+                # cycle's missing color, class 1 shifts to 4, rungs keep
+                # layer_col.  Every palette is {1,2,3,4}.
+                blocks[k] = class1_product_coloring(_cycle_coloring(k, 2), layer_col), False
             else:
                 # three-palette torus coloring of C_max box C_min
                 blocks[k] = torus_three_palette_coloring(max(s, k), min(s, k)), s >= k

@@ -300,7 +300,7 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     tracker = ensure_tracker(budget)
     known = []
     for cand in candidates:
-        if cand.graph.n != graph.n or cand.graph.edges != graph.edges:
+        if cand.graph != graph:
             raise ValueError("candidate colors a different graph")
         known.append((palette_summary(cand).count, cand))
     if graph.n == 0 or not graph.edges:

@@ -15,30 +15,26 @@ from typing import Callable, Optional
 
 from palettebox.coloring import check_proper, palette_summary
 from palettebox.constructions import (
-    PATH_MODE_FAMILY,
     BudgetExhausted,
+    _family_block_coloring,
     cubic_matching_reduction,
     cycle_times_regular_coloring,
     make_nrg_spec,
     nrg_product_coloring,
     path_times_class1_regular_coloring,
     path_times_regular_coloring,
+    solve_exact,
 )
 from palettebox.graphs import (
     Graph,
-    cartesian_product,
     cycle_graph,
     enumerate_perfect_matchings,
     hypercube_graph,
     path_graph,
     petersen_graph,
 )
-from palettebox.oracle import (
-    coloring_within_family,
-    naive_minimum_palettes,
-    palette_index_exact,
-)
-from palettebox.search import BUDGET, FOUND, SearchBudget
+from palettebox.oracle import naive_minimum_palettes, palette_index_exact
+from palettebox.search import SearchBudget
 from palettebox.torus import (
     TorusDecomposition,
     even_cycle_classes,
@@ -167,24 +163,21 @@ def _qualifying_matching(base: Graph, budget):
     raise ValueError(f"no qualifying perfect matching on {base.tag}")
 
 
-def _pointwise_check(col, s: int, g: Graph, r: int, wrap: bool) -> Optional[str]:
+def _pointwise_check(col, s: int, g_col, r: int, wrap: bool) -> Optional[str]:
     """Compare every vertex palette against the layered closed forms.
 
-    The default h of the construction is its g coloring, the solver
-    witness, recomputed here for the expected layer s-1 palettes.
+    ``g_col`` is the construction's coloring of G, which is also its
+    default h and so fixes the expected layer s-1 palettes.
     """
-    from palettebox.solver import chromatic_index
-
-    h_col = chromatic_index(g).witness
     summ = palette_summary(col)
     interior = frozenset(range(1, r + 3))
     first = frozenset(range(1, r + 2)) | ({r + 3} if wrap else set())
     extra = {r + 2, r + 3} if wrap else {r + 2}
-    for v in range(g.n):
-        last = frozenset(h_col.palette(v) | extra)
+    for v in range(g_col.graph.n):
+        last = frozenset(g_col.palette(v) | extra)
         for i in range(s):
             want = first if i == 0 else last if i == s - 1 else interior
-            got = frozenset(summ.palette_of(i * g.n + v))
+            got = frozenset(summ.palette_of(i * g_col.graph.n + v))
             if got != want:
                 return f"layer {i} vertex {v}: palette {sorted(got)} wanted {sorted(want)}"
     return None
@@ -196,13 +189,15 @@ def _cycle_path_suite(rec: _Recorder, max_n: int, budget):
         for g in class2:
             r = g.max_degree
             def cycle_case(s=s, g=g, r=r):
-                col = cycle_times_regular_coloring(s, g, budget=budget)
-                return _pointwise_check(col, s, g, r, wrap=True)
+                g_col = solve_exact(g, budget).witness
+                col = cycle_times_regular_coloring(s, g, g_col=g_col, budget=budget)
+                return _pointwise_check(col, s, g_col, r, wrap=True)
             rec.run(f"cycle-times-regular s={s} {g.tag}", cycle_case)
 
             def path_case(s=s, g=g, r=r):
-                col = path_times_regular_coloring(s, g, budget=budget)
-                return _pointwise_check(col, s, g, r, wrap=False)
+                g_col = solve_exact(g, budget).witness
+                col = path_times_regular_coloring(s, g, g_col=g_col, budget=budget)
+                return _pointwise_check(col, s, g_col, r, wrap=False)
             rec.run(f"path-times-regular s={s} {g.tag}", path_case)
 
     class1 = (cycle_graph(4), cycle_graph(6), path_graph(2), hypercube_graph(3))
@@ -223,17 +218,12 @@ def _cycle_path_suite(rec: _Recorder, max_n: int, budget):
 def _tpc_case(s: int, t: int, budget):
     def case():
         if s % 2 == 1 and t % 2 == 1:
-            block = cartesian_product(path_graph(t), cycle_graph(s))
-            status, col = coloring_within_family(block, PATH_MODE_FAMILY, budget)
-            if status == BUDGET:
-                raise BudgetExhausted(f"family search budget out on C_{s} box P_{t}")
-            if status != FOUND:
-                return "no 4-palette coloring found"
+            col = _family_block_coloring(t, s, budget)
             count = palette_summary(col).count
             if count != 4:
                 return f"witness has {count} palettes"
             # confirm 4 is optimal, not only achievable
-            cert = palette_index_exact(block, [col], budget=budget)
+            cert = palette_index_exact(col.graph, [col], budget=budget)
             if not cert.exact:
                 raise BudgetExhausted("oracle budget out")
             return _expect(cert.lower == 4, f"oracle says {cert.lower}")

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from palettebox import cli, search
+from palettebox import cli, search, theta
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 REPO = README.parent
@@ -200,6 +200,29 @@ def test_png_classifies_its_factor_once(graph, monkeypatch, capsys):
     monkeypatch.setattr(search, "search_k_coloring", counted)
     assert cli.main(["construct", "--theorem", "png", "--graph", graph, "--s", "5"]) == 0
     assert len(calls) == 1
+
+
+def test_theta_removal_computes_the_classes_once(monkeypatch, capsys):
+    calls = []
+    classes = theta.theta_classes
+
+    def counted(graph):
+        calls.append(graph)
+        return classes(graph)
+    monkeypatch.setattr(theta, "theta_classes", counted)
+    monkeypatch.setattr(cli, "theta_classes", counted)
+    assert cli.main("theta Q5 --class 0 --remove 0-1 --host C3".split()) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("graph, lower, rule", [
+    ("C5", 3, "regular-class2"),
+    ("P4", 2, "degree-set"),
+])
+def test_oracle_lower_bound_only(graph, lower, rule, capsys):
+    assert cli.main(["oracle", graph, "--lower-bound-only", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"lower": lower, "rule": rule}
 
 
 def test_verify_exit_codes(tmp_path):

@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from palettebox.coloring import EdgeColoring, check_proper, palette_summary
+from palettebox.coloring import EdgeColoring, check_proper, palette_summary, product_coloring
 from palettebox.constructions import (
     PATH_MODE_FAMILY,
     NrgSpec,
@@ -75,6 +77,81 @@ def test_class1_product_requires_tight_color_ranges():
     h_col = chromatic_index(cycle_graph(6)).witness
     with pytest.raises(ValueError):
         class1_product_coloring(shifted, h_col)
+
+
+def test_class1_product_rejects_class2_g():
+    g_col = chromatic_index(cycle_graph(5)).witness
+    h_col = chromatic_index(cycle_graph(4)).witness
+    with pytest.raises(ValueError, match="class-1 G"):
+        class1_product_coloring(g_col, h_col)
+
+
+@functools.lru_cache(maxsize=None)
+def solved(graph):
+    return chromatic_index(graph).witness
+
+
+CLASS1_REGULAR = {"C4": cycle_graph(4), "C6": cycle_graph(6), "Q3": hypercube_graph(3),
+                  "Q4": hypercube_graph(4), "K4": complete_graph(4)}
+CLASS2_REGULAR = {"C3": cycle_graph(3), "C5": cycle_graph(5), "K5": complete_graph(5),
+                  "petersen": petersen_graph()}
+
+
+@pytest.mark.parametrize("h", CLASS2_REGULAR)
+@pytest.mark.parametrize("g", CLASS1_REGULAR)
+def test_class1_product_every_c_gives_one_palette(g, h):
+    g, h = CLASS1_REGULAR[g], CLASS2_REGULAR[h]
+    want = {interval(1, g.max_degree + h.max_degree)}
+    for c in range(1, g.max_degree + 1):
+        assert sets_of(class1_product_coloring(solved(g), solved(h), c)) == want, c
+
+
+def spare_colors(h_col):
+    limit = h_col.graph.max_degree + 1
+    return [min(set(range(1, limit + 1)) - h_col.palette(z)) for z in range(h_col.graph.n)]
+
+
+def old_class2_rule(g_col, h_col):
+    """The class-2 branch as it was: class Delta(G) takes the spare color
+    and every other class moves up by Delta(H)+1."""
+    dg, dh = g_col.graph.max_degree, h_col.graph.max_degree
+    spare = spare_colors(h_col)
+
+    def g_rule(i, b):
+        return spare[b] if g_col.colors[i] == dg else g_col.colors[i] + dh + 1
+    return product_coloring(g_col.graph, h_col.graph, g_rule, lambda a, j: h_col.colors[j])
+
+
+def old_nrg_rule(spec, h_col):
+    """The nearly-regular rule as it was: base color j moves up by deg(H),
+    and class 1 takes the spare color when h is a class-2 coloring."""
+    rp = h_col.graph.max_degree
+    class_two = len(h_col.used_colors()) == rp + 1
+    nrg = spec.graph
+    base = [spec.base.as_map()[e] for e in nrg.edges]
+    spare = spare_colors(h_col) if class_two else None
+
+    def g_rule(i, b):
+        return spare[b] if class_two and base[i] == 1 else base[i] + rp
+    return product_coloring(nrg, h_col.graph, g_rule, lambda a, j: h_col.colors[j])
+
+
+@pytest.mark.parametrize("g, h", [("C4", "C5"), ("Q3", "C5")])
+def test_class1_product_default_c_matches_the_old_rule(g, h):
+    g_col, h_col = solved(CLASS1_REGULAR[g]), solved(CLASS2_REGULAR[h])
+    assert class1_product_coloring(g_col, h_col).colors == old_class2_rule(g_col, h_col).colors
+
+
+@pytest.mark.parametrize("host", [cycle_graph(3), cycle_graph(4), cycle_graph(5),
+                                  path_graph(2), hypercube_graph(3)])
+@pytest.mark.parametrize("base, removed", [
+    (hypercube_graph(3), [(0, 1)]),
+    (hypercube_graph(3), [(0, 1), (2, 3)]),
+    (cycle_graph(6), [(0, 1)]),
+])
+def test_nrg_product_matches_the_old_rule(base, removed, host):
+    spec = make_nrg_spec(base, removed)
+    assert nrg_product_coloring(spec, host).colors == old_nrg_rule(spec, solved(host)).colors
 
 
 # removing part of a matching from a class-1 regular factor
