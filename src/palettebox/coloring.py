@@ -8,6 +8,7 @@ graph's canonical edge order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 from palettebox.graphs import Edge, Graph, Matching, canonical_edge, cartesian_product, map_product_edges
@@ -21,11 +22,21 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.colors) != len(self.graph.edges):
+        colors = self.colors
+        if len(colors) != len(self.graph.edges):
             raise ValueError("need exactly one color per edge")
-        for c in self.colors:
-            if not isinstance(c, int) or c < 1:
-                raise ValueError(f"colors must be positive integers, got {c!r}")
+        try:
+            distinct = set(colors)
+        except TypeError:  # an unhashable color
+            distinct = None
+        # A non-int color equal to an int one (2.0 after 2) hides from the
+        # set, but not from the type of the sum; only a suspect coloring is
+        # scanned in full, for the first bad color.
+        if (distinct is None or not all(isinstance(c, int) and c >= 1 for c in distinct)
+                or type(sum(colors)) is not int):
+            for c in colors:
+                if not isinstance(c, int) or c < 1:
+                    raise ValueError(f"colors must be positive integers, got {c!r}")
 
     @classmethod
     def from_map(cls, graph: Graph, mapping: Mapping[Edge, int]) -> "EdgeColoring":
@@ -55,29 +66,34 @@ class EdgeColoring:
     def palette(self, v: int) -> frozenset[int]:
         return frozenset(self.color_of(v, w) for w in self.graph.adjacency[v])
 
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The palette masks, built once and shared by every check of this coloring."""
+        return _palette_masks(self)
+
 
 Violation = tuple[int, Edge, Edge]
 
 
-def _palette_masks(coloring: EdgeColoring) -> list[int]:
+def _palette_masks(coloring: EdgeColoring) -> tuple[int, ...]:
     """Per vertex, the bitmask with bit c set for each color c at the vertex."""
     masks = [0] * coloring.graph.n
     for (u, v), c in zip(coloring.graph.edges, coloring.colors):
         bit = 1 << c
         masks[u] |= bit
         masks[v] |= bit
-    return masks
+    return tuple(masks)
 
 
-def _first_clash(coloring: EdgeColoring, masks: list[int]) -> Optional[Violation]:
+def _first_clash(coloring: EdgeColoring) -> Optional[Violation]:
     """The first clash in vertex order, or None if the coloring is proper.
 
     A vertex has a clash exactly when its mask has fewer bits than its
     degree.  No mask has more, so the bit counts summing to 2|E| proves
     the coloring proper without looking at degrees.
     """
-    g = coloring.graph
-    if sum(m.bit_count() for m in masks) == 2 * len(g.edges):
+    g, masks = coloring.graph, coloring._masks
+    if sum(map(int.bit_count, masks)) == 2 * len(g.edges):
         return None
     v = next(v for v, d in enumerate(g.degrees) if masks[v].bit_count() != d)
     seen: dict[int, Edge] = {}
@@ -95,7 +111,7 @@ def check_proper(coloring: EdgeColoring) -> tuple[bool, Optional[Violation]]:
     Returns (True, None) or (False, witness) where the witness is the first
     (vertex, edge, edge) clash in vertex order, edges in canonical order.
     """
-    witness = _first_clash(coloring, _palette_masks(coloring))
+    witness = _first_clash(coloring)
     return witness is None, witness
 
 
@@ -124,15 +140,16 @@ class PaletteSummary:
 
 def palette_summary(coloring: EdgeColoring) -> PaletteSummary:
     """Palette summary of a proper coloring; improper input is rejected."""
-    masks = _palette_masks(coloring)
-    witness = _first_clash(coloring, masks)
+    witness = _first_clash(coloring)
     if witness is not None:
         v, e1, e2 = witness
         raise ValueError(f"improper coloring: edges {e1} and {e2} share a color at vertex {v}")
+    masks = coloring._masks
     palettes = {m: _mask_colors(m) for m in set(masks)}
     distinct = tuple(sorted(palettes.values()))
     index = {p: i for i, p in enumerate(distinct)}
-    return PaletteSummary(distinct, tuple(index[palettes[m]] for m in masks))
+    position = {m: index[p] for m, p in palettes.items()}
+    return PaletteSummary(distinct, tuple(map(position.__getitem__, masks)))
 
 
 def _mask_colors(mask: int) -> tuple[int, ...]:

@@ -190,16 +190,27 @@ def make_nrg_spec(g_prime: Graph, removed: Sequence[Edge],
         matching = _matching_through(g_prime, removed)
         if matching is None:
             raise ValueError("no perfect matching contains the removed edges")
-    rest = remove_edges(g_prime, matching.edges)
-    r = g_prime.max_degree
-    result = solve_exact(rest, budget)
-    if result.value != r - 1:
+    base = _nrg_base(g_prime, matching, budget)
+    if base is None:
         raise ValueError("g_prime minus the matching is not class 1, so the matching does not qualify")
+    return NrgSpec(g_prime, matching, removed, base)
+
+
+def _nrg_base(g_prime: Graph, matching: Matching, budget=None) -> Optional[EdgeColoring]:
+    """The r-coloring of G' whose color class r is ``matching``, if there is one.
+
+    It exists exactly when G' minus the matching is class 1, and is then
+    that graph's (r-1)-coloring with the matching colored r; otherwise
+    the matching does not qualify and the result is None.
+    """
+    r = g_prime.max_degree
+    result = solve_exact(remove_edges(g_prime, matching.edges), budget)
+    if result.value != r - 1:
+        return None
     mapping = result.witness.as_map()
     for e in matching.edges:
         mapping[e] = r
-    base = EdgeColoring.from_map(g_prime, mapping)
-    return NrgSpec(g_prime, matching, removed, base)
+    return EdgeColoring.from_map(g_prime, mapping)
 
 
 def _matching_through(graph: Graph, forced: Sequence[Edge]) -> Optional[Matching]:

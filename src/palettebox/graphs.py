@@ -7,6 +7,7 @@ graphs have byte-identical edge tuples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
@@ -37,20 +38,19 @@ class Graph:
     provenance: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 0:
+        n, edges = self.n, self.edges
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        prev = None
-        for e in self.edges:
+        for e in edges:
             u, v = e
-            if not (0 <= u < v < self.n):
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge {e} is not canonical or out of range")
-            if e in seen:
+        # a strictly increasing edge tuple is sorted and repeats no edge
+        if not all(map(operator.lt, edges, edges[1:])):
+            prev, e = next(pair for pair in zip(edges, edges[1:]) if not pair[0] < pair[1])
+            if e == prev:
                 raise ValueError(f"duplicate edge {e}")
-            if prev is not None and e < prev:
-                raise ValueError("edges must be sorted lexicographically")
-            seen.add(e)
-            prev = e
+            raise ValueError("edges must be sorted lexicographically")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],

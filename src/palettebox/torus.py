@@ -9,21 +9,25 @@ edge (j,k)-(j,k+1) and the horizontal edge (j,k)-(j+1,k) lie on
     Z_i,  i = (k - j - [horizontal]) mod t    for rows j < ell,
           i = (k + j - 2*ell + 1) mod t       for rows j >= ell,
 
-so a coloring by walk needs no walk at all.  Grouping the Z_i by i mod 3
-gives three classes, each a disjoint union of even cycles; coloring class
-j's horizontal edges 2j+1 and vertical edges 2j+2 is proper and leaves
-exactly three distinct vertex palettes.
+so a coloring by walk needs no walk at all.  Within one row and one
+edge direction the walk index is the column shifted by a constant, so
+the closed form is kept once, as the walk-offset table
+``TorusDecomposition.walk_offsets``: the edge of direction ``vertical``
+leaving (j, k) lies on Z_i with i = (k + walk_offsets[vertical][j]) mod t.
+Grouping the Z_i by i mod 3 gives three classes, each a disjoint union
+of even cycles; coloring class j's horizontal edges 2j+1 and vertical
+edges 2j+2 is proper and leaves exactly three distinct vertex palettes.
 
 Vertices are (row j, column k) with j in [s], k in [t], flattened
 row-major to j*t + k.  A walk is stored as a tuple of (kind, j, k)
 steps in walk order: from (j, k), an ascending-vertical step goes to
 (j, k+1), a descending-vertical step to (j, k-1) and a horizontal step
 to (j+1, k), with wraparound.  The checks step through the stored walks
-in integer coordinates.  A walk that closes up after 2s steps and
-repeats no vertex is a cycle of even length 2s, so a class whose walks
-share no vertex is a disjoint union of even cycles.  For s < t use
-commutativity: decompose the transposed grid and map edges through the
-coordinate swap.
+in integer coordinates and test every edge against the offset table.
+A walk that closes up after 2s steps and repeats no vertex is a cycle
+of even length 2s, so a class whose walks share no vertex is a disjoint
+union of even cycles.  For s < t use commutativity: decompose the
+transposed grid and map edges through the coordinate swap.
 """
 
 from __future__ import annotations
@@ -111,25 +115,42 @@ class TorusDecomposition:
             return 1
         return i % 3
 
-    def walk_of(self, j: int, k: int, vertical: bool) -> int:
-        """Index i of the walk Z_i through one edge, ``z_set`` solved for i.
+    @cached_property
+    def walk_offsets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per edge direction and row j, the shift from column to walk index.
 
-        The edge is (j,k)-(j,k+1) if vertical and (j,k)-(j+1,k) if not.
+        ``walk_offsets[vertical][j]`` is the offset o with Z_i, i = (k + o)
+        mod t, the walk through the edge of that direction leaving (j, k):
+        ``z_set`` solved for i, one row at a time.
         """
-        ell = self.ell
-        if j < ell:
-            return (k - j - (0 if vertical else 1)) % self.t
-        return (k + j - 2 * ell + 1) % self.t
+        s, t, ell = self.s, self.t, self.ell
+        below = [(j - 2 * ell + 1) % t for j in range(ell, s)]
+        across = [(-j - 1) % t for j in range(ell)] + below
+        along = [-j % t for j in range(ell)] + below
+        return tuple(across), tuple(along)
+
+    def walk_of(self, j: int, k: int, vertical: bool) -> int:
+        """Index i of the walk Z_i through one edge, read off ``walk_offsets``.
+
+        The edge is (j,k)-(j,k+1) if vertical and (j,k)-(j+1,k) if not,
+        with j in [s].
+        """
+        return (k + self.walk_offsets[vertical][j]) % self.t
 
     def edge_coloring(self, color: Callable[[int, bool], int]) -> EdgeColoring:
         """Color every edge by ``color(i, vertical)``, where Z_i is its walk."""
-        rows, cols = cycle_graph(self.s), cycle_graph(self.t)
-        row_of, col_of = _edge_starts(rows), _edge_starts(cols)
-        walk_of = self.walk_of
+        t = self.t
+        rows, cols = cycle_graph(self.s), cycle_graph(t)
+        across, along = self.walk_offsets
+        # the offset of each row edge, and the column each column edge leaves
+        row_offset = [across[j] for j in _edge_starts(rows)]
+        col_of = _edge_starts(cols)
+        h_colors = [color(i, False) for i in range(t)]
+        v_colors = [color(i, True) for i in range(t)]
         return product_coloring(
             rows, cols,
-            lambda i, k: color(walk_of(row_of[i], k, False), False),
-            lambda j, i: color(walk_of(j, col_of[i], True), True))
+            lambda i, k: h_colors[(k + row_offset[i]) % t],
+            lambda j, i: v_colors[(col_of[i] + along[j]) % t])
 
 
 def _edge_starts(cycle: Graph) -> list[int]:
@@ -141,8 +162,9 @@ def _step_walk(dec: TorusDecomposition, i: int) -> tuple[list[str], set[int]]:
     """Problems of the stored walk Z_i, and the flat vertices it leaves from.
 
     One pass in integer coordinates checks that the walk has 2s edges,
-    each starting where the last one ended, that it closes up, that it
-    repeats no edge and no vertex, and that every edge has ``walk_of == i``.
+    each on the grid and starting where the last one ended, that it closes
+    up, that it repeats no edge and no vertex, and that ``walk_offsets``
+    puts every edge on Z_i.
     """
     s, t = dec.s, dec.t
     walk = dec.z_sets[i]
@@ -153,12 +175,15 @@ def _step_walk(dec: TorusDecomposition, i: int) -> tuple[list[str], set[int]]:
     if not walk:
         return problems, vertices
     edges: set[int] = set()
-    walk_of = dec.walk_of
+    across, along = dec.walk_offsets
     stray = None
     steps = 0
     start = here = walk[0][1] * t + walk[0][2]
     for step in walk:
         kind, j, k = step
+        if not (0 <= j < s and 0 <= k < t):
+            problems.append(f"Z_{i} leaves the grid at {step}")
+            break
         v = j * t + k
         if v != here:
             problems.append(f"Z_{i} breaks at {step}: walk is at {divmod(here, t)}, "
@@ -166,13 +191,13 @@ def _step_walk(dec: TorusDecomposition, i: int) -> tuple[list[str], set[int]]:
             break
         # a vertical edge is named by its lower column: descending from (j, k) starts at (j, k-1)
         if kind == HORIZONTAL:
-            vertical, low = False, k
+            vertical, low, offset = False, k, across[j]
             here = (j + 1) % s * t + k
         elif kind == ASCENDING:
-            vertical, low = True, k
+            vertical, low, offset = True, k, along[j]
             here = j * t + (k + 1) % t
         elif kind == DESCENDING:
-            vertical, low = True, (k - 1) % t
+            vertical, low, offset = True, (k - 1) % t, along[j]
             here = j * t + low
         else:
             problems.append(f"Z_{i} has a step of unknown kind {kind!r}")
@@ -180,7 +205,7 @@ def _step_walk(dec: TorusDecomposition, i: int) -> tuple[list[str], set[int]]:
         vertices.add(v)
         edges.add(2 * (j * t + low) + vertical)
         steps += 1
-        if walk_of(j, low, vertical) != i and stray is None:
+        if (low + offset) % t != i and stray is None:
             stray = step
     else:
         if here != start:

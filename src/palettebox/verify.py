@@ -9,6 +9,8 @@ nulled so identical runs serialize byte-identically.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import time
 from typing import Callable, Optional
@@ -16,7 +18,9 @@ from typing import Callable, Optional
 from palettebox.coloring import check_proper, palette_summary
 from palettebox.constructions import (
     BudgetExhausted,
+    NrgSpec,
     _family_block_coloring,
+    _nrg_base,
     cubic_matching_reduction,
     cycle_times_regular_coloring,
     make_nrg_spec,
@@ -118,14 +122,16 @@ def _torus_suite(rec: _Recorder, max_s: int, budget):
 def _nrg_suite(rec: _Recorder, budget):
     bases = (hypercube_graph(3), cycle_graph(4), cycle_graph(6))
     hosts = (cycle_graph(3), cycle_graph(4), path_graph(2))
+    # each host is solved once, on its first case; a budget stop is not kept
+    host_coloring = functools.cache(lambda host: solve_exact(host, budget).witness)
     for base in bases:
         r = base.max_degree
         try:
-            matching = _qualifying_matching(base, budget)
+            first = _first_nrg_spec(base, budget)
             specs = [
-                (removed, make_nrg_spec(base, removed, matching, budget))
-                for size in range(1, len(matching.edges))
-                for removed in itertools.combinations(matching.edges, size)
+                (removed, dataclasses.replace(first, removed=removed))
+                for size in range(1, len(first.matching.edges))
+                for removed in itertools.combinations(first.matching.edges, size)
             ]
         except (ValueError, RuntimeError) as exc:
             def setup_case(exc=exc):
@@ -137,7 +143,7 @@ def _nrg_suite(rec: _Recorder, budget):
                 rp = host.max_degree
                 want = {frozenset(range(1, r + rp + 1)), frozenset(range(1, r + rp))}
                 def case(spec=spec, host=host, want=want):
-                    col = nrg_product_coloring(spec, host, budget=budget)
+                    col = nrg_product_coloring(spec, host, host_coloring(host), budget=budget)
                     got = _palette_sets(col)
                     return _expect(got == want,
                                    f"palettes {sorted(sorted(p) for p in got)}")
@@ -145,18 +151,23 @@ def _nrg_suite(rec: _Recorder, budget):
                 rec.run(f"nrg {base.tag} X={{{x_tag}}} H={host.tag}", case)
 
 
-def _qualifying_matching(base: Graph, budget):
-    from palettebox.solver import chromatic_index
-    from palettebox.graphs import remove_edges
+def _first_nrg_spec(base: Graph, budget) -> NrgSpec:
+    """The spec removing one edge of the first qualifying perfect matching of ``base``.
 
-    r = base.max_degree
+    A perfect matching qualifies when ``base`` minus it is class 1.  The
+    spec of any other removed subset of that matching follows from this
+    one by ``dataclasses.replace``, which re-runs the spec's checks but
+    no search.
+    """
     out_of_budget = False
     for matching in enumerate_perfect_matchings(base):
-        rest = remove_edges(base, matching.edges)
-        result = chromatic_index(rest, budget)
-        if result.status == "exact" and result.value == r - 1:
-            return matching
-        out_of_budget = out_of_budget or result.status == "indeterminate"
+        try:
+            coloring = _nrg_base(base, matching, budget)
+        except BudgetExhausted:
+            out_of_budget = True
+            continue
+        if coloring is not None:
+            return NrgSpec(base, matching, matching.edges[:1], coloring)
     if out_of_budget:
         raise BudgetExhausted(
             f"could not certify a matching on {base.tag} within the budget")

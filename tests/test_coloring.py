@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from palettebox import coloring
 from palettebox.coloring import (
     EdgeColoring,
     check_proper,
@@ -40,6 +41,24 @@ def test_from_map_requires_exact_domain():
         EdgeColoring.from_map(p3, {(0, 1): 0, (1, 2): 2})
 
 
+@pytest.mark.parametrize("colors, message", [
+    ((1,), "need exactly one color per edge"),
+    ((1, 2, 3), "need exactly one color per edge"),
+    ((1, 0), "colors must be positive integers, got 0"),
+    ((-2, 1), "colors must be positive integers, got -2"),
+    ((1, 1.5), "colors must be positive integers, got 1.5"),
+    ((2, 2.0), "colors must be positive integers, got 2.0"),
+    ((1, "2"), "colors must be positive integers, got '2'"),
+    ((1, [2]), "colors must be positive integers, got [2]"),
+], ids=["short", "long", "zero", "negative", "float", "float equal to an int",
+        "str", "unhashable"])
+def test_edge_coloring_rejects_malformed_colors(colors, message):
+    with pytest.raises(ValueError) as info:
+        EdgeColoring(path_graph(3), colors)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_color_lookup_and_used_colors():
     p3 = path_graph(3)
     col = EdgeColoring.from_map(p3, {(0, 1): 5, (1, 2): 2})
@@ -75,6 +94,18 @@ def test_palette_summary_rejects_improper():
     bad = EdgeColoring.from_map(p3, {(0, 1): 1, (1, 2): 1})
     with pytest.raises(ValueError, match="improper"):
         palette_summary(bad)
+
+
+def test_check_proper_and_palette_summary_share_one_mask_build(monkeypatch):
+    builds = []
+    real = coloring._palette_masks
+    monkeypatch.setattr(coloring, "_palette_masks", lambda col: builds.append(col) or real(col))
+    col = proper_cycle_coloring(6)
+    assert check_proper(col) == (True, None)
+    assert palette_summary(col).count == 1
+    assert builds == [col]
+    # shared between checks, so no caller may change them
+    assert col._masks == (6,) * 6 and isinstance(col._masks, tuple)
 
 
 @given(st.integers(3, 8))

@@ -34,15 +34,26 @@ def test_canonical_edge_orders_and_rejects_loops():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, ((0, 2),))  # endpoint out of range
-    with pytest.raises(ValueError):
-        Graph(3, ((1, 0),))  # not canonical
-    with pytest.raises(ValueError):
-        Graph(3, ((0, 1), (0, 1)))
-    with pytest.raises(ValueError):
-        Graph(3, ((0, 2), (0, 1)))  # unsorted
     assert Graph.from_edges(3, [(2, 0), (1, 0)]).edges == ((0, 1), (0, 2))
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, (), "vertex count must be nonnegative"),
+    (2, ((0, 2),), "edge (0, 2) is not canonical or out of range"),
+    (3, ((-1, 1),), "edge (-1, 1) is not canonical or out of range"),
+    (3, ((1, 0),), "edge (1, 0) is not canonical or out of range"),
+    (3, ((1, 1),), "edge (1, 1) is not canonical or out of range"),
+    (3, ((0, 1), (0, 1)), "duplicate edge (0, 1)"),
+    (4, ((0, 1), (1, 2), (1, 2), (2, 3)), "duplicate edge (1, 2)"),
+    (3, ((0, 2), (0, 1)), "edges must be sorted lexicographically"),
+    (4, ((0, 1), (2, 3), (1, 2)), "edges must be sorted lexicographically"),
+], ids=["negative n", "out of range", "negative endpoint", "not canonical", "loop",
+        "duplicate", "inner duplicate", "unsorted", "unsorted tail"])
+def test_graph_rejects_malformed_input(n, edges, message):
+    with pytest.raises(ValueError) as info:
+        Graph(n, edges)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 def test_provenance_never_affects_equality():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from palettebox.coloring import check_proper, palette_summary
@@ -43,6 +45,45 @@ def test_shift_parameter_formulas(s, t):
     dec = TorusDecomposition(s, t)
     assert dec.ell == ((s - t) // 2) % t
     assert dec.shift == (s - t) // (2 * t)
+
+
+ALL_ODD_PAIRS = [(s, t) for s in range(3, 22, 2) for t in range(3, s + 1, 2)]
+
+
+@pytest.mark.parametrize("s, t", ALL_ODD_PAIRS)
+def test_offset_table_puts_every_step_of_z_set_on_its_walk(s, t):
+    dec = TorusDecomposition(s, t)
+    across, along = dec.walk_offsets
+    assert len(across) == len(along) == s
+    for i in range(t):
+        for kind, j, k in z_set(s, t, i):
+            if kind == "horizontal":
+                assert (k + across[j]) % t == i
+            else:
+                # a vertical edge is named by its lower column
+                low = k if kind == "ascending-vertical" else (k - 1) % t
+                assert (low + along[j]) % t == i
+
+
+@pytest.mark.parametrize("s, t", ALL_ODD_PAIRS)
+def test_walk_of_agrees_with_the_closed_form(s, t):
+    dec = TorusDecomposition(s, t)
+    ell = ((s - t) // 2) % t
+    for j in range(s):
+        for k in range(t):
+            for vertical in (False, True):
+                if j < ell:
+                    want = (k - j - (0 if vertical else 1)) % t
+                else:
+                    want = (k + j - 2 * ell + 1) % t
+                assert dec.walk_of(j, k, vertical) == want
+
+
+def test_three_palette_coloring_is_pinned():
+    # sha256 of the color bytes of C_31 x C_17: moving any edge to another walk changes it
+    colors = torus_three_palette_coloring(31, 17).colors
+    assert hashlib.sha256(bytes(colors)).hexdigest() == (
+        "a1994d3e93b6c03d9eafa7322878da9c91e0270fe41878ed9a80b87efe353732")
 
 
 def test_walk_5_3_first_steps(torus_edge):
@@ -171,6 +212,17 @@ def test_partition_check_fails_when_a_walk_follows_another():
     ok, problems = verify_partition(dec)
     assert not ok
     assert problems == [f"Z_0 holds edges of other walks, first {dec.z_sets[1][0]}"]
+
+
+def test_partition_check_fails_when_a_walk_leaves_the_grid():
+    # C_7 x C_5 has rows 0..6 and columns 0..4; (0, 5) is the flat vertex (1, 0)
+    dec = TorusDecomposition(7, 5)
+    z0, *others = dec.z_sets
+    for step in [("ascending-vertical", 7, 0), ("horizontal", -1, 2), ("ascending-vertical", 0, 5)]:
+        _with_walks(dec, [[step, *z0[1:]], *others])
+        ok, problems = verify_partition(dec)
+        assert not ok
+        assert f"Z_0 leaves the grid at {step}" in problems
 
 
 def test_partition_check_fails_on_an_unknown_step_kind():

@@ -1,3 +1,4 @@
+import collections
 import json
 
 import pytest
@@ -28,6 +29,23 @@ def test_suites_pass_at_default_budgets(suite, kwargs):
         c for c in report["cases"] if c["outcome"] != "pass"]
     assert report["failed"] == 0
     assert report["passed"] == len(report["cases"])
+
+
+def test_nrg_suite_solves_each_distinct_graph_once(monkeypatch):
+    from palettebox import constructions, solver
+
+    solved = collections.Counter()
+    real = solver.chromatic_index
+
+    def counting(graph, budget=None):
+        solved[graph] += 1
+        return real(graph, budget)
+    monkeypatch.setattr(solver, "chromatic_index", counting)
+    monkeypatch.setattr(constructions, "chromatic_index", counting)
+    assert run_verify_suite("nrg", deterministic=True)["status"] == "pass"
+    # each base minus its matching, and each host
+    assert len(solved) == 6
+    assert set(solved.values()) == {1}
 
 
 def test_report_shape():
