@@ -15,11 +15,9 @@ from palettebox.graphs import (
     Graph,
     Matching,
     ProductIndex,
-    build_generator,
     cartesian_product,
     complete_graph,
     cycle_graph,
-    degree_profile,
     find_perfect_matching,
     hypercube_graph,
     path_graph,
@@ -31,7 +29,6 @@ from palettebox.coloring import (
     PaletteSummary,
     check_proper,
     disjoint_product_coloring,
-    extend_by_matching,
     palette_summary,
     product_coloring,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "Certificate",
     "ThetaClasses",
     "TorusDecomposition",
-    "build_generator",
     "cartesian_product",
     "check_proper",
     "chromatic_index",
@@ -75,10 +71,8 @@ __all__ = [
     "cubic_matching_reduction",
     "cycle_graph",
     "cycle_times_regular_coloring",
-    "degree_profile",
     "disjoint_product_coloring",
     "even_cycle_classes",
-    "extend_by_matching",
     "find_perfect_matching",
     "hypercube_graph",
     "is_partial_cube",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional
 
-from palettebox.graphs import Edge, Graph, Matching, canonical_edge, cartesian_product, map_product_edges
+from palettebox.graphs import Edge, Graph, canonical_edge, cartesian_product, map_product_edges
 
 
 @dataclass(frozen=True)
@@ -160,32 +160,6 @@ def _mask_colors(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def extend_by_matching(coloring: EdgeColoring, matching: Matching,
-                       color: Optional[int] = None) -> EdgeColoring:
-    """Color a perfect matching on top of a coloring of the rest of the host.
-
-    ``coloring`` must cover exactly the host graph minus the matching.  The
-    matching color defaults to the smallest color unused by ``coloring``
-    and must be fresh; every vertex palette then grows by exactly that
-    color, so the number of distinct palettes is preserved.
-    """
-    if not matching.is_perfect:
-        raise ValueError("matching must be perfect")
-    host = matching.host
-    rest = coloring.graph
-    if rest.n != host.n or set(rest.edges) != host.edge_set - set(matching.edges):
-        raise ValueError("coloring must cover the host graph minus the matching")
-    used = coloring.used_colors()
-    if color is None:
-        color = next(c for c in range(1, len(used) + 2) if c not in used)
-    elif color in used:
-        raise ValueError(f"color {color} is already in use")
-    mapping = coloring.as_map()
-    for e in matching.edges:
-        mapping[e] = color
-    return EdgeColoring.from_map(host, mapping)
 
 
 def product_coloring(g: Graph, h: Graph, g_color: Callable[[int, int], int],

@@ -15,7 +15,8 @@ import re
 from typing import Optional
 
 from palettebox.coloring import EdgeColoring, PaletteSummary, check_proper, palette_summary
-from palettebox.graphs import Graph, build_generator, canonical_edge, petersen_graph
+from palettebox.graphs import (Graph, canonical_edge, complete_graph, cycle_graph, hypercube_graph,
+                               path_graph, petersen_graph)
 from palettebox.oracle import Certificate
 from palettebox.torus import TorusDecomposition
 
@@ -30,8 +31,16 @@ def graph_to_json(graph: Graph) -> dict:
 def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON needs 'n' and 'edges'")
-    edges = [tuple(e) for e in obj["edges"]]
-    return Graph.from_edges(int(obj["n"]), edges, obj.get("provenance", ""))
+    n = _json_int(obj["n"], "'n'")
+    edges = [tuple(_json_int(x, f"endpoint of edge {e!r}") for x in e) for e in obj["edges"]]
+    return Graph.from_edges(n, edges, obj.get("provenance", ""))
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if it is an int; a float, string or bool is rejected, naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"graph JSON {what} must be an integer, got {value!r}")
+    return value
 
 
 def coloring_to_json(coloring: EdgeColoring) -> dict:
@@ -89,7 +98,7 @@ def dump_json(obj, path: Optional[str] = None) -> str:
 
 
 _GENERATOR_SPEC = re.compile(r"^([PCKQ])(\d+)$", re.IGNORECASE)
-_KIND = {"P": "path", "C": "cycle", "K": "complete", "Q": "hypercube"}
+_GENERATOR = {"P": path_graph, "C": cycle_graph, "K": complete_graph, "Q": hypercube_graph}
 
 
 def parse_graph_spec(spec: str) -> Graph:
@@ -99,7 +108,7 @@ def parse_graph_spec(spec: str) -> Graph:
         return petersen_graph()
     m = _GENERATOR_SPEC.match(spec)
     if m:
-        return build_generator(_KIND[m.group(1).upper()], int(m.group(2)))
+        return _GENERATOR[m.group(1).upper()](int(m.group(2)))
     if os.path.exists(spec):
         with open(spec) as fh:
             return graph_from_json(json.load(fh))

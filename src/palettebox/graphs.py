@@ -109,12 +109,6 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)}, tag={self.tag!r})"
 
 
-def degree_profile(graph: Graph) -> tuple[tuple[int, ...], bool, int]:
-    """Return (sorted distinct degrees, regular flag, maximum degree)."""
-    distinct = tuple(sorted(set(graph.degrees)))
-    return distinct, len(distinct) <= 1, graph.max_degree
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -164,25 +158,6 @@ def petersen_graph() -> Graph:
         edges.append((5 + i, 5 + (i + 2) % 5))
         edges.append((i, i + 5))
     return Graph.from_edges(10, edges, "petersen")
-
-
-_GENERATORS = {
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "complete": (complete_graph, 1),
-    "hypercube": (hypercube_graph, 1),
-    "petersen": (petersen_graph, 0),
-}
-
-
-def build_generator(kind: str, *params: int) -> Graph:
-    """Dispatch a generator by name; rejects unknown kinds and bad arity."""
-    if kind not in _GENERATORS:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    fn, arity = _GENERATORS[kind]
-    if len(params) != arity:
-        raise ValueError(f"generator {kind!r} takes {arity} parameter(s), got {len(params)}")
-    return fn(*params)
 
 
 # ---------------------------------------------------------------------------

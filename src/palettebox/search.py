@@ -130,7 +130,8 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
 
     ``vmask`` doubles as the running palette of each vertex.  A vertex is
     complete once its last incident edge is colored; completed palettes
-    are collected in ``distinct[:dcount]`` (sizes in ``dsize``) and may
+    are collected in ``distinct[:dcount]`` (sizes in ``dsize``, the
+    vertex's degree, as a proper palette has one color per edge) and may
     never exceed p_target distinct values.  Once the cap is reached, every
     partially colored vertex must still fit inside some collected palette
     of its exact degree, which prunes hard.
@@ -210,21 +211,11 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
                     deg_left[v] -= 1
                     if w1 >= 0:
                         distinct[dcount] = w1
-                        sz = 0
-                        t = w1
-                        while t != 0:
-                            sz += t & 1
-                            t >>= 1
-                        dsize[dcount] = sz
+                        dsize[dcount] = deg[u]
                         dcount += 1
                     if w2 >= 0:
                         distinct[dcount] = w2
-                        sz = 0
-                        t = w2
-                        while t != 0:
-                            sz += t & 1
-                            t >>= 1
-                        dsize[dcount] = sz
+                        dsize[dcount] = deg[v]
                         dcount += 1
                     added[d] = n_new
                     maxused[d + 1] = c if c > maxused[d] else maxused[d]
@@ -299,7 +290,8 @@ class SearchBudget:
     def __post_init__(self):
         for name in ("max_nodes", "max_seconds"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            # written so that NaN, which compares false to everything, fails too
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 

@@ -129,6 +129,25 @@ class TorusDecomposition:
         along = [-j % t for j in range(ell)] + below
         return tuple(across), tuple(along)
 
+    @cached_property
+    def walk_checks(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+        """Per walk Z_i, the problems ``_step_walk`` finds and its class clash, if any.
+
+        The one pass over the walks that ``verify_partition`` and
+        ``even_cycle_classes`` read.  Z_i clashes when it shares a vertex
+        with an earlier walk of its class.
+        """
+        seen: list[set[int]] = [set(), set(), set()]
+        checks = []
+        for i in range(self.t):
+            problems, vertices = _step_walk(self, i)
+            c = self.class_of_walk(i)
+            clash = () if seen[c].isdisjoint(vertices) else (
+                f"class {c}: Z_{i} shares a vertex with another walk of the class",)
+            seen[c] |= vertices
+            checks.append((tuple(problems), clash))
+        return tuple(checks)
+
     def walk_of(self, j: int, k: int, vertical: bool) -> int:
         """Index i of the walk Z_i through one edge, read off ``walk_offsets``.
 
@@ -226,9 +245,7 @@ def verify_partition(dec: TorusDecomposition) -> tuple[bool, list[str]]:
     ``walk_of == i``.  Then no edge lies on two walks, and the t walks
     hold 2st = |E| distinct edges, so they cover the torus.
     """
-    problems: list[str] = []
-    for i in range(dec.t):
-        problems.extend(_step_walk(dec, i)[0])
+    problems = [p for walk_problems, _ in dec.walk_checks for p in walk_problems]
     return not problems, problems
 
 
@@ -239,15 +256,7 @@ def even_cycle_classes(dec: TorusDecomposition) -> tuple[bool, list[str]]:
     length, and walks of one class (``class_of_walk``) must share no
     vertex, so their cycles are disjoint.
     """
-    problems: list[str] = []
-    seen: list[set[int]] = [set(), set(), set()]
-    for i in range(dec.t):
-        walk_problems, vertices = _step_walk(dec, i)
-        problems.extend(walk_problems)
-        c = dec.class_of_walk(i)
-        if not seen[c].isdisjoint(vertices):
-            problems.append(f"class {c}: Z_{i} shares a vertex with another walk of the class")
-        seen[c] |= vertices
+    problems = [p for walk_problems, clash in dec.walk_checks for p in walk_problems + clash]
     return not problems, problems
 
 

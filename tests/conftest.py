@@ -27,3 +27,18 @@ def torus_edge():
         u, v = j * t + k, (j + dj) % s * t + (k + dk) % t
         return min(u, v), max(u, v)
     return edge
+
+
+@pytest.fixture(params=[
+    ({"n": 2.5, "edges": [[0, 1]]}, "'n' must be an integer, got 2.5"),
+    ({"n": True, "edges": []}, "'n' must be an integer, got True"),
+    ({"n": 2, "edges": [[0, 1.0]]}, "endpoint of edge [0, 1.0] must be an integer, got 1.0"),
+    ({"n": 2, "edges": [["0", "1"]]}, "endpoint of edge ['0', '1'] must be an integer, got '0'"),
+    ({"n": 2, "edges": [[0, True]]}, "endpoint of edge [0, True] must be an integer, got True"),
+], ids=["float-n", "bool-n", "float-endpoint", "string-endpoints", "bool-endpoint"])
+def non_integer_graph(request):
+    """A graph JSON object with a non-integer n or endpoint, and the error it must raise.
+
+    A bool counts as an int in Python, but not as a vertex count or a vertex.
+    """
+    return request.param

@@ -162,6 +162,8 @@ def test_error_paths_exit_one(tmp_path):
         "palettebox construct --theorem nrg --graph C5",
         "palettebox oracle C5 --budget-nodes -1",
         "palettebox oracle C5 --budget-seconds -1",
+        "palettebox oracle C5 --budget-seconds nan",
+        "PALETTEBOX_BUDGET_SECONDS=nan palettebox oracle C5",
         "PALETTEBOX_BUDGET_NODES=-1 palettebox oracle C5",
         "palettebox verify cycle-path --max 0",
         "palettebox verify torus --max-s 2",
@@ -171,6 +173,15 @@ def test_error_paths_exit_one(tmp_path):
         proc = sh(command, cwd=tmp_path)
         assert proc.returncode == 1, command
         assert proc.stderr.startswith("error:"), command
+
+
+def test_oracle_rejects_a_graph_json_with_non_integers(tmp_path, non_integer_graph):
+    obj, message = non_integer_graph
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    proc = sh("palettebox oracle bad.json", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: graph JSON {message}\n"
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_budget_stops_exit_two(capsys):

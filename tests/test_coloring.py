@@ -6,20 +6,17 @@ from palettebox.coloring import (
     EdgeColoring,
     check_proper,
     disjoint_product_coloring,
-    extend_by_matching,
     palette_summary,
     product_coloring,
 )
 from palettebox.corpus import random_graph
 from palettebox.graphs import (
-    Matching,
     ProductIndex,
     canonical_edge,
     cartesian_product,
     cycle_graph,
     path_graph,
     petersen_graph,
-    remove_edges,
 )
 from palettebox.solver import chromatic_index
 
@@ -115,42 +112,6 @@ def test_palette_size_equals_degree(n):
     summary = palette_summary(col)
     for v in range(g.n):
         assert len(summary.palette_of(v)) == g.degrees[v]
-
-
-def test_extend_by_matching_uses_fresh_color():
-    c6 = cycle_graph(6)
-    m = Matching.from_edges(c6, [(0, 1), (2, 3), (4, 5)])
-    rest = remove_edges(c6, m.edges)
-    base = chromatic_index(rest).witness
-    extended = extend_by_matching(base, m)
-    assert extended.graph == c6
-    assert check_proper(extended)[0]
-    fresh = extended.max_color
-    assert all(extended.color_of(u, v) == fresh for u, v in m.edges)
-    # palette count never grows: each vertex gains the same fresh color
-    assert palette_summary(extended).count == palette_summary(base).count
-
-
-def test_extend_by_matching_validation():
-    c6 = cycle_graph(6)
-    m = Matching.from_edges(c6, [(0, 1), (2, 3), (4, 5)])
-    rest = remove_edges(c6, m.edges)
-    base = chromatic_index(rest).witness
-    with pytest.raises(ValueError):
-        extend_by_matching(base, Matching.from_edges(c6, [(0, 1)]))  # not perfect
-    with pytest.raises(ValueError):
-        extend_by_matching(base, m, color=base.max_color)  # already used
-    wrong_host = chromatic_index(path_graph(6)).witness
-    with pytest.raises(ValueError):
-        extend_by_matching(wrong_host, m)
-
-
-def test_extend_by_matching_explicit_color():
-    c4 = cycle_graph(4)
-    m = Matching.from_edges(c4, [(0, 1), (2, 3)])
-    base = chromatic_index(remove_edges(c4, m.edges)).witness
-    out = extend_by_matching(base, m, color=9)
-    assert out.color_of(0, 1) == 9
 
 
 def test_disjoint_product_offsets_second_factor():

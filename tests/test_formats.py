@@ -43,6 +43,13 @@ def test_graph_json_without_provenance():
     assert g.n == 3 and g.edges == ((0, 1), (1, 2))
 
 
+def test_graph_json_takes_only_integers(non_integer_graph):
+    obj, message = non_integer_graph
+    with pytest.raises(ValueError) as exc:
+        graph_from_json(obj)
+    assert str(exc.value) == f"graph JSON {message}"
+
+
 def test_coloring_json_roundtrip():
     col = chromatic_index(cycle_graph(5)).witness
     obj = coloring_to_json(col)

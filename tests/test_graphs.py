@@ -8,13 +8,11 @@ from palettebox.graphs import (
     Matching,
     ProductIndex,
     all_pairs_distances,
-    build_generator,
     canonical_edge,
     cartesian_product,
     complete_graph,
     connected_components,
     cycle_graph,
-    degree_profile,
     enumerate_perfect_matchings,
     find_perfect_matching,
     hypercube_graph,
@@ -85,7 +83,7 @@ def test_hypercube_shape():
 def test_petersen_shape_and_girth():
     g = petersen_graph()
     assert g.n == 10 and len(g.edges) == 15
-    assert degree_profile(g) == ((3,), True, 3)
+    assert set(g.degrees) == {3} and g.is_regular and g.max_degree == 3
     # girth 5: no 3- or 4-cycles through any vertex pair
     dist = all_pairs_distances(g)
     girth = min(
@@ -106,15 +104,6 @@ def test_petersen_shape_and_girth():
         dist[u][v] == 2 and g.has_edge(u, w) and g.has_edge(w, v)
         for u in range(10) for v in range(10) for w in g.adjacency[u]
     )
-
-
-def test_build_generator_dispatch():
-    assert build_generator("cycle", 4) == cycle_graph(4)
-    assert build_generator("petersen") == petersen_graph()
-    with pytest.raises(ValueError):
-        build_generator("wheel", 5)
-    with pytest.raises(ValueError):
-        build_generator("cycle")
 
 
 def test_product_index_roundtrip():
@@ -237,8 +226,3 @@ def test_traversal_helpers():
     assert is_bipartite(c4)
     assert not is_bipartite(cycle_graph(5))
     assert is_connected(Graph(0, ()))
-
-
-def test_degree_profile_examples():
-    assert degree_profile(path_graph(4)) == ((1, 2), False, 2)
-    assert degree_profile(cycle_graph(6)) == ((2,), True, 2)

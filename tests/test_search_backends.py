@@ -155,6 +155,12 @@ def test_negative_budgets_are_rejected():
     assert SearchBudget(max_nodes=0, max_seconds=0.0).max_nodes == 0
 
 
+def test_nan_budget_is_rejected():
+    # NaN fails every comparison, so a limit of NaN seconds would never fire
+    with pytest.raises(ValueError, match="max_seconds must be nonnegative, got nan"):
+        SearchBudget(max_seconds=float("nan"))
+
+
 def first_in_family(g, family, k):
     """The lexicographically first proper in-family coloring, by brute force.
 

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from palettebox.coloring import check_proper, palette_summary
+from palettebox import torus
 from palettebox.graphs import ProductIndex
 from palettebox.torus import (
     TorusDecomposition,
@@ -114,6 +115,16 @@ def test_classes_give_even_cycles(s, t):
     assert ok, problems
 
 
+def test_both_checks_step_through_the_walks_once(monkeypatch):
+    calls = []
+    step_walk = torus._step_walk
+    monkeypatch.setattr(torus, "_step_walk", lambda dec, i: calls.append(i) or step_walk(dec, i))
+    dec = TorusDecomposition(7, 5)
+    assert verify_partition(dec) == (True, [])
+    assert even_cycle_classes(dec) == (True, [])
+    assert calls == [0, 1, 2, 3, 4]
+
+
 def test_class_assignment_repair_when_t_is_one_mod_three():
     dec = TorusDecomposition(7, 7)
     assert [dec.class_of_walk(i) for i in range(7)] == [0, 1, 2, 0, 1, 2, 1]
@@ -149,8 +160,12 @@ def test_coloring_matches_class_colors(s, t, torus_edge):
 
 
 def _with_walks(dec, walks):
-    """Replace the cached walks of ``dec``, as a broken decomposition would have them."""
+    """Replace the cached walks of ``dec``, as a broken decomposition would have them.
+
+    The cached walk checks go too, so the next check steps the new walks.
+    """
     dec.__dict__["z_sets"] = tuple(tuple(w) for w in walks)
+    dec.__dict__.pop("walk_checks", None)
 
 
 def test_partition_check_fails_when_two_walks_swap_an_edge():
