@@ -15,25 +15,13 @@ import os
 import sys
 from typing import Optional
 
-from palettebox import formats
-from palettebox.coloring import EdgeColoring, check_proper, palette_summary
-from palettebox.constructions import (
-    BudgetExhausted,
-    class1_product_coloring,
-    cubic_matching_reduction,
-    cycle_times_regular_coloring,
-    make_nrg_spec,
-    nrg_product_coloring,
-    path_times_class1_regular_coloring,
-    path_times_regular_coloring,
-    solve_exact,
-)
+from palettebox import SUITES, formats
+from palettebox.coloring import EdgeColoring, palette_summary
 from palettebox.graphs import canonical_edge, cartesian_product
-from palettebox.oracle import default_max_palettes, lower_bound, palette_index_exact
-from palettebox.search import MAX_COLORS, SearchBudget
-from palettebox.theta import is_partial_cube, theta_classes, theta_removal_coloring
-from palettebox.torus import TorusDecomposition, torus_three_palette_coloring, verify_partition
-from palettebox.verify import SUITES, run_verify_suite
+from palettebox.search import MAX_COLORS, BudgetExhausted, SearchBudget
+
+# A command imports the modules that only it uses inside its function, so
+# that a process loads no more than its command needs.
 
 PASS, FAIL, INDETERMINATE = 0, 1, 2
 
@@ -108,6 +96,17 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from palettebox.constructions import (
+        class1_product_coloring,
+        cubic_matching_reduction,
+        cycle_times_regular_coloring,
+        make_nrg_spec,
+        nrg_product_coloring,
+        path_times_class1_regular_coloring,
+        path_times_regular_coloring,
+        solve_exact,
+    )
+
     budget = _budget_from(args)
     theorem = args.theorem
     if theorem in ("mah", "nrg") and args.host is None:
@@ -155,6 +154,8 @@ def _parse_edges(text: Optional[str]) -> list[tuple[int, int]]:
 
 
 def _cmd_torus(args) -> int:
+    from palettebox.torus import TorusDecomposition, torus_three_palette_coloring, verify_partition
+
     dec = TorusDecomposition(args.s, args.t)
     ok, problems = verify_partition(dec)
     if args.dot:
@@ -175,6 +176,8 @@ def _cmd_torus(args) -> int:
 
 
 def _cmd_theta(args) -> int:
+    from palettebox.theta import is_partial_cube, theta_classes, theta_removal_coloring
+
     g = formats.parse_graph_spec(args.graph)
     if args.remove is not None:
         if args.host is None:
@@ -201,6 +204,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from palettebox.oracle import default_max_palettes, lower_bound, palette_index_exact
+
     g = formats.parse_graph_spec(args.graph)
     budget = _budget_from(args)
     if args.lower_bound_only:
@@ -225,6 +230,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from palettebox.verify import run_verify_suite
+
     budget = _budget_from(args)
     report = run_verify_suite(args.suite, max_s=args.max_s, max_n=args.max,
                               max_edges=args.max_edges, budget=budget,

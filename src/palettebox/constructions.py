@@ -29,13 +29,9 @@ from palettebox.graphs import (
     path_graph,
     remove_edges,
 )
-from palettebox.search import BUDGET
+from palettebox.search import BUDGET, BudgetExhausted
 from palettebox.solver import chromatic_index
 from palettebox.torus import torus_three_palette_coloring
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised when the search budget runs out before a step is classified."""
 
 
 def solve_exact(graph: Graph, budget=None):

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from palettebox.coloring import EdgeColoring, PaletteSummary, check_proper, palette_summary
+from palettebox.coloring import EdgeColoring, PaletteSummary, check_proper
 from palettebox.graphs import (Graph, canonical_edge, complete_graph, cycle_graph, hypercube_graph,
                                path_graph, petersen_graph)
-from palettebox.oracle import Certificate
-from palettebox.torus import TorusDecomposition
+
+if TYPE_CHECKING:  # annotations only: the CLI loads these modules when a command needs them
+    from palettebox.oracle import Certificate
+    from palettebox.torus import TorusDecomposition
 
 
 def graph_to_json(graph: Graph) -> dict:
@@ -31,16 +33,34 @@ def graph_to_json(graph: Graph) -> dict:
 def graph_from_json(obj: dict) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON needs 'n' and 'edges'")
-    n = _json_int(obj["n"], "'n'")
-    edges = [tuple(_json_int(x, f"endpoint of edge {e!r}") for x in e) for e in obj["edges"]]
+    n = _json_int(obj["n"], "graph JSON 'n'")
+    edges = [_json_ints(e, 2, f"graph JSON edge {i}", "graph JSON endpoint of edge")
+             for i, e in enumerate(_json_list(obj["edges"], "graph JSON 'edges'"))]
     return Graph.from_edges(n, edges, obj.get("provenance", ""))
 
 
 def _json_int(value, what: str) -> int:
     """``value`` if it is an int; a float, string or bool is rejected, naming ``what``."""
     if type(value) is not int:
-        raise ValueError(f"graph JSON {what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_list(value, what: str) -> list:
+    """``value`` if it is a list; anything else is rejected, naming ``what``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _json_ints(value, size: int, what: str, item: str) -> tuple[int, ...]:
+    """``value`` as a tuple if it is a list of ``size`` ints.
+
+    Errors name the list by ``what`` and one of its items by ``item`` and the list.
+    """
+    if not isinstance(value, list) or len(value) != size:
+        raise ValueError(f"{what} must be a list of {size} integers, got {value!r}")
+    return tuple(_json_int(x, f"{item} {value!r}") for x in value)
 
 
 def coloring_to_json(coloring: EdgeColoring) -> dict:
@@ -51,10 +71,14 @@ def coloring_to_json(coloring: EdgeColoring) -> dict:
 
 
 def coloring_from_json(obj: dict, graph: Optional[Graph] = None) -> EdgeColoring:
+    if not isinstance(obj, dict) or "colors" not in obj or (graph is None and "graph" not in obj):
+        raise ValueError("coloring JSON needs 'graph' and 'colors'")
     if graph is None:
         graph = graph_from_json(obj["graph"])
     mapping = {}
-    for u, v, c in obj["colors"]:
+    for i, entry in enumerate(_json_list(obj["colors"], "coloring JSON 'colors'")):
+        u, v, c = _json_ints(entry, 3, f"coloring JSON entry {i}",
+                             "coloring JSON value of entry")
         edge = canonical_edge(u, v)
         if edge in mapping:
             raise ValueError(f"edge {edge} is colored twice")

@@ -335,6 +335,10 @@ class BudgetTracker:
         return time.monotonic() - self.started
 
 
+class BudgetExhausted(RuntimeError):
+    """Raised when the search budget runs out before a step is classified."""
+
+
 def ensure_tracker(budget) -> BudgetTracker:
     if isinstance(budget, BudgetTracker):
         return budget

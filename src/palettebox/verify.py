@@ -13,22 +13,10 @@ import dataclasses
 import functools
 import itertools
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from palettebox import SUITES
 from palettebox.coloring import check_proper, palette_summary
-from palettebox.constructions import (
-    BudgetExhausted,
-    NrgSpec,
-    _family_block_coloring,
-    _nrg_base,
-    cubic_matching_reduction,
-    cycle_times_regular_coloring,
-    make_nrg_spec,
-    nrg_product_coloring,
-    path_times_class1_regular_coloring,
-    path_times_regular_coloring,
-    solve_exact,
-)
 from palettebox.graphs import (
     Graph,
     cycle_graph,
@@ -37,16 +25,13 @@ from palettebox.graphs import (
     path_graph,
     petersen_graph,
 )
-from palettebox.oracle import naive_minimum_palettes, palette_index_exact
-from palettebox.search import SearchBudget
-from palettebox.torus import (
-    TorusDecomposition,
-    even_cycle_classes,
-    torus_three_palette_coloring,
-    verify_partition,
-)
+from palettebox.search import BudgetExhausted, SearchBudget
 
-SUITES = ("torus", "nrg", "cycle-path", "cubic", "oracle-cross")
+if TYPE_CHECKING:
+    from palettebox.constructions import NrgSpec
+
+# Each suite imports the modules it uses, so that `verify torus` loads no
+# construction or oracle code.
 
 TORUS_PALETTES = frozenset(
     (frozenset({1, 2, 3, 4}), frozenset({1, 2, 5, 6}), frozenset({3, 4, 5, 6})))
@@ -99,6 +84,13 @@ def _palette_sets(col) -> set[frozenset[int]]:
 
 
 def _torus_suite(rec: _Recorder, max_s: int, budget):
+    from palettebox.torus import (
+        TorusDecomposition,
+        even_cycle_classes,
+        torus_three_palette_coloring,
+        verify_partition,
+    )
+
     for s in range(3, max_s + 1, 2):
         for t in range(3, s + 1, 2):
             def case(s=s, t=t):
@@ -120,6 +112,8 @@ def _torus_suite(rec: _Recorder, max_s: int, budget):
 
 
 def _nrg_suite(rec: _Recorder, budget):
+    from palettebox.constructions import nrg_product_coloring, solve_exact
+
     bases = (hypercube_graph(3), cycle_graph(4), cycle_graph(6))
     hosts = (cycle_graph(3), cycle_graph(4), path_graph(2))
     # each host is solved once, on its first case; a budget stop is not kept
@@ -159,6 +153,8 @@ def _first_nrg_spec(base: Graph, budget) -> NrgSpec:
     one by ``dataclasses.replace``, which re-runs the spec's checks but
     no search.
     """
+    from palettebox.constructions import NrgSpec, _nrg_base
+
     out_of_budget = False
     for matching in enumerate_perfect_matchings(base):
         try:
@@ -195,6 +191,13 @@ def _pointwise_check(col, s: int, g_col, r: int, wrap: bool) -> Optional[str]:
 
 
 def _cycle_path_suite(rec: _Recorder, max_n: int, budget):
+    from palettebox.constructions import (
+        cycle_times_regular_coloring,
+        path_times_class1_regular_coloring,
+        path_times_regular_coloring,
+        solve_exact,
+    )
+
     class2 = (cycle_graph(3), cycle_graph(5))
     for s in range(3, max_n + 1, 2):
         for g in class2:
@@ -227,6 +230,14 @@ def _cycle_path_suite(rec: _Recorder, max_n: int, budget):
 
 
 def _tpc_case(s: int, t: int, budget):
+    from palettebox.constructions import (
+        _family_block_coloring,
+        make_nrg_spec,
+        nrg_product_coloring,
+        path_times_class1_regular_coloring,
+    )
+    from palettebox.oracle import palette_index_exact
+
     def case():
         if s % 2 == 1 and t % 2 == 1:
             col = _family_block_coloring(t, s, budget)
@@ -249,6 +260,9 @@ def _tpc_case(s: int, t: int, budget):
 
 
 def _cubic_suite(rec: _Recorder, budget):
+    from palettebox.constructions import cubic_matching_reduction
+    from palettebox.oracle import palette_index_exact
+
     pet = petersen_graph()
 
     def cycle3():
@@ -290,6 +304,7 @@ def _cubic_suite(rec: _Recorder, budget):
 
 def _oracle_cross_suite(rec: _Recorder, max_edges: int, budget):
     from palettebox.corpus import small_corpus
+    from palettebox.oracle import naive_minimum_palettes, palette_index_exact
 
     for graph in small_corpus(max_edges):
         def case(graph=graph):

@@ -184,6 +184,32 @@ def test_oracle_rejects_a_graph_json_with_non_integers(tmp_path, non_integer_gra
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
+_GRAPH = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("oracle", {"n": 3, "edges": [5]}, "graph JSON edge 0 must be a list of 2 integers, got 5"),
+    ("oracle", {"n": 3, "edges": 5}, "graph JSON 'edges' must be a list, got 5"),
+    ("oracle", {"n": 3, "edges": [[0, 1, 2]]},
+     "graph JSON edge 0 must be a list of 2 integers, got [0, 1, 2]"),
+    ("export", {"graph": _GRAPH, "colors": [5]},
+     "coloring JSON entry 0 must be a list of 3 integers, got 5"),
+    ("export", {"graph": _GRAPH}, "coloring JSON needs 'graph' and 'colors'"),
+    ("export", {"graph": _GRAPH, "colors": [[0, 1]]},
+     "coloring JSON entry 0 must be a list of 3 integers, got [0, 1]"),
+    ("export", {"graph": _GRAPH, "colors": 5}, "coloring JSON 'colors' must be a list, got 5"),
+    ("export", {"graph": _GRAPH, "colors": [[0, 1, 1.5]]},
+     "coloring JSON value of entry [0, 1, 1.5] must be an integer, got 1.5"),
+], ids=["edge-int", "edges-int", "edge-triple", "entry-int", "no-colors", "entry-pair",
+        "colors-int", "float-color"])
+def test_json_of_the_wrong_shape_is_an_error_line(tmp_path, command, obj, message):
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    proc = sh(f"palettebox {command} bad.json", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
 def test_budget_stops_exit_two(capsys):
     commands = [
         "construct --theorem cng --graph C5 --s 5 --budget-nodes 1",
@@ -221,7 +247,6 @@ def test_theta_removal_computes_the_classes_once(monkeypatch, capsys):
         calls.append(graph)
         return classes(graph)
     monkeypatch.setattr(theta, "theta_classes", counted)
-    monkeypatch.setattr(cli, "theta_classes", counted)
     assert cli.main("theta Q5 --class 0 --remove 0-1 --host C3".split()) == 0
     capsys.readouterr()
     assert len(calls) == 1
