@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-from palettebox.graphs import Edge, Graph, canonical_edge, cartesian_product, map_product_edges
+from palettebox.graphs import Edge, Graph, canonical_edge, map_product_edges
 
 
 @dataclass(frozen=True)
@@ -162,15 +162,17 @@ def _mask_colors(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def product_coloring(g: Graph, h: Graph, g_color: Callable[[int, int], int],
-                     h_color: Callable[[int, int], int]) -> EdgeColoring:
-    """Color G box H fiber by fiber.
+def product_coloring(g: Graph, h: Graph, g_cols: Sequence[Sequence[int]],
+                     h_rows: Sequence[Sequence[int]]) -> EdgeColoring:
+    """Color G box H fiber by fiber, from one color table per factor.
 
-    The copy of G-edge i in the G-fiber at H-vertex b gets g_color(i, b);
-    the copy of H-edge j in the H-fiber at G-vertex a gets h_color(a, j).
-    Edge positions refer to the factors' canonical edge tuples.
+    The copy of G-edge i in the G-fiber at H-vertex b gets g_cols[i][b];
+    the copy of H-edge j in the H-fiber at G-vertex a gets h_rows[a][j].
+    Edge positions refer to the factors' canonical edge tuples, and rows
+    may be shared, so a rule constant along a fiber costs one list.  The
+    product graph and its colors come from one ``map_product_edges`` pass.
     """
-    return EdgeColoring(cartesian_product(g, h), map_product_edges(g, h, g_color, h_color))
+    return EdgeColoring(*map_product_edges(g, h, g_cols, h_rows))
 
 
 def disjoint_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring) -> EdgeColoring:
@@ -179,6 +181,8 @@ def disjoint_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring) -> EdgeC
     The palette of (a, x) is P_g(a) united with the shifted P_h(x), so the
     product has at most (palettes of g) * (palettes of h) distinct palettes.
     """
+    g, h = g_col.graph, h_col.graph
     offset = g_col.max_color
-    return product_coloring(g_col.graph, h_col.graph, lambda i, b: g_col.colors[i],
-                            lambda a, j: h_col.colors[j] + offset)
+    rows = {c: [c] * h.n for c in set(g_col.colors)}
+    return product_coloring(g, h, [rows[c] for c in g_col.colors],
+                            [[c + offset for c in h_col.colors]] * g.n)

@@ -4,9 +4,12 @@ Each construction colors the fibers of one factor layer by layer and
 threads the other factor's edges ("rungs") through leftover colors, so
 the palette of every vertex is known pointwise.  Every construction is
 one call to :func:`palettebox.coloring.product_coloring`, which takes a
-color rule for each factor's fiber edges and fills the product's colors
-in its canonical edge order.  Properness and palette counts are
-rechecked by the verification suites rather than trusted.
+color table for each factor's fiber edges (per G-edge, the colors of its
+copies by H-vertex; per G-vertex, the colors of its H-fiber by H-edge)
+and builds the product and its colors in one pass.  Rows that a rule
+keeps constant along a fiber are one shared list.  Properness and
+palette counts are rechecked by the verification suites rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -102,24 +105,29 @@ def class1_product_coloring(g_col: EdgeColoring, h_col: EdgeColoring,
     Delta(H)+2..Delta(H)+Delta(G).  When both factors are regular every
     vertex gets the palette [Delta(G)+Delta(H)], whatever c is.
     """
-    g, h = g_col.graph, h_col.graph
-    dg, dh = g.max_degree, h.max_degree
+    dg = g_col.graph.max_degree
     if _is_class_two(g_col, "g"):
         raise ValueError(f"g must be a {dg}-coloring of a class-1 G, got {dg + 1} colors")
-    spare = None
-    if _is_class_two(h_col, "h"):
+    return _class1_product(g_col, h_col, _is_class_two(h_col, "h"), c)
+
+
+def _class1_product(g_col: EdgeColoring, h_col: EdgeColoring, h_class_two: bool,
+                    c: Optional[int]) -> EdgeColoring:
+    """``class1_product_coloring`` for factor colorings already checked."""
+    g, h = g_col.graph, h_col.graph
+    dg, dh = g.max_degree, h.max_degree
+    if h_class_two:
         c = dg if c is None else c
         if not (1 <= c <= dg):
             raise ValueError(f"c must be one of g's colors 1..{dg}, got {c}")
-        spare = _spare_colors(h_col)
-        # class c is marked 0 and takes the spare color of its H-vertex
-        shifted = [0 if col == c else col + dh + (col < c) for col in g_col.colors]
+        rows = {col: [col + dh + (col < c)] * h.n for col in set(g_col.colors)}
+        # class c takes the spare color of its H-vertex
+        rows[c] = _spare_colors(h_col)
     elif c is not None:
         raise ValueError("c applies only when h uses Delta(H)+1 colors")
     else:
-        shifted = [col + dh for col in g_col.colors]
-    h_colors = h_col.colors
-    return product_coloring(g, h, lambda i, b: shifted[i] or spare[b], lambda a, j: h_colors[j])
+        rows = {col: [col + dh] * h.n for col in set(g_col.colors)}
+    return product_coloring(g, h, [rows[col] for col in g_col.colors], [h_col.colors] * g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +254,10 @@ def nrg_product_coloring(spec: NrgSpec, host: Graph,
     h_col, class_two = _factor(host, h_col, budget, "h")
     nrg = spec.graph
     base = spec.base.as_map()
+    # the spec has checked the base, and its restriction to G' - X is still
+    # an r-coloring, so neither factor is checked again
     g_col = EdgeColoring(nrg, tuple(base[e] for e in nrg.edges))
-    return class1_product_coloring(g_col, h_col, 1 if class_two else None)
+    return _class1_product(g_col, h_col, class_two, 1 if class_two else None)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +296,10 @@ def _layered_rung_coloring(s: int, g: Graph, g_col: Optional[EdgeColoring],
     r, g_col, h_col = _regular_class2_colorings(g, g_col, h_col, budget)
     layers = cycle_graph(s) if wrap else path_graph(s)
     missing = _spare_colors(g_col)
-
-    def rung(i, v):
-        lo, hi = layers.edges[i]
-        if hi - lo > 1:  # the wraparound rung (s-1, 0)
-            return r + 3
-        return missing[v] if lo % 2 == 0 else r + 2
-
-    def layer(i, j):
-        return (h_col if i == s - 1 else g_col).colors[j]
-    return product_coloring(layers, g, rung, layer)
+    odd, wraparound = [r + 2] * g.n, [r + 3] * g.n
+    # the wraparound rung (0, s-1) is the only one spanning more than one layer
+    rungs = [wraparound if hi - lo > 1 else odd if lo % 2 else missing for lo, hi in layers.edges]
+    return product_coloring(layers, g, rungs, [g_col.colors] * (s - 1) + [h_col.colors])
 
 
 def cycle_times_regular_coloring(s: int, g: Graph, g_col: Optional[EdgeColoring] = None,
@@ -351,13 +355,12 @@ def path_times_class1_regular_coloring(s: int, g: Graph, c: Optional[int] = None
         c = r + 2
     if not (3 <= c <= r + 2):
         raise ValueError(f"c must be one of the shifted colors 3..{r + 2}, got {c}")
-
-    def layer(i, j):
-        col = g_col.colors[j] + 2
-        if col == c and i in (0, s - 1):
-            return 2 if i == 0 else 1
-        return col
-    return product_coloring(path_graph(s), g, lambda i, v: 1 if i % 2 == 0 else 2, layer)
+    inner = [col + 2 for col in g_col.colors]
+    first = [2 if col == c else col for col in inner]
+    last = [1 if col == c else col for col in inner]
+    rungs = [[1] * g.n, [2] * g.n]
+    return product_coloring(path_graph(s), g, [rungs[i % 2] for i in range(s - 1)],
+                            [first] + [inner] * (s - 2) + [last])
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +443,12 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
 
     # Each component of ``rest``, a k-cycle in cycle order, times the layers
     # is colored as one block, which depends only on k, so components of
-    # one length share it.  Vertex (layer a, position j) of a block is
-    # a*k + j when the block is layer-major and j*s + a when it is not;
-    # place[v] holds v's block and the stride and offset of a*stride + offset.
-    blocks: dict[int, tuple[EdgeColoring, bool]] = {}
-    place: dict[int, tuple[EdgeColoring, int, int]] = {}
+    # one length share it.  A block is read once, into the colors down the
+    # rungs at each cycle position and along the copies of each cycle edge,
+    # and the vertices and edges of its components share those lists.
+    blocks: dict[int, tuple[EdgeColoring, list[list[int]], list[list[int]]]] = {}
+    rungs: list[list[int]] = [[]] * g.n
+    fibers: dict[Edge, list[int]] = {}
     for comp in connected_components(rest):
         if len(comp) == 1:
             raise ValueError("removing the matching left an isolated vertex; G is not cubic")
@@ -452,40 +456,55 @@ def cubic_matching_reduction(s: int, g: Graph, matching: Optional[Matching] = No
         k = len(order)
         if k not in blocks:
             if mode == "path":
-                blocks[k] = _family_block_coloring(s, k, budget), True
+                block, layer_major = _family_block_coloring(s, k, budget), True
             elif k % 2 == 0:
                 # The class-2 branch of the class-1 product coloring at its
                 # default c = 2: the component's class 2 drops into the layer
                 # cycle's missing color, class 1 shifts to 4, rungs keep
                 # layer_col.  Every palette is {1,2,3,4}.
-                blocks[k] = class1_product_coloring(_cycle_coloring(k, 2), layer_col), False
+                block, layer_major = class1_product_coloring(_cycle_coloring(k, 2), layer_col), False
             else:
                 # three-palette torus coloring of C_max box C_min
-                blocks[k] = torus_three_palette_coloring(max(s, k), min(s, k)), s >= k
-        block, layer_major = blocks[k]
+                block, layer_major = torus_three_palette_coloring(max(s, k), min(s, k)), s >= k
+            blocks[k] = (block, *_block_columns(block, layers, k, layer_major))
+        _, block_rungs, block_fibers = blocks[k]
         for j, v in enumerate(order):
-            place[v] = (block, k, j) if layer_major else (block, 1, j * s)
+            rungs[v] = block_rungs[j]
+            fibers[canonical_edge(v, order[(j + 1) % k])] = block_fibers[j]
     if mode == "cycle":
         fresh = 7
     else:
-        used = set().union(*(b.used_colors() for b, _ in blocks.values()))
+        used = set().union(*(b.used_colors() for b, _, _ in blocks.values()))
         fresh = _missing_color(used, len(used) + 1)
     matched = set(matching.edges)
+    fresh_fiber = [fresh] * s
+    fiber_cols = [fresh_fiber if e in matched else fibers[e] for e in g.edges]
+    # transposed: per layer edge the rung colors by G-vertex, per layer the
+    # fiber colors by G-edge
+    return product_coloring(layers, g, list(zip(*rungs)), list(zip(*fiber_cols)))
 
-    def at(a, v):
-        _, stride, offset = place[v]
-        return a * stride + offset
 
-    def rung(i, v):
-        lo, hi = layers.edges[i]
-        return place[v][0].color_of(at(lo, v), at(hi, v))
+def _block_columns(block: EdgeColoring, layers: Graph, k: int,
+                   layer_major: bool) -> tuple[list[list[int]], list[list[int]]]:
+    """The colors of a block, the layers times C_k, per cycle position.
 
-    def fiber(a, j):
-        u, v = g.edges[j]
-        if (u, v) in matched:
-            return fresh
-        return place[u][0].color_of(at(a, u), at(a, v))
-    return product_coloring(layers, g, rung, fiber)
+    Vertex (layer a, position j) of the block is a*k + j when it is
+    layer-major and j*s + a when it is not.  Per position j, the first
+    list holds the colors of the rungs at j, one per layer edge, and the
+    second those of the copies of the cycle edge from j to j+1 (mod k),
+    one per layer.
+    """
+    s = layers.n
+    index, colors = block.graph.edge_index, block.colors
+    stride, step = (k, 1) if layer_major else (1, s)
+    rungs = [[colors[index[lo * stride + j * step, hi * stride + j * step]]
+              for lo, hi in layers.edges] for j in range(k)]
+    fibers = []
+    for j in range(k):
+        p, q = sorted((j, (j + 1) % k))
+        fibers.append([colors[index[a * stride + p * step, a * stride + q * step]]
+                       for a in range(s)])
+    return rungs, fibers
 
 
 def _family_block_coloring(s: int, k: int, budget=None) -> EdgeColoring:

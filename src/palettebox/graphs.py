@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence, TypeVar
 
 Edge = tuple[int, int]
 T = TypeVar("T")
@@ -186,33 +186,50 @@ class ProductIndex:
         return divmod(idx, self.h_size)
 
 
-def map_product_edges(g: Graph, h: Graph, g_edge: Callable[[int, int], T],
-                      h_edge: Callable[[int, int], T]) -> tuple[T, ...]:
-    """One value per edge of G box H, in the product's canonical edge order.
+def map_product_edges(g: Graph, h: Graph, g_cols: Sequence[Sequence[T]],
+                      h_rows: Sequence[Sequence[T]]) -> tuple[Graph, tuple[T, ...]]:
+    """G box H, and one value per product edge from two tables, in canonical edge order.
 
-    The copy of G-edge i in the G-fiber at H-vertex b gets g_edge(i, b);
-    the copy of H-edge j in the H-fiber at G-vertex a gets h_edge(a, j).
-    For each lower endpoint (a, x) in flat order, the H-fiber edges to
-    (a, y), y > x, come first, then the G-fiber edges to (v, x), v > a:
-    that is the lexicographic order, because
+    The copy of G-edge i in the G-fiber at H-vertex b gets g_cols[i][b];
+    the copy of H-edge j in the H-fiber at G-vertex a gets h_rows[a][j].
+    Edge positions refer to the factors' canonical edge tuples, and rows
+    may be shared between positions.  One pass emits each edge and its
+    value side by side: for each lower endpoint (a, x) in flat order, the
+    H-fiber edges to (a, y), y > x, come first, then the G-fiber edges to
+    (v, x), v > a.  That is the lexicographic order, because
     a*|V(H)| + y < (a+1)*|V(H)| <= v*|V(H)| + x.
     """
-    g_up, h_up = _edges_up(g), _edges_up(h)
-    out: list[T] = []
-    for a in range(g.n):
-        for x in range(h.n):
-            for j in h_up[x]:
-                out.append(h_edge(a, j))
-            for i in g_up[a]:
-                out.append(g_edge(i, x))
-    return tuple(out)
+    nh = h.n
+    h_up, g_up = _edges_up(h), _edges_up(g)
+    # filled in place: two lists grown side by side would hold more memory
+    size = len(g.edges) * nh + len(h.edges) * g.n
+    edges: list = [None] * size
+    values: list = [None] * size
+    p = 0
+    for a, g_here in enumerate(g_up):
+        base = a * nh
+        row = h_rows[a]
+        g_fibers = [(g_cols[i], v * nh) for i, v in g_here]
+        for x, h_here in enumerate(h_up):
+            low = base + x
+            for j, y in h_here:
+                edges[p] = (low, base + y)
+                values[p] = row[j]
+                p += 1
+            for col, top in g_fibers:
+                edges[p] = (low, top + x)
+                values[p] = col[x]
+                p += 1
+    # the edge list goes before the graph is checked and the value tuple built
+    edges = tuple(edges)
+    return Graph(g.n * nh, edges, f"product({g.tag},{h.tag})"), tuple(values)
 
 
-def _edges_up(graph: Graph) -> list[list[int]]:
-    """Per vertex u, the positions of its edges (u, v) with v > u, in edge order."""
-    up: list[list[int]] = [[] for _ in range(graph.n)]
-    for i, (u, _) in enumerate(graph.edges):
-        up[u].append(i)
+def _edges_up(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Per vertex u, (position, v) for each of its edges (u, v) with v > u, in edge order."""
+    up: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for i, (u, v) in enumerate(graph.edges):
+        up[u].append((i, v))
     return up
 
 
@@ -221,19 +238,10 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
     (a,x)(b,y) is an edge iff a=b and xy in E(H), or x=y and ab in E(G).
     Fibers of either factor appear as induced copies, so
-    |E| = |E(G)|*|V(H)| + |E(H)|*|V(G)|.
+    |E| = |E(G)|*|V(H)| + |E(H)|*|V(G)|.  It is ``map_product_edges``
+    over shared all-zero tables, whose values are dropped.
     """
-    nh = h.n
-
-    def g_edge(i, b):
-        u, v = g.edges[i]
-        return u * nh + b, v * nh + b
-
-    def h_edge(a, j):
-        x, y = h.edges[j]
-        return a * nh + x, a * nh + y
-    edges = map_product_edges(g, h, g_edge, h_edge)
-    return Graph(g.n * h.n, edges, f"product({g.tag},{h.tag})")
+    return map_product_edges(g, h, [[0] * h.n] * len(g.edges), [[0] * len(h.edges)] * g.n)[0]
 
 
 def remove_edges(graph: Graph, removed: Iterable[Sequence[int]]) -> Graph:

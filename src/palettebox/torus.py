@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable
 
 from palettebox.coloring import EdgeColoring, product_coloring
@@ -161,15 +162,21 @@ class TorusDecomposition:
         t = self.t
         rows, cols = cycle_graph(self.s), cycle_graph(t)
         across, along = self.walk_offsets
-        # the offset of each row edge, and the column each column edge leaves
-        row_offset = [across[j] for j in _edge_starts(rows)]
-        col_of = _edge_starts(cols)
         h_colors = [color(i, False) for i in range(t)]
         v_colors = [color(i, True) for i in range(t)]
+
+        def rotated(colors, columns, offsets):
+            # per offset o, the colors of walks k + o for k in columns; rows
+            # with one offset share the tuple
+            pick = itemgetter(*columns)
+            table = {o: pick(colors[o:] + colors[:o]) for o in set(offsets)}
+            return [table[o] for o in offsets]
+        # a row edge leaving row j meets column k on walk k + across[j]; the
+        # column edge leaving column k in row j lies on walk k + along[j]
         return product_coloring(
             rows, cols,
-            lambda i, k: h_colors[(k + row_offset[i]) % t],
-            lambda j, i: v_colors[(col_of[i] + along[j]) % t])
+            rotated(h_colors, range(t), [across[j] for j in _edge_starts(rows)]),
+            rotated(v_colors, _edge_starts(cols), along))
 
 
 def _edge_starts(cycle: Graph) -> list[int]:

@@ -1,6 +1,7 @@
 import pytest
 
-from palettebox.coloring import palette_summary
+from palettebox.coloring import EdgeColoring, palette_summary
+from palettebox.graphs import ProductIndex, cartesian_product
 
 
 def palette_sets(coloring):
@@ -13,6 +14,28 @@ def petersen():
     from palettebox.graphs import petersen_graph
 
     return petersen_graph()
+
+
+@pytest.fixture
+def rule_coloring():
+    """Color G box H edge by edge from two per-edge rules.
+
+    The copy of G-edge i at H-vertex b gets g_color(i, b), and the copy
+    of H-edge j at G-vertex a gets h_color(a, j).  Each construction's rule
+    in this form is the oracle for the tables it passes to
+    ``product_coloring``.
+    """
+    def color(g, h, g_color, h_color):
+        idx = ProductIndex(g.n, h.n)
+        mapping = {}
+        for i, (u, v) in enumerate(g.edges):
+            for b in range(h.n):
+                mapping[idx.flat(u, b), idx.flat(v, b)] = g_color(i, b)
+        for j, (x, y) in enumerate(h.edges):
+            for a in range(g.n):
+                mapping[idx.flat(a, x), idx.flat(a, y)] = h_color(a, j)
+        return EdgeColoring.from_map(cartesian_product(g, h), mapping)
+    return color
 
 
 TORUS_STEPS = {"ascending-vertical": (0, 1), "descending-vertical": (0, -1), "horizontal": (1, 0)}

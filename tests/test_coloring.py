@@ -132,6 +132,15 @@ def test_disjoint_product_palette_bound(n, m):
     assert palette_summary(prod).count <= bound
 
 
+@pytest.mark.parametrize("g, h", [(path_graph(3), cycle_graph(4)), (cycle_graph(5), path_graph(2)),
+                                  (petersen_graph(), cycle_graph(3)), (path_graph(1), cycle_graph(5))])
+def test_disjoint_product_matches_the_per_edge_rule(g, h, rule_coloring):
+    g_col, h_col = chromatic_index(g).witness, chromatic_index(h).witness
+    offset = g_col.max_color
+    want = rule_coloring(g, h, lambda i, b: g_col.colors[i], lambda a, j: h_col.colors[j] + offset)
+    assert disjoint_product_coloring(g_col, h_col) == want
+
+
 def test_disjoint_product_on_petersen():
     g_col = chromatic_index(petersen_graph()).witness
     h_col = chromatic_index(path_graph(2)).witness
@@ -202,18 +211,18 @@ factors = st.one_of(st.just(path_graph(1)),
 @given(factors, factors, st.data())
 def test_product_coloring_matches_fiberwise_map(g, h, data):
     table = st.integers(1, 6)
-    g_rule = data.draw(st.lists(st.lists(table, min_size=h.n, max_size=h.n),
+    g_cols = data.draw(st.lists(st.lists(table, min_size=h.n, max_size=h.n),
                                 min_size=len(g.edges), max_size=len(g.edges)))
-    h_rule = data.draw(st.lists(st.lists(table, min_size=len(h.edges), max_size=len(h.edges)),
+    h_rows = data.draw(st.lists(st.lists(table, min_size=len(h.edges), max_size=len(h.edges)),
                                 min_size=g.n, max_size=g.n))
     idx = ProductIndex(g.n, h.n)
     mapping = {}
     for i, (u, v) in enumerate(g.edges):
         for b in range(h.n):
-            mapping[canonical_edge(idx.flat(u, b), idx.flat(v, b))] = g_rule[i][b]
+            mapping[canonical_edge(idx.flat(u, b), idx.flat(v, b))] = g_cols[i][b]
     for j, (x, y) in enumerate(h.edges):
         for a in range(g.n):
-            mapping[canonical_edge(idx.flat(a, x), idx.flat(a, y))] = h_rule[a][j]
-    col = product_coloring(g, h, lambda i, b: g_rule[i][b], lambda a, j: h_rule[a][j])
+            mapping[canonical_edge(idx.flat(a, x), idx.flat(a, y))] = h_rows[a][j]
+    col = product_coloring(g, h, g_cols, h_rows)
     assert col == EdgeColoring.from_map(cartesian_product(g, h), mapping)
     assert col.graph.provenance == cartesian_product(g, h).provenance

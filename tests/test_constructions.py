@@ -2,10 +2,13 @@ import functools
 
 import pytest
 
-from palettebox.coloring import EdgeColoring, check_proper, palette_summary, product_coloring
+from palettebox.coloring import EdgeColoring, check_proper, palette_summary
 from palettebox.constructions import (
     PATH_MODE_FAMILY,
     NrgSpec,
+    _component_cycle_order,
+    _cycle_coloring,
+    _family_block_coloring,
     class1_product_coloring,
     cubic_matching_reduction,
     cycle_times_regular_coloring,
@@ -15,10 +18,13 @@ from palettebox.constructions import (
     path_times_regular_coloring,
 )
 from palettebox.graphs import (
+    Graph,
     Matching,
     ProductIndex,
     complete_graph,
+    connected_components,
     cycle_graph,
+    find_perfect_matching,
     hypercube_graph,
     path_graph,
     petersen_graph,
@@ -26,6 +32,7 @@ from palettebox.graphs import (
 )
 from palettebox.search import BudgetTracker, SearchBudget
 from palettebox.solver import chromatic_index
+from palettebox.torus import torus_three_palette_coloring
 
 
 def sets_of(col):
@@ -119,7 +126,7 @@ def old_class2_rule(g_col, h_col):
 
     def g_rule(i, b):
         return spare[b] if g_col.colors[i] == dg else g_col.colors[i] + dh + 1
-    return product_coloring(g_col.graph, h_col.graph, g_rule, lambda a, j: h_col.colors[j])
+    return g_col.graph, h_col.graph, g_rule, lambda a, j: h_col.colors[j]
 
 
 def old_nrg_rule(spec, h_col):
@@ -133,13 +140,14 @@ def old_nrg_rule(spec, h_col):
 
     def g_rule(i, b):
         return spare[b] if class_two and base[i] == 1 else base[i] + rp
-    return product_coloring(nrg, h_col.graph, g_rule, lambda a, j: h_col.colors[j])
+    return nrg, h_col.graph, g_rule, lambda a, j: h_col.colors[j]
 
 
 @pytest.mark.parametrize("g, h", [("C4", "C5"), ("Q3", "C5")])
-def test_class1_product_default_c_matches_the_old_rule(g, h):
+def test_class1_product_default_c_matches_the_old_rule(g, h, rule_coloring):
     g_col, h_col = solved(CLASS1_REGULAR[g]), solved(CLASS2_REGULAR[h])
-    assert class1_product_coloring(g_col, h_col).colors == old_class2_rule(g_col, h_col).colors
+    want = rule_coloring(*old_class2_rule(g_col, h_col))
+    assert class1_product_coloring(g_col, h_col).colors == want.colors
 
 
 @pytest.mark.parametrize("host", [cycle_graph(3), cycle_graph(4), cycle_graph(5),
@@ -149,9 +157,10 @@ def test_class1_product_default_c_matches_the_old_rule(g, h):
     (hypercube_graph(3), [(0, 1), (2, 3)]),
     (cycle_graph(6), [(0, 1)]),
 ])
-def test_nrg_product_matches_the_old_rule(base, removed, host):
+def test_nrg_product_matches_the_old_rule(base, removed, host, rule_coloring):
     spec = make_nrg_spec(base, removed)
-    assert nrg_product_coloring(spec, host).colors == old_nrg_rule(spec, solved(host)).colors
+    want = rule_coloring(*old_nrg_rule(spec, solved(host)))
+    assert nrg_product_coloring(spec, host).colors == want.colors
 
 
 # removing part of a matching from a class-1 regular factor
@@ -276,6 +285,39 @@ def test_path_times_regular_pointwise(s, g):
         assert summary.palette_of(idx.flat(s - 1, v)) == h_col.palette(v) | {r + 2}
 
 
+def layered_rung_rule(s, g_col, h_col, wrap):
+    """The cycle and path constructions as per-edge rules: layers 0..s-2
+    carry g and layer s-1 carries h; the rung from layer i takes v's
+    missing g-color for even i and r+2 for odd i, the wraparound rung r+3."""
+    r = g_col.graph.max_degree
+    layers = cycle_graph(s) if wrap else path_graph(s)
+    missing = spare_colors(g_col)
+
+    def rung(i, v):
+        lo, hi = layers.edges[i]
+        if hi - lo > 1:
+            return r + 3
+        return missing[v] if lo % 2 == 0 else r + 2
+
+    def layer(i, j):
+        return (h_col if i == s - 1 else g_col).colors[j]
+    return layers, g_col.graph, rung, layer
+
+
+@pytest.mark.parametrize("own_h", [False, True])
+@pytest.mark.parametrize("s", [3, 5, 7])
+@pytest.mark.parametrize("g", [cycle_graph(3), cycle_graph(5), petersen_graph()])
+@pytest.mark.parametrize("build, wrap", [(cycle_times_regular_coloring, True),
+                                         (path_times_regular_coloring, False)])
+def test_layered_constructions_match_the_per_edge_rule(build, wrap, g, s, own_h, rule_coloring):
+    g_col = solved(g)
+    r = g.max_degree
+    # reversing [r+1] keeps h proper and clear of r+2 and r+3
+    h_col = EdgeColoring(g, tuple(r + 2 - c for c in g_col.colors)) if own_h else g_col
+    col = build(s, g, h_col=h_col if own_h else None)
+    assert col == rule_coloring(*layered_rung_rule(s, g_col, h_col, wrap))
+
+
 def test_layered_constructions_reject_even_first_factor():
     with pytest.raises(ValueError):
         cycle_times_regular_coloring(4, cycle_graph(5))
@@ -303,6 +345,27 @@ def test_path_times_class1_two_palettes(g):
     col = path_times_class1_regular_coloring(5, g)
     assert check_proper(col)[0]
     assert len(sets_of(col)) == 2
+
+
+def path_class1_rule(s, g_col, c):
+    """Path times class-1 as per-edge rules: rungs alternate 1, 2 along the
+    path, layers carry g shifted by 2, and class c is recolored 2 on layer
+    0 and 1 on layer s-1."""
+    def layer(i, j):
+        col = g_col.colors[j] + 2
+        if col == c and i in (0, s - 1):
+            return 2 if i == 0 else 1
+        return col
+    return path_graph(s), g_col.graph, lambda i, v: 1 if i % 2 == 0 else 2, layer
+
+
+@pytest.mark.parametrize("s", [3, 5])
+@pytest.mark.parametrize("g", [cycle_graph(4), cycle_graph(6), path_graph(2), hypercube_graph(3)])
+def test_path_times_class1_matches_the_per_edge_rule(g, s, rule_coloring):
+    g_col, r = solved(g), g.max_degree
+    for c in (None, 3, r + 2):
+        want = rule_coloring(*path_class1_rule(s, g_col, r + 2 if c is None else c))
+        assert path_times_class1_regular_coloring(s, g, c=c) == want, c
 
 
 def test_path_times_class1_c_choices():
@@ -347,6 +410,71 @@ def test_cubic_reduction_path_mode_searches_each_block_length_once():
     tracker = BudgetTracker(SearchBudget())
     cubic_matching_reduction(3, petersen_graph(), mode="path", budget=tracker)
     assert tracker.nodes == 173
+
+
+def cubic_rule(s, g, matching, mode):
+    """The cubic reduction as per-edge rules: a rung or fiber edge outside
+    the matching reads its color from its component's block, a matching
+    fiber takes the fresh color."""
+    rest = remove_edges(g, matching.edges)
+    layers = cycle_graph(s) if mode == "cycle" else path_graph(s)
+    blocks, place = {}, {}
+    for comp in connected_components(rest):
+        order = _component_cycle_order(rest, comp)
+        k = len(order)
+        if k not in blocks:
+            if mode == "path":
+                blocks[k] = _family_block_coloring(s, k), True
+            elif k % 2 == 0:
+                blocks[k] = class1_product_coloring(_cycle_coloring(k, 2), _cycle_coloring(s, 3)), False
+            else:
+                blocks[k] = torus_three_palette_coloring(max(s, k), min(s, k)), s >= k
+        block, layer_major = blocks[k]
+        for j, v in enumerate(order):
+            place[v] = (block, k, j) if layer_major else (block, 1, j * s)
+    used = set().union(*(b.used_colors() for b, _ in blocks.values()))
+    fresh = 7 if mode == "cycle" else min(set(range(1, len(used) + 2)) - used)
+
+    def at(a, v):
+        _, stride, offset = place[v]
+        return a * stride + offset
+
+    def rung(i, v):
+        lo, hi = layers.edges[i]
+        return place[v][0].color_of(at(lo, v), at(hi, v))
+
+    def fiber(a, j):
+        u, v = g.edges[j]
+        if (u, v) in matching.edges:
+            return fresh
+        return place[u][0].color_of(at(a, u), at(a, v))
+    return layers, g, rung, fiber
+
+
+def bridged_cubes():
+    """Two cubes with one edge subdivided each, the new vertices joined by a
+    bridge: class-2 cubic, and the matching below leaves cycles 4, 4, 5, 5."""
+    def half(off):
+        edges = [e for e in hypercube_graph(3).edges if e != (0, 1)] + [(0, 8), (1, 8)]
+        return [(u + off, v + off) for u, v in edges]
+    g = Graph.from_edges(18, half(0) + half(9) + [(8, 17)], "bridged-cubes")
+    matching = Matching.from_edges(g, [(0, 2), (1, 3), (4, 6), (5, 7), (8, 17), (9, 11),
+                                       (10, 12), (13, 15), (14, 16)])
+    return g, matching
+
+
+@pytest.mark.parametrize("mode", ["cycle", "path"])
+@pytest.mark.parametrize("g, matching, s", [
+    (petersen_graph(), None, 3),
+    (petersen_graph(), None, 5),
+    (*bridged_cubes(), 3),
+    (*bridged_cubes(), 5),
+    (*bridged_cubes(), 7),
+])
+def test_cubic_reduction_matches_the_per_edge_rule(g, matching, s, mode, rule_coloring):
+    matching = matching or find_perfect_matching(g)
+    col = cubic_matching_reduction(s, g, matching=matching, mode=mode)
+    assert col == rule_coloring(*cubic_rule(s, g, matching, mode))
 
 
 def test_cubic_reduction_deterministic():

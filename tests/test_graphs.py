@@ -137,6 +137,11 @@ def small_graphs(draw, max_n=5):
 @example(path_graph(1), cycle_graph(3))
 @example(cycle_graph(4), path_graph(1))
 @example(path_graph(1), path_graph(1))
+@example(Graph(0, ()), cycle_graph(3))
+@example(cycle_graph(3), Graph(0, ()))
+@example(Graph(0, ()), Graph(0, ()))
+@example(Graph(3, ()), path_graph(2))
+@example(path_graph(2), Graph(2, ()))
 def test_product_matches_definition(g, h):
     idx = ProductIndex(g.n, h.n)
     vertices = [(a, x) for a in range(g.n) for x in range(h.n)]

@@ -4,7 +4,7 @@ import pytest
 
 from palettebox.coloring import check_proper, palette_summary
 from palettebox import torus
-from palettebox.graphs import ProductIndex
+from palettebox.graphs import ProductIndex, cycle_graph
 from palettebox.torus import (
     TorusDecomposition,
     even_cycle_classes,
@@ -157,6 +157,31 @@ def test_coloring_matches_class_colors(s, t, torus_edge):
         for step in walk:
             want = 2 * j + 1 if step[0] == "horizontal" else 2 * j + 2
             assert col.color_of(*torus_edge(s, t, step)) == want
+
+
+def walk_rule(dec, color):
+    """The torus coloring as a per-edge rule: each edge reads its walk off ``walk_of``."""
+    rows, cols = cycle_graph(dec.s), cycle_graph(dec.t)
+
+    def start(edge):  # the closing edge (0, n-1) leaves n-1
+        u, v = edge
+        return u if v == u + 1 else v
+    return (rows, cols,
+            lambda i, k: color(dec.walk_of(start(rows.edges[i]), k, False), False),
+            lambda j, i: color(dec.walk_of(j, start(cols.edges[i]), True), True))
+
+
+@pytest.mark.parametrize("s, t", SHIFTED_PAIRS)
+def test_edge_coloring_matches_the_walk_rule(s, t, rule_coloring):
+    dec = TorusDecomposition(s, t)
+
+    def by_walk(i, vertical):  # a color of its own for each walk and direction
+        return 2 * i + 1 + vertical
+
+    def by_class(i, vertical):
+        return 2 * dec.class_of_walk(i) + (2 if vertical else 1)
+    assert dec.edge_coloring(by_walk) == rule_coloring(*walk_rule(dec, by_walk))
+    assert torus_three_palette_coloring(s, t) == rule_coloring(*walk_rule(dec, by_class))
 
 
 def _with_walks(dec, walks):
