@@ -13,9 +13,9 @@ The package provides:
 
 from importlib import import_module
 
-# The home module of every public name.  Each name is read from its home on
-# first use, so ``import palettebox`` loads no submodule and a command loads
-# only the modules it uses.
+# The home module of every public name, and so the one list of them.  Each
+# name is read from its home on first use, so ``import palettebox`` loads no
+# submodule and a command loads only the modules it uses.
 _HOMES = {
     "graphs": ("Graph", "Matching", "ProductIndex", "cartesian_product", "complete_graph",
                "cycle_graph", "find_perfect_matching", "hypercube_graph", "path_graph",
@@ -34,46 +34,7 @@ _HOMES = {
 }
 _HOME = {name: f"palettebox.{module}" for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "Graph",
-    "Matching",
-    "NrgSpec",
-    "ProductIndex",
-    "EdgeColoring",
-    "PaletteSummary",
-    "SearchBudget",
-    "Certificate",
-    "ThetaClasses",
-    "TorusDecomposition",
-    "cartesian_product",
-    "check_proper",
-    "chromatic_index",
-    "class1_product_coloring",
-    "complete_graph",
-    "cubic_matching_reduction",
-    "cycle_graph",
-    "cycle_times_regular_coloring",
-    "disjoint_product_coloring",
-    "even_cycle_classes",
-    "find_perfect_matching",
-    "hypercube_graph",
-    "is_partial_cube",
-    "lower_bound",
-    "make_nrg_spec",
-    "nrg_product_coloring",
-    "palette_index_exact",
-    "palette_summary",
-    "path_graph",
-    "path_times_class1_regular_coloring",
-    "path_times_regular_coloring",
-    "petersen_graph",
-    "product_coloring",
-    "remove_edges",
-    "theta_classes",
-    "theta_removal_coloring",
-    "torus_three_palette_coloring",
-    "verify_partition",
-]
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
 

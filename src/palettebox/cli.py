@@ -52,16 +52,12 @@ def _add_budget_flags(p: argparse.ArgumentParser):
 
 
 def _emit(args, obj: dict, text: str):
-    out = formats.dump_json(obj) if args.json else text
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(out if out.endswith("\n") else out + "\n")
-    else:
-        print(out)
+    """Write ``obj`` as JSON under --json and ``text`` otherwise, with a final newline."""
+    _write_text(args, (formats.dump_json(obj) if args.json else text) + "\n")
 
 
 def _write_text(args, text: str):
-    """Write raw text, such as DOT, to --out when given and to stdout otherwise."""
+    """Write text to --out when given and to stdout otherwise."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -113,30 +109,26 @@ def _cmd_construct(args) -> int:
         raise ValueError(f"--theorem {theorem} needs --host")
     if theorem in ("cng", "png", "cubic") and args.s is None:
         raise ValueError(f"--theorem {theorem} needs --s")
+    g = formats.parse_graph_spec(args.graph)
     if theorem == "mah":
-        g = formats.parse_graph_spec(args.graph)
         h = formats.parse_graph_spec(args.host)
         g_col = solve_exact(g, budget).witness
         h_col = solve_exact(h, budget).witness
         col = class1_product_coloring(g_col, h_col, args.c)
     elif theorem == "nrg":
-        g = formats.parse_graph_spec(args.graph)
         h = formats.parse_graph_spec(args.host)
         removed = _parse_edges(args.remove)
         spec = make_nrg_spec(g, removed, budget=budget)
         col = nrg_product_coloring(spec, h, budget=budget)
     elif theorem == "cng":
-        g = formats.parse_graph_spec(args.graph)
         col = cycle_times_regular_coloring(args.s, g, budget=budget)
     elif theorem == "png":
-        g = formats.parse_graph_spec(args.graph)
         result = solve_exact(g, budget)
         if result.value == g.max_degree:
             col = path_times_class1_regular_coloring(args.s, g, g_col=result.witness)
         else:
             col = path_times_regular_coloring(args.s, g, g_col=result.witness)
     else:
-        g = formats.parse_graph_spec(args.graph)
         col = cubic_matching_reduction(args.s, g, mode=args.mode, budget=budget)
     obj, text = _coloring_report(col)
     _emit(args, obj, text)
@@ -261,21 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="palettebox",
         description="Palette-minimizing edge colorings of Cartesian product graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the output flags of every command that can print JSON
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--out")
 
-    p = sub.add_parser("gen", help="emit a generated graph as JSON")
+    p = sub.add_parser("gen", parents=[output], help="emit a generated graph as JSON")
     p.add_argument("graph", help="graph spec: P<n>, C<n>, K<n>, Q<r>, petersen, or JSON path")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("product", help="Cartesian product of two graph specs")
+    p = sub.add_parser("product", parents=[output], help="Cartesian product of two graph specs")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_product)
 
-    p = sub.add_parser("construct", help="run a named product coloring construction")
+    p = sub.add_parser("construct", parents=[output],
+                       help="run a named product coloring construction")
     p.add_argument("--theorem", required=True, choices=("mah", "nrg", "cng", "png", "cubic"))
     p.add_argument("--graph", required=True, help="the main factor G")
     p.add_argument("--host", help="the other factor H (mah, nrg)")
@@ -285,46 +278,37 @@ def build_parser() -> argparse.ArgumentParser:
                         " default Delta(G); any c gives regular factors [Delta(G)+Delta(H)]")
     p.add_argument("--remove", help="edges u-v,x-y to delete (nrg)")
     p.add_argument("--mode", choices=("cycle", "path"), default="cycle")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     _add_budget_flags(p)
     p.set_defaults(fn=_cmd_construct)
 
-    p = sub.add_parser("torus", help="Z-walk decomposition and coloring of C_s x C_t")
+    p = sub.add_parser("torus", parents=[output],
+                       help="Z-walk decomposition and coloring of C_s x C_t")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--dot", action="store_true", help="emit class-styled DOT instead of JSON")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_torus)
 
-    p = sub.add_parser("theta", help="theta classes; optionally color (G-X) x H")
+    p = sub.add_parser("theta", parents=[output], help="theta classes; optionally color (G-X) x H")
     p.add_argument("graph")
     p.add_argument("--remove", help="edges u-v,x-y inside one class")
     p.add_argument("--class", dest="klass", type=int, default=0,
                    help="class index the removed edges belong to")
     p.add_argument("--host", help="the factor H for the removal coloring")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     _add_budget_flags(p)
     p.set_defaults(fn=_cmd_theta)
 
-    p = sub.add_parser("oracle", help="exact palette index with certificate")
+    p = sub.add_parser("oracle", parents=[output], help="exact palette index with certificate")
     p.add_argument("graph")
     p.add_argument("--max-palettes", type=int, default=None)
     p.add_argument("--lower-bound-only", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     _add_budget_flags(p)
     p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
+    p = sub.add_parser("verify", parents=[output], help="run a verification sweep")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--max-s", type=int, default=13, help="torus sweep bound")
     p.add_argument("--max", type=int, default=5, help="cycle-path sweep bound")
     p.add_argument("--max-edges", type=int, default=12, help="oracle-cross corpus bound")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
     _add_budget_flags(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -218,23 +218,20 @@ def _nrg_base(g_prime: Graph, matching: Matching, budget=None) -> Optional[EdgeC
 
 
 def _matching_through(graph: Graph, forced: Sequence[Edge]) -> Optional[Matching]:
-    """Lexicographically least perfect matching containing the forced edges."""
-    used = set()
-    for u, v in forced:
-        if u in used or v in used:
-            return None
-        used.update((u, v))
-    sub_vertices = [v for v in range(graph.n) if v not in used]
-    relabel = {v: i for i, v in enumerate(sub_vertices)}
-    sub_edges = [(relabel[u], relabel[v]) for u, v in graph.edges
-                 if u not in used and v not in used]
-    sub = Graph.from_edges(len(sub_vertices), sub_edges)
-    rest = find_perfect_matching(sub)
-    if rest is None:
+    """Lexicographically least perfect matching containing the forced edges.
+
+    Deleting every other edge at a forced vertex leaves a graph whose
+    perfect matchings are exactly those of ``graph`` through ``forced``
+    when the forced edges are disjoint edges of ``graph``, and otherwise
+    a graph none of whose perfect matchings contains them all.
+    """
+    keep = set(forced)
+    ends = {v for e in keep for v in e}
+    other = [e for e in graph.edges if e not in keep and (e[0] in ends or e[1] in ends)]
+    rest = find_perfect_matching(remove_edges(graph, other))
+    if rest is None or not keep <= set(rest.edges):
         return None
-    back = {i: v for v, i in relabel.items()}
-    edges = list(forced) + [canonical_edge(back[u], back[v]) for u, v in rest.edges]
-    return Matching.from_edges(graph, edges)
+    return Matching(graph, rest.edges)
 
 
 def nrg_product_coloring(spec: NrgSpec, host: Graph,

@@ -113,12 +113,8 @@ def torus_to_json(dec: TorusDecomposition) -> dict:
             "zSets": z_sets, "classes": classes}
 
 
-def dump_json(obj, path: Optional[str] = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 _GENERATOR_SPEC = re.compile(r"^([PCKQ])(\d+)$", re.IGNORECASE)
@@ -157,22 +153,18 @@ def default_style_map(colors) -> dict[int, tuple[str, str]]:
     return out
 
 
-def export_dot(coloring: EdgeColoring,
-               style_map: Optional[dict[int, tuple[str, str]]] = None,
-               name: str = "G") -> str:
+def export_dot(coloring: EdgeColoring, name: str = "G") -> str:
     """Render a proper coloring as DOT with per-color edge styling."""
     ok, witness = check_proper(coloring)
     if not ok:
         v, e1, e2 = witness
         raise ValueError(f"improper coloring: edges {e1} and {e2} share a color at vertex {v}")
-    return _render_dot(coloring, style_map, name)
+    return _render_dot(coloring, name)
 
 
-def _render_dot(coloring: EdgeColoring, style_map: Optional[dict[int, tuple[str, str]]],
-                name: str) -> str:
+def _render_dot(coloring: EdgeColoring, name: str) -> str:
     """DOT text with one styled line per edge; properness is not checked here."""
-    if style_map is None:
-        style_map = default_style_map(coloring.colors)
+    style_map = default_style_map(coloring.colors)
     lines = [f'graph "{name}" {{']
     for (u, v), c in zip(coloring.graph.edges, coloring.colors):
         pen, style = style_map[c]
@@ -192,4 +184,4 @@ def class_coloring(dec: TorusDecomposition) -> EdgeColoring:
 
 def export_class_dot(dec: TorusDecomposition, name: str = "torus") -> str:
     """DOT of the even cycle decomposition, one line style per class."""
-    return _render_dot(class_coloring(dec), None, name)
+    return _render_dot(class_coloring(dec), name)

@@ -303,14 +303,14 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
         if cand.graph != graph:
             raise ValueError("candidate colors a different graph")
         known.append((palette_summary(cand).count, cand))
-    if graph.n == 0 or not graph.edges:
-        value = 1 if graph.n else 0
-        return Certificate(value, value, "degree-set", EdgeColoring(graph, ()),
-                           tracker.nodes, "exact")
     if max_palettes is None:
         max_palettes = default_max_palettes(graph)
     if max_palettes < 1:
         raise ValueError("max_palettes must be at least 1")
+    if graph.n == 0 or not graph.edges:
+        value = 1 if graph.n else 0
+        return Certificate(value, value, "degree-set", EdgeColoring(graph, ()),
+                           tracker.nodes, "exact")
 
     delta = graph.max_degree
     m = len(graph.edges)

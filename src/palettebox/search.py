@@ -330,10 +330,6 @@ class BudgetTracker:
             size = int(nodes / elapsed * _CHUNK_SECONDS)
             self._chunk_nodes = min(_MAX_CHUNK_NODES, max(_MIN_CHUNK_NODES, size))
 
-    @property
-    def seconds(self) -> float:
-        return time.monotonic() - self.started
-
 
 class BudgetExhausted(RuntimeError):
     """Raised when the search budget runs out before a step is classified."""
@@ -413,7 +409,7 @@ def _drive(graph, order, step, args, state, assign, budget):
     tracker = ensure_tracker(budget)
     while True:
         chunk = tracker.next_chunk()
-        if chunk <= 0 or tracker.exceeded():
+        if tracker.exceeded():
             return BUDGET, None
         status, *state, nodes = step(*args, *state, chunk)
         tracker.add_nodes(nodes)

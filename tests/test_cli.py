@@ -161,6 +161,7 @@ def test_error_paths_exit_one(tmp_path):
         "palettebox construct --theorem mah --graph C5",
         "palettebox construct --theorem nrg --graph C5",
         "palettebox oracle C5 --budget-nodes -1",
+        "palettebox oracle K1 --max-palettes 0",
         "palettebox oracle C5 --budget-seconds -1",
         "palettebox oracle C5 --budget-seconds nan",
         "PALETTEBOX_BUDGET_SECONDS=nan palettebox oracle C5",
@@ -301,6 +302,45 @@ def test_torus_dot_out_file_matches_stdout(tmp_path):
     assert printed.returncode == written.returncode == 0
     assert written.stdout == ""
     assert (tmp_path / "torus.dot").read_text() == printed.stdout
+
+
+_BUDGET_FLAGS = {"--budget-nodes", "--budget-seconds", "--deterministic"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("gen", {"--json", "--out"}),
+    ("product", {"--json", "--out"}),
+    ("construct", {"--theorem", "--graph", "--host", "--s", "--c", "--remove", "--mode",
+                   "--json", "--out", *_BUDGET_FLAGS}),
+    ("torus", {"--s", "--t", "--dot", "--json", "--out"}),
+    ("theta", {"--remove", "--class", "--host", "--json", "--out", *_BUDGET_FLAGS}),
+    ("oracle", {"--max-palettes", "--lower-bound-only", "--json", "--out", *_BUDGET_FLAGS}),
+    ("verify", {"--max-s", "--max", "--max-edges", "--json", "--out", *_BUDGET_FLAGS}),
+    ("export", {"--name", "--out"}),
+])
+def test_every_subcommand_help_names_its_flags(command, flags, capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main([command, "--help"])
+    assert stop.value.code == 0
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == flags | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "petersen"],
+    ["product", "P2", "C3"],
+    ["construct", "--theorem", "cng", "--graph", "C5", "--s", "3", "--deterministic"],
+    ["torus", "--s", "5", "--t", "3"],
+    ["theta", "Q3"],
+    ["oracle", "C5", "--deterministic"],
+    ["verify", "torus", "--max-s", "4", "--deterministic"],
+])
+def test_the_out_file_holds_the_bytes_of_stdout(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--json"]) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "report.json"
+    assert cli.main([*argv, "--json", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
 
 
 @pytest.mark.skipif(search.HAS_NUMBA, reason="the numba backend needs numpy")

@@ -1,4 +1,6 @@
 import functools
+import itertools
+from random import Random
 
 import pytest
 
@@ -7,6 +9,7 @@ from palettebox.constructions import (
     PATH_MODE_FAMILY,
     NrgSpec,
     _component_cycle_order,
+    _matching_through,
     _cycle_coloring,
     _family_block_coloring,
     class1_product_coloring,
@@ -17,13 +20,16 @@ from palettebox.constructions import (
     path_times_class1_regular_coloring,
     path_times_regular_coloring,
 )
+from palettebox.corpus import random_graph
 from palettebox.graphs import (
     Graph,
     Matching,
     ProductIndex,
+    cartesian_product,
     complete_graph,
     connected_components,
     cycle_graph,
+    enumerate_perfect_matchings,
     find_perfect_matching,
     hypercube_graph,
     path_graph,
@@ -178,6 +184,28 @@ def test_make_nrg_spec_builds_base_coloring():
     assert check_proper(spec.base)[0]
     colors = spec.base.as_map()
     assert {colors[e] for e in spec.matching.edges} == {3}
+
+
+def _even_order_random_graphs(count, seed):
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_graph(rng, 2, 8)
+        if g.n % 2 == 0:
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("graph", [
+    hypercube_graph(3), cycle_graph(6), cycle_graph(8), petersen_graph(), complete_graph(4),
+    complete_graph(6), cartesian_product(path_graph(2), cycle_graph(5)),
+    cartesian_product(cycle_graph(4), path_graph(3)), *_even_order_random_graphs(12, 19)])
+def test_matching_through_is_the_least_perfect_matching_containing_the_forced_edges(graph):
+    matchings = list(enumerate_perfect_matchings(graph))
+    for size in range(4):
+        for forced in itertools.combinations(graph.edges, size):
+            expected = next((m for m in matchings if set(forced) <= set(m.edges)), None)
+            assert _matching_through(graph, forced) == expected, forced
 
 
 def test_make_nrg_spec_rejects_class2_base():

@@ -154,6 +154,12 @@ def test_improper_candidates_are_rejected():
         palette_index_exact(g, [EdgeColoring(g, (1, 1, 2, 2))])
 
 
+@pytest.mark.parametrize("graph", [Graph(3, ()), Graph(0, ()), path_graph(2)])
+def test_max_palettes_below_one_is_rejected_with_or_without_edges(graph):
+    with pytest.raises(ValueError, match="max_palettes must be at least 1"):
+        palette_index_exact(graph, max_palettes=0)
+
+
 def _family_witness(path, cycle):
     g = cartesian_product(path_graph(path), cycle_graph(cycle))
     status, col = coloring_within_family(g, PATH_MODE_FAMILY)
