@@ -36,10 +36,11 @@ def _budget_from(args) -> Optional[SearchBudget]:
         nodes = int(os.environ[BUDGET_NODES_ENV])
     if seconds is None and BUDGET_SECONDS_ENV in os.environ:
         seconds = float(os.environ[BUDGET_SECONDS_ENV])
-    deterministic = getattr(args, "deterministic", False)
-    if nodes is None and seconds is None and not deterministic:
+    if nodes is None and seconds is None:
         return None
-    return SearchBudget(max_nodes=nodes, max_seconds=seconds, deterministic=deterministic)
+    budget = SearchBudget(max_nodes=nodes, max_seconds=seconds)
+    # --deterministic drops the checked seconds, so the node budget alone decides
+    return SearchBudget(max_nodes=nodes) if args.deterministic else budget
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
@@ -224,9 +225,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     from palettebox.verify import run_verify_suite
 
-    budget = _budget_from(args)
-    report = run_verify_suite(args.suite, max_s=args.max_s, max_n=args.max,
-                              max_edges=args.max_edges, budget=budget,
+    report = run_verify_suite(args.suite, bound=args.max, budget=_budget_from(args),
                               deterministic=args.deterministic)
     lines = [f"{c['name']}: {c['outcome']}" + (f" ({c['detail']})" if c["detail"] else "")
              for c in report["cases"]]
@@ -306,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[output], help="run a verification sweep")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--max-s", type=int, default=13, help="torus sweep bound")
-    p.add_argument("--max", type=int, default=5, help="cycle-path sweep bound")
-    p.add_argument("--max-edges", type=int, default=12, help="oracle-cross corpus bound")
+    p.add_argument("--max", type=int,
+                   help="sweep bound, default the suite's own; nrg and cubic take none")
     _add_budget_flags(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -26,8 +26,6 @@ Lower bound rules:
 * ``regular-class2``: a regular class-2 graph has palette index >= 3
   (one palette would give a Delta-coloring, and exactly two distinct
   palettes are impossible on a regular graph).
-* ``regular-not-2``: p = 1 was exhausted and the graph is regular, so
-  p = 2 is skipped for the same reason.
 * ``exhaustive``: the count search exhausted the last target.
 * ``parity``: the last target has no parity-feasible palette family.
 * ``parity-families``: the family search exhausted every parity-feasible
@@ -104,7 +102,7 @@ def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[Chromat
     if graph.max_degree == 0:
         return 1, "degree-set", None
     result = chromatic_index(graph, tracker)
-    if result.status == "exact" and result.is_class_one is False:
+    if result.is_class_one is False:
         return 3, "regular-class2", result
     return 1, "degree-set", result
 
@@ -112,8 +110,8 @@ def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[Chromat
 def lower_bound(graph: Graph, budget=None) -> tuple[int, str]:
     """Best structural lower bound for the palette index, with its rule.
 
-    Under a too-small budget the regular/class-2 route degrades to the
-    degree bound rather than guessing.
+    When the budget stops the chromatic index before class 2 is proven,
+    the regular route degrades to the degree bound rather than guessing.
     """
     value, rule, _ = _lower_bound_impl(graph, ensure_tracker(budget))
     return value, rule
@@ -291,8 +289,8 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     best of them and of the chromatic-index witness sets the upper bound
     u.  Deepening starts at the certified lower bound and runs only over
     targets p < u (and p <= ``max_palettes``).  Refuting target p raises
-    the proven lower bound to p+1 (skipping 2 on regular graphs), so p
-    is always the proven lower bound, which the family search needs.
+    the proven lower bound to p+1, so p is always the proven lower
+    bound, which the family search needs.
     The first target that admits a coloring is the palette index, since
     any coloring with c distinct palettes can be relabeled into the
     colors the target-c search explores; reaching u proves u.
@@ -316,7 +314,6 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     m = len(graph.edges)
 
     proven, rule, chrom = _lower_bound_impl(graph, tracker)
-    proven = max(proven, 1)
     if chrom is not None and chrom.witness is not None:
         known.append((palette_summary(chrom.witness).count, chrom.witness))
     upper, witness = min(known, key=lambda kc: kc[0], default=(None, None))
@@ -327,10 +324,6 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
         if p > max_palettes:
             stop = "max-palettes"
             break
-        if graph.is_regular and p == 2:
-            proven, rule = 3, "regular-not-2"
-            p = 3
-            continue
         k = min(p * delta, m)
         if k > search.MAX_COLORS:
             # Exhaustion above the kernel's color width would be unsound.

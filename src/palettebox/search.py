@@ -53,12 +53,6 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba
     HAS_NUMBA = False
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 MAX_COLORS = 62
 
@@ -278,14 +272,12 @@ class SearchBudget:
 
     ``max_nodes`` bounds backtracking nodes; ``max_seconds`` bounds wall
     time, checked between kernel chunks.  All searches are single worker
-    and order-deterministic; ``deterministic`` additionally ignores the
-    wall-clock limit so the outcome depends only on the node budget and
-    is reproducible across machines.
+    and order-deterministic, so with ``max_seconds`` None the outcome
+    depends only on the node budget and is reproducible across machines.
     """
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
-    deterministic: bool = False
 
     def __post_init__(self):
         for name in ("max_nodes", "max_seconds"):
@@ -301,7 +293,7 @@ class BudgetTracker:
     def __init__(self, budget: Optional[SearchBudget]):
         budget = budget if budget is not None else SearchBudget()
         self.max_nodes = budget.max_nodes
-        self.max_seconds = None if budget.deterministic else budget.max_seconds
+        self.max_seconds = budget.max_seconds
         self.started = time.monotonic()
         self.nodes = 0
         self._chunk_nodes = _MIN_CHUNK_NODES

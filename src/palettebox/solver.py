@@ -28,8 +28,9 @@ __all__ = ["SearchBudget", "ChromaticIndexResult", "chromatic_index", "misra_gri
 class ChromaticIndexResult:
     """Outcome of a chromatic index computation.
 
-    ``status`` is "exact" or "indeterminate"; ``value`` and ``witness``
-    are set only for exact outcomes.
+    ``status`` is "exact" or "indeterminate"; ``witness`` is set only for
+    exact outcomes, and ``value`` also for a class-2 graph whose
+    (Delta+1)-witness search ran out of budget.
     """
 
     status: str
@@ -40,9 +41,7 @@ class ChromaticIndexResult:
 
     @property
     def is_class_one(self) -> Optional[bool]:
-        if self.status != "exact":
-            return None
-        return self.value == self.delta
+        return None if self.value is None else self.value == self.delta
 
 
 def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
@@ -52,7 +51,7 @@ def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
     color class of a Delta-coloring could cover every vertex; that case
     is classified as class 2 without searching.  Exhaustive failure of
     the Delta search likewise yields class 2, and a (Delta+1)-witness is
-    then searched for (it always exists).
+    then searched for (it always exists; a budget stop keeps Delta+1).
     """
     tracker = ensure_tracker(budget)
     delta = graph.max_degree
@@ -62,7 +61,8 @@ def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
         if status == search.FOUND:
             return ChromaticIndexResult("exact", k, witness, delta, tracker.nodes)
         if status == search.BUDGET:
-            return ChromaticIndexResult("indeterminate", None, None, delta, tracker.nodes)
+            value = k if k > delta else None  # k > delta: class 2 is proven
+            return ChromaticIndexResult("indeterminate", value, None, delta, tracker.nodes)
     raise RuntimeError("no (Delta+1)-coloring found; this contradicts Vizing's bound")
 
 

@@ -15,7 +15,7 @@ Mathematics 7 (1984) 221-225).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from palettebox.coloring import EdgeColoring
 from palettebox.constructions import NrgSpec, nrg_product_coloring
@@ -119,8 +119,7 @@ def is_partial_cube(tc: ThetaClasses) -> bool:
 
 
 def theta_removal_coloring(graph: Graph, class_index: int, removed: Sequence[Edge],
-                           host: Graph, h_col: Optional[EdgeColoring] = None,
-                           budget=None) -> EdgeColoring:
+                           host: Graph, budget=None) -> EdgeColoring:
     """Two-palette coloring of (G - X) box H for X inside a theta class.
 
     G must be a partial cube whose every vertex meets every theta class
@@ -155,4 +154,4 @@ def theta_removal_coloring(graph: Graph, class_index: int, removed: Sequence[Edg
     base = EdgeColoring.from_map(graph, mapping)
     matching = Matching.from_edges(graph, tc.classes[class_index])
     spec = NrgSpec(graph, matching, removed, base)
-    return nrg_product_coloring(spec, host, h_col, budget)
+    return nrg_product_coloring(spec, host, budget=budget)

@@ -37,42 +37,22 @@ TORUS_PALETTES = frozenset(
     (frozenset({1, 2, 3, 4}), frozenset({1, 2, 5, 6}), frozenset({3, 4, 5, 6})))
 
 
-class _Recorder:
-    def __init__(self, deterministic: bool):
-        self.cases: list[dict] = []
-        self.deterministic = deterministic
-
-    def run(self, name: str, fn: Callable[[], Optional[str]]):
-        """fn returns None on pass, a detail string on fail, or raises."""
-        t0 = time.perf_counter()
-        try:
-            detail = fn()
-            outcome = "pass" if detail is None else "fail"
-        except BudgetExhausted as stop:
-            outcome, detail = "indeterminate", str(stop)
-        except Exception as exc:  # a crash is a failing case, not a crashed suite
-            outcome, detail = "fail", f"{type(exc).__name__}: {exc}"
-        self.cases.append({
-            "name": name,
-            "outcome": outcome,
-            "detail": detail,
-            "seconds": None if self.deterministic else round(time.perf_counter() - t0, 4),
-        })
-
-    def report(self, suite: str, params: dict) -> dict:
-        cases = sorted(self.cases, key=lambda c: c["name"])
-        outcomes = [c["outcome"] for c in cases]
-        status = ("fail" if "fail" in outcomes
-                  else "indeterminate" if "indeterminate" in outcomes else "pass")
-        return {
-            "suite": suite,
-            "params": params,
-            "cases": cases,
-            "passed": outcomes.count("pass"),
-            "failed": outcomes.count("fail"),
-            "indeterminate": outcomes.count("indeterminate"),
-            "status": status,
-        }
+def _run_case(name: str, check: Callable[[], Optional[str]], deterministic: bool) -> dict:
+    """Run one case; ``check`` returns None on pass, a detail string on fail, or raises."""
+    t0 = time.perf_counter()
+    try:
+        detail = check()
+        outcome = "pass" if detail is None else "fail"
+    except BudgetExhausted as stop:
+        outcome, detail = "indeterminate", str(stop)
+    except Exception as exc:  # a crash is a failing case, not a crashed suite
+        outcome, detail = "fail", f"{type(exc).__name__}: {exc}"
+    return {
+        "name": name,
+        "outcome": outcome,
+        "detail": detail,
+        "seconds": None if deterministic else round(time.perf_counter() - t0, 4),
+    }
 
 
 def _expect(cond: bool, detail: str) -> Optional[str]:
@@ -83,7 +63,7 @@ def _palette_sets(col) -> set[frozenset[int]]:
     return set(palette_summary(col).palette_sets())
 
 
-def _torus_suite(rec: _Recorder, max_s: int, budget):
+def _torus_cases(max_s: int, budget):
     from palettebox.torus import (
         TorusDecomposition,
         even_cycle_classes,
@@ -108,10 +88,10 @@ def _torus_suite(rec: _Recorder, max_s: int, budget):
                 got = _palette_sets(col)
                 return _expect(got == set(TORUS_PALETTES),
                                f"palettes {sorted(sorted(p) for p in got)}")
-            rec.run(f"torus s={s} t={t}", case)
+            yield f"torus s={s} t={t}", case
 
 
-def _nrg_suite(rec: _Recorder, budget):
+def _nrg_cases(budget):
     from palettebox.constructions import nrg_product_coloring, solve_exact
 
     bases = (hypercube_graph(3), cycle_graph(4), cycle_graph(6))
@@ -130,7 +110,7 @@ def _nrg_suite(rec: _Recorder, budget):
         except (ValueError, RuntimeError) as exc:
             def setup_case(exc=exc):
                 raise exc
-            rec.run(f"nrg {base.tag} setup", setup_case)
+            yield f"nrg {base.tag} setup", setup_case
             continue
         for removed, spec in specs:
             for host in hosts:
@@ -142,7 +122,7 @@ def _nrg_suite(rec: _Recorder, budget):
                     return _expect(got == want,
                                    f"palettes {sorted(sorted(p) for p in got)}")
                 x_tag = ",".join(f"{u}-{v}" for u, v in removed)
-                rec.run(f"nrg {base.tag} X={{{x_tag}}} H={host.tag}", case)
+                yield f"nrg {base.tag} X={{{x_tag}}} H={host.tag}", case
 
 
 def _first_nrg_spec(base: Graph, budget) -> NrgSpec:
@@ -190,7 +170,7 @@ def _pointwise_check(col, s: int, g_col, r: int, wrap: bool) -> Optional[str]:
     return None
 
 
-def _cycle_path_suite(rec: _Recorder, max_n: int, budget):
+def _cycle_path_cases(max_n: int, budget):
     from palettebox.constructions import (
         cycle_times_regular_coloring,
         path_times_class1_regular_coloring,
@@ -199,20 +179,16 @@ def _cycle_path_suite(rec: _Recorder, max_n: int, budget):
     )
 
     class2 = (cycle_graph(3), cycle_graph(5))
+    layered = (("cycle-times-regular", cycle_times_regular_coloring, True),
+               ("path-times-regular", path_times_regular_coloring, False))
     for s in range(3, max_n + 1, 2):
         for g in class2:
-            r = g.max_degree
-            def cycle_case(s=s, g=g, r=r):
-                g_col = solve_exact(g, budget).witness
-                col = cycle_times_regular_coloring(s, g, g_col=g_col, budget=budget)
-                return _pointwise_check(col, s, g_col, r, wrap=True)
-            rec.run(f"cycle-times-regular s={s} {g.tag}", cycle_case)
-
-            def path_case(s=s, g=g, r=r):
-                g_col = solve_exact(g, budget).witness
-                col = path_times_regular_coloring(s, g, g_col=g_col, budget=budget)
-                return _pointwise_check(col, s, g_col, r, wrap=False)
-            rec.run(f"path-times-regular s={s} {g.tag}", path_case)
+            for name, build, wrap in layered:
+                def case(s=s, g=g, build=build, wrap=wrap):
+                    g_col = solve_exact(g, budget).witness
+                    col = build(s, g, g_col=g_col, budget=budget)
+                    return _pointwise_check(col, s, g_col, g.max_degree, wrap)
+                yield f"{name} s={s} {g.tag}", case
 
     class1 = (cycle_graph(4), cycle_graph(6), path_graph(2), hypercube_graph(3))
     for s in range(3, max_n + 1, 2):
@@ -221,12 +197,12 @@ def _cycle_path_suite(rec: _Recorder, max_n: int, budget):
                 col = path_times_class1_regular_coloring(s, g, budget=budget)
                 got = _palette_sets(col)
                 return _expect(len(got) == 2, f"{len(got)} palettes")
-            rec.run(f"path-times-class1 s={s} {g.tag}", c1_case)
+            yield f"path-times-class1 s={s} {g.tag}", c1_case
 
     # palette counts of C_s box P_t: 4 when both odd, else 2
     for s in range(3, max_n + 1):
         for t in range(3, max_n + 1):
-            rec.run(f"tpc-table s={s} t={t}", _tpc_case(s, t, budget))
+            yield f"tpc-table s={s} t={t}", _tpc_case(s, t, budget)
 
 
 def _tpc_case(s: int, t: int, budget):
@@ -259,7 +235,7 @@ def _tpc_case(s: int, t: int, budget):
     return case
 
 
-def _cubic_suite(rec: _Recorder, budget):
+def _cubic_cases(budget):
     from palettebox.constructions import cubic_matching_reduction
     from palettebox.oracle import palette_index_exact
 
@@ -270,19 +246,19 @@ def _cubic_suite(rec: _Recorder, budget):
         got = _palette_sets(col)
         want = {frozenset(p | {7}) for p in TORUS_PALETTES}
         return _expect(got == want, f"palettes {sorted(sorted(p) for p in got)}")
-    rec.run("cubic petersen s=3 cycle", cycle3)
+    yield "cubic petersen s=3 cycle", cycle3
 
     def cycle5():
         col = cubic_matching_reduction(5, pet, mode="cycle", budget=budget)
-        return _expect(palette_summary(col).count == 3,
-                       f"{palette_summary(col).count} palettes")
-    rec.run("cubic petersen s=5 cycle", cycle5)
+        count = palette_summary(col).count
+        return _expect(count == 3, f"{count} palettes")
+    yield "cubic petersen s=5 cycle", cycle5
 
     def path3():
         col = cubic_matching_reduction(3, pet, mode="path", budget=budget)
         count = palette_summary(col).count
         return _expect(count <= 4, f"{count} palettes")
-    rec.run("cubic petersen s=3 path", path3)
+    yield "cubic petersen s=3 path", path3
 
     def certificate():
         col = cubic_matching_reduction(3, pet, mode="cycle", budget=budget)
@@ -290,7 +266,7 @@ def _cubic_suite(rec: _Recorder, budget):
         # C_3 box Petersen is 5-regular and class 1: palette index 1
         return _expect(cert.exact and cert.lower == 1,
                        f"certificate {cert.lower}..{cert.upper}")
-    rec.run("cubic petersen s=3 certificate", certificate)
+    yield "cubic petersen s=3 certificate", certificate
 
     def reject_k4():
         from palettebox.graphs import complete_graph
@@ -299,10 +275,10 @@ def _cubic_suite(rec: _Recorder, budget):
         except ValueError:
             return None
         return "class-1 K_4 was accepted"
-    rec.run("cubic k4 rejected", reject_k4)
+    yield "cubic k4 rejected", reject_k4
 
 
-def _oracle_cross_suite(rec: _Recorder, max_edges: int, budget):
+def _oracle_cross_cases(max_edges: int, budget):
     from palettebox.corpus import small_corpus
     from palettebox.oracle import naive_minimum_palettes, palette_index_exact
 
@@ -313,38 +289,53 @@ def _oracle_cross_suite(rec: _Recorder, max_edges: int, budget):
                 raise BudgetExhausted("oracle budget out")
             naive = naive_minimum_palettes(graph)
             return _expect(cert.lower == naive, f"oracle {cert.lower} naive {naive}")
-        rec.run(f"oracle-cross {graph.tag}", case)
+        yield f"oracle-cross {graph.tag}", case
 
 
-def run_verify_suite(suite: str, *, max_s: int = 13, max_n: int = 5,
-                     max_edges: int = 12, budget: Optional[SearchBudget] = None,
+# Each suite's case generator, with the name and default of the bound it
+# reads, or None for a suite that takes no bound.  A generator yields
+# (name, check) pairs; the bounded ones take the bound before the budget.
+_SUITES = {
+    "torus": (_torus_cases, "max_s", 13),
+    "nrg": (_nrg_cases, None, None),
+    "cycle-path": (_cycle_path_cases, "max", 5),
+    "cubic": (_cubic_cases, None, None),
+    "oracle-cross": (_oracle_cross_cases, "max_edges", 12),
+}
+
+
+def run_verify_suite(suite: str, *, bound: Optional[int] = None,
+                     budget: Optional[SearchBudget] = None,
                      deterministic: bool = False) -> dict:
     """Run one named sweep and return its report dict.
 
-    A bound that selects no case raises ``ValueError`` rather than
-    reporting an empty pass.
+    ``bound`` limits the sweep of a bounded suite and defaults to the
+    suite's own; a suite without one rejects it.  A bound that selects no
+    case raises ``ValueError`` rather than reporting an empty pass.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}: choose from {', '.join(SUITES)}")
-    rec = _Recorder(deterministic)
-    if suite == "torus":
-        _torus_suite(rec, max_s, budget)
-        params = {"max_s": max_s}
-    elif suite == "nrg":
-        _nrg_suite(rec, budget)
-        params = {}
-    elif suite == "cycle-path":
-        _cycle_path_suite(rec, max_n, budget)
-        params = {"max": max_n}
-    elif suite == "cubic":
-        _cubic_suite(rec, budget)
-        params = {}
-    else:
-        _oracle_cross_suite(rec, max_edges, budget)
-        params = {"max_edges": max_edges}
-    if not rec.cases:
+    cases, key, default = _SUITES[suite]
+    if key is None and bound is not None:
+        raise ValueError(f"suite {suite} takes no bound")
+    bound = default if bound is None else bound
+    params = {} if key is None else {key: bound}
+    pairs = cases(budget) if key is None else cases(bound, budget)
+    results = sorted((_run_case(name, check, deterministic) for name, check in pairs),
+                     key=lambda c: c["name"])
+    if not results:
         # a sweep that checked nothing has proven nothing
-        bound = ", ".join(f"{key}={value}" for key, value in params.items())
-        raise ValueError(f"suite {suite} has no case at {bound}")
+        raise ValueError(f"suite {suite} has no case at {key}={bound}")
     params["deterministic"] = deterministic
-    return rec.report(suite, params)
+    outcomes = [c["outcome"] for c in results]
+    status = ("fail" if "fail" in outcomes
+              else "indeterminate" if "indeterminate" in outcomes else "pass")
+    return {
+        "suite": suite,
+        "params": params,
+        "cases": results,
+        "passed": outcomes.count("pass"),
+        "failed": outcomes.count("fail"),
+        "indeterminate": outcomes.count("indeterminate"),
+        "status": status,
+    }

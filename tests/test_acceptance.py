@@ -81,7 +81,7 @@ def test_criterion_1_torus_sweep():
 
 def test_criterion_2_oracle_closed_forms():
     deadline = Deadline(60.0)
-    budget = SearchBudget(deterministic=True)
+    budget = SearchBudget()
 
     def value(g):
         cert = palette_index_exact(g, budget=budget)

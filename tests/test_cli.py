@@ -167,8 +167,10 @@ def test_error_paths_exit_one(tmp_path):
         "PALETTEBOX_BUDGET_SECONDS=nan palettebox oracle C5",
         "PALETTEBOX_BUDGET_NODES=-1 palettebox oracle C5",
         "palettebox verify cycle-path --max 0",
-        "palettebox verify torus --max-s 2",
-        "palettebox verify oracle-cross --max-edges 0",
+        "palettebox verify torus --max 2",
+        "palettebox verify oracle-cross --max 0",
+        "palettebox verify nrg --max 3",
+        "palettebox verify cubic --max 3",
     ]
     for command in checks:
         proc = sh(command, cwd=tmp_path)
@@ -263,7 +265,7 @@ def test_oracle_lower_bound_only(graph, lower, rule, capsys):
 
 
 def test_verify_exit_codes(tmp_path):
-    ok = sh("palettebox verify torus --max-s 5", cwd=tmp_path)
+    ok = sh("palettebox verify torus --max 5", cwd=tmp_path)
     assert ok.returncode == 0
     assert "suite torus: pass" in ok.stdout
     starved = sh("palettebox verify nrg --budget-nodes 3", cwd=tmp_path)
@@ -271,11 +273,35 @@ def test_verify_exit_codes(tmp_path):
 
 
 def test_verify_deterministic_reports_identical(tmp_path):
-    command = "palettebox verify oracle-cross --deterministic --max-edges 8 --json"
+    command = "palettebox verify oracle-cross --deterministic --max 8 --json"
     a = sh(command, cwd=tmp_path)
     b = sh(command, cwd=tmp_path)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_verify_max_bounds_the_named_suite(capsys):
+    assert cli.main("verify torus --max 3".split()) == 0
+    assert capsys.readouterr().out == (
+        "torus s=3 t=3: pass\nsuite torus: pass (1 passed, 0 failed, 0 indeterminate)\n")
+
+
+def test_deterministic_ignores_the_clock(capsys):
+    assert cli.main("oracle C5 --json --deterministic".split()) == 0
+    alone = capsys.readouterr().out
+    assert cli.main("oracle C5 --json --deterministic --budget-seconds 1e-6".split()) == 0
+    assert capsys.readouterr().out == alone
+
+
+@pytest.mark.parametrize("argv, text", [
+    ("oracle C9 --budget-nodes 5", "palette index of cycle(9) = 3 (rule: regular-class2)"),
+    # the Delta = 3 search is exhausted after 79 nodes, the witness search is not
+    ("oracle petersen --budget-nodes 86", "palette index of petersen = 3 (rule: regular-class2)"),
+    ("oracle K9 --budget-nodes 5", "palette index of complete(9) in [3, 9] (budget ran out)"),
+])
+def test_oracle_keeps_a_proven_class_two_through_a_budget_stop(argv, text, capsys):
+    assert cli.main(argv.split()) == (0 if "=" in text else 2)
+    assert capsys.readouterr().out == text + "\n"
 
 
 def test_construct_export_pipeline(tmp_path):
@@ -315,7 +341,7 @@ _BUDGET_FLAGS = {"--budget-nodes", "--budget-seconds", "--deterministic"}
     ("torus", {"--s", "--t", "--dot", "--json", "--out"}),
     ("theta", {"--remove", "--class", "--host", "--json", "--out", *_BUDGET_FLAGS}),
     ("oracle", {"--max-palettes", "--lower-bound-only", "--json", "--out", *_BUDGET_FLAGS}),
-    ("verify", {"--max-s", "--max", "--max-edges", "--json", "--out", *_BUDGET_FLAGS}),
+    ("verify", {"--max", "--json", "--out", *_BUDGET_FLAGS}),
     ("export", {"--name", "--out"}),
 ])
 def test_every_subcommand_help_names_its_flags(command, flags, capsys):
@@ -332,7 +358,7 @@ def test_every_subcommand_help_names_its_flags(command, flags, capsys):
     ["torus", "--s", "5", "--t", "3"],
     ["theta", "Q3"],
     ["oracle", "C5", "--deterministic"],
-    ["verify", "torus", "--max-s", "4", "--deterministic"],
+    ["verify", "torus", "--max", "4", "--deterministic"],
 ])
 def test_the_out_file_holds_the_bytes_of_stdout(argv, tmp_path, capsys):
     assert cli.main([*argv, "--json"]) == 0

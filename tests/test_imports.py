@@ -31,7 +31,7 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 @pytest.mark.parametrize("argv, unused", [
     (["oracle", "C5", "--json"], {"constructions", "torus", "theta", "verify"}),
     (["verify", "torus"], {"constructions", "oracle", "theta"}),
-    (["verify", "oracle-cross", "--max-edges", "4"], {"constructions", "torus", "theta"}),
+    (["verify", "oracle-cross", "--max", "4"], {"constructions", "torus", "theta"}),
 ])
 def test_a_command_loads_only_what_it_uses(argv, unused, tmp_path):
     code = ("import contextlib, io\nfrom palettebox import cli\n"

@@ -86,6 +86,23 @@ def test_regular_graphs_skip_two_palettes():
     assert cert.exact and cert.lower == 3
 
 
+@pytest.mark.parametrize("graph, nodes, interval", [
+    (cycle_graph(9), 5, (3, 3)),
+    (petersen_graph(), 86, (3, 3)),
+    (complete_graph(9), 5, (3, 9)),
+])
+def test_a_budget_stop_keeps_a_proven_class_two(graph, nodes, interval):
+    # the chromatic index proved class 2 but found no witness in budget;
+    # the Misra-Gries coloring then sets the upper bound
+    budget = SearchBudget(max_nodes=nodes)
+    cert = palette_index_exact(graph, budget=budget)
+    assert cert.interval == interval
+    assert cert.rule == "regular-class2"
+    assert cert.stop == ("exact" if interval[0] == interval[1] else "budget")
+    assert palette_summary(cert.witness).count == interval[1]
+    assert lower_bound(graph, budget) == (3, "regular-class2")
+
+
 def test_budget_exhaustion_yields_interval():
     g = cartesian_product(path_graph(3), path_graph(3))
     cert = palette_index_exact(g, budget=SearchBudget(max_nodes=3))

@@ -115,7 +115,7 @@ def test_node_budget_reports_budget_status():
 
 def test_deterministic_budget_repeatable():
     g = petersen_graph()
-    budget = SearchBudget(max_nodes=10_000_000, deterministic=True)
+    budget = SearchBudget(max_nodes=10_000_000)
     first = search_k_coloring(g, 4, budget=budget)
     second = search_k_coloring(g, 4, budget=budget)
     assert first == second
@@ -129,6 +129,29 @@ def test_palette_count_search():
     status, col = search_palette_count(g, 3, 3)
     assert status == FOUND
     assert palette_count(col) == 3
+
+
+@pytest.mark.parametrize("run, outcome", [
+    # an isolated vertex's empty palette is already one more than 0 allow
+    (lambda: search_palette_count(Graph(2, ()), 3, 0), (EXHAUSTED, None)),
+    (lambda: search_palette_count(Graph(2, ()), 3, 1), (FOUND, EdgeColoring(Graph(2, ()), ()))),
+    (lambda: search_palette_count(cycle_graph(4), 2, 0), (EXHAUSTED, None)),
+    (lambda: search_palette_count(cycle_graph(4), 0, 1), (EXHAUSTED, None)),
+    (lambda: search_palette_count(cycle_graph(4), MAX_COLORS + 1, 1), ValueError),
+    (lambda: search_palette_family(cycle_graph(4), [{0, 1}]), ValueError),
+    (lambda: search_palette_family(cycle_graph(4), [{1, MAX_COLORS + 1}]), ValueError),
+    (lambda: search_palette_family(cycle_graph(4), []), ValueError),
+], ids=["seed-above-target", "edgeless", "no-palettes", "no-colors", "too-many-colors",
+        "color-zero", "color-above-limit", "empty-family"])
+def test_palette_searches_settle_degenerate_input_without_the_kernel(run, outcome, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+    monkeypatch.setattr(search, "_seeded_palette_search", no_kernel)
+    if outcome is ValueError:
+        with pytest.raises(ValueError):
+            run()
+    else:
+        assert run() == outcome
 
 
 def test_palette_family_search():
@@ -388,7 +411,7 @@ def test_time_budget_overshoots_by_about_one_chunk(monkeypatch):
 def test_deterministic_budget_is_node_exact_whatever_the_clock(monkeypatch):
     # a frozen clock makes every chunk as large as the cap allows, a clock
     # that jumps a second per reading makes them as small as they get
-    budget = SearchBudget(max_nodes=5_000, max_seconds=0.001, deterministic=True)
+    budget = SearchBudget(max_nodes=5_000)
     for step in (0.0, 1.0):
         fake = FakeClock(step)
         monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=fake.monotonic))

@@ -60,6 +60,18 @@ def test_budget_exhaustion_is_reported():
     assert res.value is None and res.witness is None
 
 
+@pytest.mark.parametrize("graph, nodes, value", [
+    (cycle_graph(9), 5, 3),  # class 2 by parity, before any search
+    (petersen_graph(), 86, 4),  # its Delta = 3 search is exhausted after 79 nodes
+    (complete_graph(9), 5, 9),
+])
+def test_a_proven_class_two_survives_a_budget_stop(graph, nodes, value):
+    res = chromatic_index(graph, budget=SearchBudget(max_nodes=nodes))
+    assert res.status == "indeterminate" and res.witness is None
+    assert res.value == value
+    assert res.is_class_one is False
+
+
 def test_solver_edge_order_completes_vertices_first():
     # every edge has an end with one edge left; (3, 4) wins on its other end
     # (2 left, against the centre's 3), then the leaves go in position order
