@@ -33,14 +33,23 @@ def _budget_from(args) -> Optional[SearchBudget]:
     nodes = args.budget_nodes
     seconds = args.budget_seconds
     if nodes is None and BUDGET_NODES_ENV in os.environ:
-        nodes = int(os.environ[BUDGET_NODES_ENV])
+        nodes = _env_value(BUDGET_NODES_ENV, int, "an integer")
     if seconds is None and BUDGET_SECONDS_ENV in os.environ:
-        seconds = float(os.environ[BUDGET_SECONDS_ENV])
+        seconds = _env_value(BUDGET_SECONDS_ENV, float, "a number")
     if nodes is None and seconds is None:
         return None
     budget = SearchBudget(max_nodes=nodes, max_seconds=seconds)
     # --deterministic drops the checked seconds, so the node budget alone decides
     return SearchBudget(max_nodes=nodes) if args.deterministic else budget
+
+
+def _env_value(name: str, kind, what: str):
+    """The environment variable ``name`` read as ``kind``; a bad value names the variable."""
+    text = os.environ[name]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
@@ -172,13 +181,17 @@ def _cmd_theta(args) -> int:
     from palettebox.theta import is_partial_cube, theta_classes, theta_removal_coloring
 
     g = formats.parse_graph_spec(args.graph)
-    if args.remove is not None:
+    if args.remove is None:
+        for flag, value in (("--host", args.host), ("--class", args.klass)):
+            if value is not None:
+                raise ValueError(f"{flag} needs --remove alongside it")
+    else:
         if args.host is None:
             raise ValueError("--remove needs --host alongside it")
         removed = _parse_edges(args.remove)
         host = formats.parse_graph_spec(args.host)
-        col = theta_removal_coloring(g, args.klass, removed, host,
-                                     budget=_budget_from(args))
+        klass = 0 if args.klass is None else args.klass
+        col = theta_removal_coloring(g, klass, removed, host, budget=_budget_from(args))
         obj, text = _coloring_report(col)
         _emit(args, obj, text)
         return PASS
@@ -290,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", parents=[output], help="theta classes; optionally color (G-X) x H")
     p.add_argument("graph")
     p.add_argument("--remove", help="edges u-v,x-y inside one class")
-    p.add_argument("--class", dest="klass", type=int, default=0,
-                   help="class index the removed edges belong to")
+    p.add_argument("--class", dest="klass", type=int, default=None,
+                   help="class index the removed edges belong to, default 0")
     p.add_argument("--host", help="the factor H for the removal coloring")
     _add_budget_flags(p)
     p.set_defaults(fn=_cmd_theta)

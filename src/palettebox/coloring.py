@@ -7,14 +7,14 @@ graph's canonical edge order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
+from palettebox._record import frozen
 from palettebox.graphs import Edge, Graph, canonical_edge, map_product_edges
 
 
-@dataclass(frozen=True)
+@frozen
 class EdgeColoring:
     """An assignment of a positive color to every edge of a host graph."""
 
@@ -115,7 +115,7 @@ def check_proper(coloring: EdgeColoring) -> tuple[bool, Optional[Violation]]:
     return witness is None, witness
 
 
-@dataclass(frozen=True)
+@frozen
 class PaletteSummary:
     """Distinct vertex palettes of a proper coloring.
 

@@ -14,10 +14,10 @@ trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring, check_proper, product_coloring
 from palettebox.graphs import (
     Edge,
@@ -134,7 +134,7 @@ def _class1_product(g_col: EdgeColoring, h_col: EdgeColoring, h_class_two: bool,
 # nearly regular factors
 
 
-@dataclass(frozen=True)
+@frozen
 class NrgSpec:
     """Recipe for a class-1 nearly regular graph G' - X.
 

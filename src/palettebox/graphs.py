@@ -8,9 +8,10 @@ graphs have byte-identical edge tuples.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
+
+from palettebox._record import field, frozen
 
 Edge = tuple[int, int]
 T = TypeVar("T")
@@ -23,7 +24,7 @@ def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@frozen
 class Graph:
     """A finite simple undirected graph.
 
@@ -164,7 +165,7 @@ def petersen_graph() -> Graph:
 # products and subgraphs
 
 
-@dataclass(frozen=True)
+@frozen
 class ProductIndex:
     """Row-major vertex indexing of a Cartesian product.
 
@@ -262,7 +263,7 @@ def remove_edges(graph: Graph, removed: Iterable[Sequence[int]]) -> Graph:
 # matchings
 
 
-@dataclass(frozen=True)
+@frozen
 class Matching:
     """A set of pairwise vertex-disjoint edges of a host graph."""
 

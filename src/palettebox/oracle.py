@@ -41,10 +41,10 @@ bound.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from palettebox import search
+from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring, palette_summary
 from palettebox.graphs import Graph
 from palettebox.search import ensure_tracker
@@ -55,7 +55,7 @@ from palettebox.solver import ChromaticIndexResult, chromatic_index, misra_gries
 _FIRST_ALLOWANCE = 1 << 10
 
 
-@dataclass(frozen=True)
+@frozen
 class Certificate:
     """A proven interval for the palette index of one graph.
 

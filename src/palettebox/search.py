@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from typing import Optional
 
+from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring
 from palettebox.graphs import Graph
 
@@ -266,7 +266,7 @@ def _backend():
 # budgets
 
 
-@dataclass(frozen=True)
+@frozen
 class SearchBudget:
     """Limits for exhaustive searches.
 

@@ -13,10 +13,10 @@ an upper bound is always at hand when a budget runs out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from palettebox import search
+from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring
 from palettebox.graphs import Graph
 from palettebox.search import SearchBudget, ensure_tracker
@@ -24,7 +24,7 @@ from palettebox.search import SearchBudget, ensure_tracker
 __all__ = ["SearchBudget", "ChromaticIndexResult", "chromatic_index", "misra_gries_coloring"]
 
 
-@dataclass(frozen=True)
+@frozen
 class ChromaticIndexResult:
     """Outcome of a chromatic index computation.
 

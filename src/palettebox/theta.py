@@ -14,9 +14,9 @@ Mathematics 7 (1984) 221-225).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring
 from palettebox.constructions import NrgSpec, nrg_product_coloring
 from palettebox.graphs import (
@@ -36,7 +36,7 @@ def _theta_related(dist, e: Edge, f: Edge) -> bool:
     return dist[x][u] + dist[y][v] != dist[x][v] + dist[y][u]
 
 
-@dataclass(frozen=True)
+@frozen
 class ThetaClasses:
     """The transitive closure classes of the distance relation on edges."""
 

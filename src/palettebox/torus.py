@@ -32,11 +32,11 @@ transposed grid and map edges through the coordinate swap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Callable
 
+from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring, product_coloring
 from palettebox.graphs import Graph, cycle_graph
 
@@ -81,7 +81,7 @@ def z_set(s: int, t: int, i: int) -> tuple[Step, ...]:
     return tuple(walk)
 
 
-@dataclass(frozen=True)
+@frozen
 class TorusDecomposition:
     """All t walks of C_s box C_t plus their classes by index mod 3."""
 

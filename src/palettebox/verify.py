@@ -9,13 +9,13 @@ nulled so identical runs serialize byte-identically.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import time
 from typing import TYPE_CHECKING, Callable, Optional
 
 from palettebox import SUITES
+from palettebox._record import replace
 from palettebox.coloring import check_proper, palette_summary
 from palettebox.graphs import (
     Graph,
@@ -103,7 +103,7 @@ def _nrg_cases(budget):
         try:
             first = _first_nrg_spec(base, budget)
             specs = [
-                (removed, dataclasses.replace(first, removed=removed))
+                (removed, replace(first, removed=removed))
                 for size in range(1, len(first.matching.edges))
                 for removed in itertools.combinations(first.matching.edges, size)
             ]
@@ -130,8 +130,7 @@ def _first_nrg_spec(base: Graph, budget) -> NrgSpec:
 
     A perfect matching qualifies when ``base`` minus it is class 1.  The
     spec of any other removed subset of that matching follows from this
-    one by ``dataclasses.replace``, which re-runs the spec's checks but
-    no search.
+    one by ``replace``, which re-runs the spec's checks but no search.
     """
     from palettebox.constructions import NrgSpec, _nrg_base
 

@@ -172,10 +172,22 @@ def test_error_paths_exit_one(tmp_path):
         "palettebox verify nrg --max 3",
         "palettebox verify cubic --max 3",
     ]
-    for command in checks:
+    # the errors that must name the setting at fault
+    messages = {
+        "PALETTEBOX_BUDGET_NODES=abc palettebox oracle C5":
+            "PALETTEBOX_BUDGET_NODES must be an integer, got 'abc'",
+        "PALETTEBOX_BUDGET_SECONDS=abc palettebox oracle C5":
+            "PALETTEBOX_BUDGET_SECONDS must be a number, got 'abc'",
+        "palettebox theta Q3 --class 99": "--class needs --remove alongside it",
+        "palettebox theta Q3 --class 0": "--class needs --remove alongside it",
+        "palettebox theta Q3 --host C5": "--host needs --remove alongside it",
+    }
+    for command in [*checks, *messages]:
         proc = sh(command, cwd=tmp_path)
         assert proc.returncode == 1, command
         assert proc.stderr.startswith("error:"), command
+        if command in messages:
+            assert proc.stderr == f"error: {messages[command]}\n", command
 
 
 def test_oracle_rejects_a_graph_json_with_non_integers(tmp_path, non_integer_graph):
@@ -253,6 +265,13 @@ def test_theta_removal_computes_the_classes_once(monkeypatch, capsys):
     assert cli.main("theta Q5 --class 0 --remove 0-1 --host C3".split()) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_theta_removal_class_defaults_to_zero(capsys):
+    assert cli.main("theta Q3 --remove 0-1 --host C3 --json".split()) == 0
+    implicit = capsys.readouterr().out
+    assert cli.main("theta Q3 --class 0 --remove 0-1 --host C3 --json".split()) == 0
+    assert capsys.readouterr().out == implicit
 
 
 @pytest.mark.parametrize("graph, lower, rule", [

@@ -12,33 +12,53 @@ from palettebox import oracle
 
 from test_cli import child_env
 
-# Run in a fresh interpreter: prints the palettebox modules loaded after the
-# code given, one JSON list on the last line of stdout.
-LOADED = "import sys, json; print(json.dumps(sorted(m for m in sys.modules if m.startswith('palettebox.'))))"
+# Run in a fresh interpreter: prints every loaded module, one JSON list on
+# the last line of stdout.
+LOADED = "import sys, json; print(json.dumps(sorted(sys.modules)))"
+
+# Imported by the standard library's record decorator and by nothing a
+# command needs; loading them costs every process start-up time.
+RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
 def loaded_after(code, tmp_path):
+    """The modules loaded after ``code``: the palettebox submodules, unprefixed, and the rest."""
     proc = subprocess.run([sys.executable, "-c", f"{code}\n{LOADED}"], capture_output=True,
                           text=True, cwd=tmp_path, env=child_env(), timeout=600)
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("palettebox.") for name in json.loads(proc.stdout.splitlines()[-1])}
+    names = json.loads(proc.stdout.splitlines()[-1])
+    ours = {name.removeprefix("palettebox.") for name in names if name.startswith("palettebox.")}
+    return ours, {name for name in names if not name.startswith("palettebox")}
+
+
+@pytest.fixture(scope="module")
+def bare_modules(tmp_path_factory):
+    """The modules a bare interpreter in the same environment has loaded."""
+    return loaded_after("pass", tmp_path_factory.mktemp("bare"))[1]
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
-    assert loaded_after("import palettebox", tmp_path) == set()
+    assert loaded_after("import palettebox", tmp_path)[0] == set()
 
 
-@pytest.mark.parametrize("argv, unused", [
-    (["oracle", "C5", "--json"], {"constructions", "torus", "theta", "verify"}),
-    (["verify", "torus"], {"constructions", "oracle", "theta"}),
-    (["verify", "oracle-cross", "--max", "4"], {"constructions", "torus", "theta"}),
-])
-def test_a_command_loads_only_what_it_uses(argv, unused, tmp_path):
-    code = ("import contextlib, io\nfrom palettebox import cli\n"
+def _cli(argv):
+    return ("import contextlib, io\nfrom palettebox import cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0")
-    loaded = loaded_after(code, tmp_path)
-    assert "cli" in loaded
-    assert not loaded & unused
+
+
+@pytest.mark.parametrize("code, used, unused", [
+    (_cli(["oracle", "C5", "--json"]), {"cli"}, {"constructions", "torus", "theta", "verify"}),
+    (_cli(["verify", "torus"]), {"cli"}, {"constructions", "oracle", "theta"}),
+    (_cli(["verify", "oracle-cross", "--max", "4"]), {"cli"}, {"constructions", "torus", "theta"}),
+    ("import palettebox.graphs, palettebox.oracle, palettebox.torus",
+     {"graphs", "oracle", "torus"}, {"cli", "constructions", "theta", "verify"}),
+], ids=["oracle", "verify-torus", "verify-oracle-cross", "import-records"])
+def test_a_command_loads_only_what_it_uses(code, used, unused, bare_modules, tmp_path):
+    ours, others = loaded_after(code, tmp_path)
+    assert used <= ours
+    assert not ours & unused
+    machinery = (others - bare_modules) & RECORD_MACHINERY
+    assert not machinery
 
 
 @pytest.mark.parametrize("name", palettebox.__all__)
