@@ -42,8 +42,6 @@ def frozen(cls):
         if spec.default is not _MISSING:
             defaults[name] = spec.default
             setattr(cls, name, spec.default)
-        elif defaults:
-            raise TypeError(f"field {name!r} without a default follows one with a default")
         if spec.compare:
             compared.append(name)
     nfields = len(names)
