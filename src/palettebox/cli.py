@@ -115,10 +115,15 @@ def _cmd_construct(args) -> int:
 
     budget = _budget_from(args)
     theorem = args.theorem
-    if theorem in ("mah", "nrg") and args.host is None:
-        raise ValueError(f"--theorem {theorem} needs --host")
-    if theorem in ("cng", "png", "cubic") and args.s is None:
-        raise ValueError(f"--theorem {theorem} needs --s")
+    # the theorems that read each flag; a theorem that reads --host or --s needs it
+    readers = {"host": ("mah", "nrg"), "s": ("cng", "png", "cubic"), "remove": ("nrg",),
+               "c": ("mah",), "mode": ("cubic",)}
+    for flag, theorems in readers.items():
+        given = getattr(args, flag) is not None
+        if given and theorem not in theorems:
+            raise ValueError(f"--{flag} needs --theorem {' or '.join(theorems)} alongside it")
+        if not given and theorem in theorems and flag in ("host", "s"):
+            raise ValueError(f"--theorem {theorem} needs --{flag}")
     g = formats.parse_graph_spec(args.graph)
     if theorem == "mah":
         h = formats.parse_graph_spec(args.host)
@@ -139,18 +144,21 @@ def _cmd_construct(args) -> int:
         else:
             col = path_times_regular_coloring(args.s, g, g_col=result.witness)
     else:
-        col = cubic_matching_reduction(args.s, g, mode=args.mode, budget=budget)
+        col = cubic_matching_reduction(args.s, g, mode=args.mode or "cycle", budget=budget)
     obj, text = _coloring_report(col)
     _emit(args, obj, text)
     return PASS
 
 
 def _parse_edges(text: Optional[str]) -> list[tuple[int, int]]:
+    """The edges of a --remove value, u-v items separated by commas."""
     if not text:
         return []
     out = []
     for part in text.split(","):
         u, _, v = part.partition("-")
+        if not (u.isdecimal() and v.isdecimal()):
+            raise ValueError(f"--remove takes edges u-v separated by commas, got {part!r}")
         out.append(canonical_edge(int(u), int(v)))
     return out
 
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="class of G sent to H's missing colors when H is class 2 (mah),"
                         " default Delta(G); any c gives regular factors [Delta(G)+Delta(H)]")
     p.add_argument("--remove", help="edges u-v,x-y to delete (nrg)")
-    p.add_argument("--mode", choices=("cycle", "path"), default="cycle")
+    p.add_argument("--mode", choices=("cycle", "path"), help="cubic only, default cycle")
     _add_budget_flags(p)
     p.set_defaults(fn=_cmd_construct)
 

@@ -9,16 +9,18 @@ count p from a certified lower bound up to u-1.  A coloring with p
 distinct palettes mentions at most p*Delta colors, so restricting the
 search to min(p*Delta, |E|) colors loses nothing.
 
-Each target p is settled by two searches that take turns under a node
-allowance that doubles every round: the palette-count search, which
-explores every coloring with at most p distinct palettes, and the
-family search over the parity-feasible palette families of p (see
-``_parity_families``).  A color class is a matching, so each color lies
-on an even number of vertices (Hornak, Kalinowski, Meszka and Wozniak,
-"Minimum number of palettes in edge colorings", Graphs and
-Combinatorics 2014), which leaves few families to exhaust.  The count
-search tends to find colorings fast and the families to refute targets
-fast.
+Each target p is settled by two searches that take turns of a fixed
+number of nodes: the palette-count search, which explores every
+coloring with at most p distinct palettes, and the family search over
+the parity-feasible palette families of p (see ``_parity_families``).
+A color class is a matching, so each color lies on an even number of
+vertices (Hornak, Kalinowski, Meszka and Wozniak, "Minimum number of
+palettes in edge colorings", Graphs and Combinatorics 2014), which
+leaves few families to exhaust.  The count search tends to find
+colorings fast and the families to refute targets fast.  Each turn
+resumes its search where the last one stopped, so no node is searched
+twice, and a target costs about twice what the better of the two
+searches needs on its own.
 
 Lower bound rules:
 
@@ -50,9 +52,8 @@ from palettebox.graphs import Graph
 from palettebox.search import ensure_tracker
 from palettebox.solver import ChromaticIndexResult, chromatic_index, misra_gries_coloring
 
-# Nodes each of the two searches of a target gets in the first round of
-# _settle_target; every later round doubles it.
-_FIRST_ALLOWANCE = 1 << 10
+# Nodes of one turn of either search of a target in _settle_target.
+_TURN = 1 << 10
 
 
 @frozen
@@ -228,57 +229,40 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
         yield from fill(0, 0)
 
 
-def _capped(tracker, allowance: int, run, *args):
-    """``run(*args, tracker)`` with at most ``allowance`` more nodes on ``tracker``."""
-    limit = tracker.max_nodes
-    cap = tracker.nodes + allowance
-    tracker.max_nodes = cap if limit is None else min(limit, cap)
-    try:
-        return run(*args, tracker)
-    finally:
-        tracker.max_nodes = limit
-
-
 def _settle_target(graph: Graph, k: int, p: int, tracker):
     """Decide whether some coloring has at most p palettes, p being a proven lower bound.
 
     Returns (status, rule, coloring): FOUND with a coloring, EXHAUSTED
-    with the rule that refuted p, or BUDGET.  Round r gives the count
-    search, restarted from scratch, and then the family search, resumed
-    at its current family, _FIRST_ALLOWANCE * 2**r nodes each.  Nothing
-    here reads the clock, so node counts repeat from run to run.  The
-    families are enumerated only once the first round of the count
+    with the rule that refuted p, or BUDGET.  The count search and the
+    family search take turns of _TURN nodes, built once on one edge
+    order and each resumed where its last turn stopped; the family
+    search runs the families one after another within its turns.
+    Nothing here reads the clock, so node counts repeat from run to run.
+    The families are enumerated only once the first turn of the count
     search fails to settle, so graphs it settles never pay for them.
     """
-    allowance = _FIRST_ALLOWANCE
-    families = family = None
+    order = search.edge_order(graph)
+    count = search._search(graph, order, k, p)
+    families = None
     while True:
-        status, found = _capped(tracker, allowance, search.search_palette_count, graph, k, p)
-        if status == search.FOUND:
-            return status, None, found
-        if status == search.EXHAUSTED:
-            return status, "exhaustive", None
-        if tracker.exceeded():
-            return search.BUDGET, None, None
-        if families is None:
-            families = _parity_families(graph, p, k)
-            family = next(families, None)
-            if family is None:
-                return search.EXHAUSTED, "parity", None
-        end = tracker.nodes + allowance
-        while family is not None and tracker.nodes < end:
-            status, found = _capped(tracker, end - tracker.nodes, search.search_palette_family,
-                                    graph, family)
-            if status == search.FOUND:
-                return status, None, found
-            if status == search.BUDGET:
-                if tracker.exceeded():
-                    return status, None, None
-                break
-            family = next(families, None)
-        if family is None:
-            return search.EXHAUSTED, "parity-families", None
-        allowance *= 2
+        status, found = search._drive(count, tracker, _TURN)
+        if status == search.PAUSED:
+            if families is None:
+                families = (search._search(graph, order, *search._family_args(palettes))
+                            for palettes in _parity_families(graph, p, k))
+                family = next(families, None)
+                if family is None:
+                    return search.EXHAUSTED, "parity", None
+            end = tracker.nodes + _TURN
+            status, found = search._drive(family, tracker, _TURN)
+            while status == search.EXHAUSTED:
+                family = next(families, None)
+                if family is None:
+                    return search.EXHAUSTED, "parity-families", None
+                status, found = search._drive(family, tracker, end - tracker.nodes)
+            if status == search.PAUSED:
+                continue
+        return status, "exhaustive" if status == search.EXHAUSTED else None, found
 
 
 def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),

@@ -11,10 +11,11 @@ on new colors is then k at every depth, which turns color-symmetry
 breaking off, as it must be since the family fixes concrete colors.
 
 Each kernel advances by at most ``node_limit`` nodes per call and leaves
-its entire stack in the caller's arrays; one driver calls it chunk by
-chunk and enforces wall-clock budgets between calls, so compiled code
-never reads the clock.  Budget interruptions therefore cannot change
-which solution is found, only whether the search finishes.
+its entire stack in the caller's arrays; ``_drive`` calls it chunk by
+chunk, resuming a search paused by a node allowance, and enforces
+wall-clock budgets between calls, so compiled code never reads the
+clock.  Budget interruptions therefore cannot change which solution is
+found, only whether the search finishes.
 
 The same function bodies serve both backends: when numba is importable
 they are compiled with ``njit`` and run compiled, and otherwise the
@@ -39,6 +40,7 @@ prune on it.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from typing import Optional
 
@@ -389,21 +391,27 @@ def edge_order(graph: Graph) -> list[int]:
 # wrappers
 
 
-def _drive(graph, order, step, args, state, assign, budget):
-    """Run a kernel chunk by chunk until it settles or the budget runs out.
+def _drive(search, budget, allowance=None):
+    """Run a search chunk by chunk until it settles, the budget runs out or ``allowance`` is spent.
 
-    Each call is ``step(*args, *state, node_limit)`` and returns
-    ``(status, *state, nodes)``, where ``state`` holds the scalars the
-    kernel resumes from.  Returns (status, coloring or None): on FOUND,
-    ``assign[d]`` colors edge ``order[d]``.  ``int()`` turns numba's int64
-    values into the Python ints ``EdgeColoring`` requires.
+    ``search`` is (graph, order, step, args, state, assign), as ``_search``
+    builds it.  Each call is ``step(*args, *state, node_limit)`` and
+    returns ``(status, *state, nodes)``; ``state``, the scalars the kernel
+    resumes from, is updated in place, so a PAUSED search resumes on the
+    next call.  Returns (status, coloring or None): on FOUND, ``assign[d]``
+    colors edge ``order[d]``.  ``int()`` turns numba's int64 values into
+    the Python ints ``EdgeColoring`` requires.
     """
+    graph, order, step, args, state, assign = search
     tracker = ensure_tracker(budget)
+    end = math.inf if allowance is None else tracker.nodes + allowance
     while True:
         chunk = tracker.next_chunk()
         if tracker.exceeded():
             return BUDGET, None
-        status, *state, nodes = step(*args, *state, chunk)
+        if tracker.nodes >= end:
+            return PAUSED, None
+        status, *state[:], nodes = step(*args, *state, min(chunk, end - tracker.nodes))
         tracker.add_nodes(nodes)
         if status == FOUND:
             colors = [0] * len(order)
@@ -414,71 +422,31 @@ def _drive(graph, order, step, args, state, assign, budget):
             return EXHAUSTED, None
 
 
-def _seeded_palette_search(graph, k, seed, p_target, maxused0, budget):
-    """Run the palette kernel with the masks ``seed`` already collected."""
-    order = edge_order(graph)
+def _search(graph, order, k, p_target=None, family=None):
+    """An unrun search of ``graph`` along ``order`` with colors in [k].
+
+    Without ``p_target`` it is the coloring search; with it the count
+    search, or with ``family``, a list of p_target masks, the family
+    search, each seeded as the module docstring says.
+    """
     m = len(order)
-    _, step, buf = _backend()
+    color_step, palette_step, buf = _backend()
+    assign = buf([0] * m)
+    eu = buf(graph.edges[i][0] for i in order)
+    ev = buf(graph.edges[i][1] for i in order)
+    if p_target is None:
+        args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([0] * (m + 1)))
+        return graph, order, color_step, args, [0], assign
+    seed = family if family is not None else [0] if 0 in graph.degrees else []
     free = [0] * (p_target + 1 - len(seed))
-    distinct = buf(list(seed) + free)
-    dsize = buf([bin(mask).count("1") for mask in seed] + free)
-    assign = buf([0] * m)
-    maxused = buf([maxused0] + [0] * m)
-    eu = buf(graph.edges[i][0] for i in order)
-    ev = buf(graph.edges[i][1] for i in order)
     args = (eu, ev, m, k, buf(graph.degrees), p_target, assign, buf([0] * graph.n),
-            maxused, buf(graph.degrees), distinct, dsize, buf([0] * m))
-    return _drive(graph, order, step, args, (len(seed), 0), assign, budget)
+            buf([0 if family is None else k] + [0] * m), buf(graph.degrees), buf(seed + free),
+            buf([bin(mask).count("1") for mask in seed] + free), buf([0] * m))
+    return graph, order, palette_step, args, [len(seed), 0], assign
 
 
-def search_k_coloring(graph: Graph, k: int, budget=None):
-    """Search a proper edge coloring of ``graph`` with colors in [k].
-
-    Returns (status, coloring or None) with status FOUND, EXHAUSTED, or
-    BUDGET.
-    """
-    m = len(graph.edges)
-    if m == 0:
-        return FOUND, EdgeColoring(graph, ())
-    if k <= 0:
-        return EXHAUSTED, None
-    if k > MAX_COLORS:
-        raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
-    order = edge_order(graph)
-    step, _, buf = _backend()
-    assign = buf([0] * m)
-    eu = buf(graph.edges[i][0] for i in order)
-    ev = buf(graph.edges[i][1] for i in order)
-    args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([0] * (m + 1)))
-    return _drive(graph, order, step, args, (0,), assign, budget)
-
-
-def search_palette_count(graph: Graph, k: int, p_target: int, budget=None):
-    """Search a proper coloring with at most p_target distinct palettes.
-
-    Isolated vertices contribute an empty palette, pre-seeded into the
-    collection.  Returns (status, coloring or None).
-    """
-    seed = [0] if any(d == 0 for d in graph.degrees) else []
-    if len(seed) > p_target:
-        return EXHAUSTED, None
-    if not graph.edges:
-        return FOUND, EdgeColoring(graph, ())
-    if p_target < 1 or k <= 0:
-        return EXHAUSTED, None
-    if k > MAX_COLORS:
-        raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
-    return _seeded_palette_search(graph, k, seed, p_target, 0, budget)
-
-
-def search_palette_family(graph: Graph, family, budget=None):
-    """Search a proper coloring whose vertex palettes all lie in ``family``.
-
-    ``family`` is an iterable of color sets.  Infeasible immediately if
-    some vertex degree matches no family member's size.  The palette
-    kernel runs with the family as its full collection and with every
-    color allowed at every depth.
-    """
+def _family_args(family) -> tuple[int, int, list[int]]:
+    """``_search``'s (k, p_target, family) for ``family``, an iterable of color sets."""
     masks = []
     for pal in family:
         mask = 0
@@ -489,10 +457,50 @@ def search_palette_family(graph: Graph, family, budget=None):
         masks.append(mask)
     if not masks:
         raise ValueError("palette family must be nonempty")
+    return max(masks).bit_length(), len(masks), masks
+
+
+def _run(graph, k, budget, *args):
+    """``_search(graph, edge_order(graph), k, *args)`` run to the end, past the shared guards."""
+    if not graph.edges:
+        return FOUND, EdgeColoring(graph, ())
+    if k <= 0:
+        return EXHAUSTED, None
+    if k > MAX_COLORS:
+        raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
+    return _drive(_search(graph, edge_order(graph), k, *args), budget)
+
+
+def search_k_coloring(graph: Graph, k: int, budget=None):
+    """Search a proper edge coloring of ``graph`` with colors in [k].
+
+    Returns (status, coloring or None) with status FOUND, EXHAUSTED, or
+    BUDGET.
+    """
+    return _run(graph, k, budget)
+
+
+def search_palette_count(graph: Graph, k: int, p_target: int, budget=None):
+    """Search a proper coloring with at most p_target distinct palettes.
+
+    Isolated vertices contribute the empty palette, pre-seeded, and edges
+    a nonempty one.  Returns (status, coloring or None).
+    """
+    if (0 in graph.degrees) + bool(graph.edges) > p_target:
+        return EXHAUSTED, None
+    return _run(graph, k, budget, p_target)
+
+
+def search_palette_family(graph: Graph, family, budget=None):
+    """Search a proper coloring whose vertex palettes all lie in ``family``.
+
+    ``family`` is an iterable of color sets.  Infeasible immediately if
+    some vertex degree matches no family member's size.  The palette
+    kernel runs with the family as its full collection and with every
+    color allowed at every depth.
+    """
+    k, p_target, masks = _family_args(family)
     sizes = {bin(mask).count("1") for mask in masks}
     if any(d not in sizes for d in graph.degrees):
         return EXHAUSTED, None
-    if not graph.edges:
-        return FOUND, EdgeColoring(graph, ())
-    k = max(masks).bit_length()
-    return _seeded_palette_search(graph, k, masks, len(masks), k, budget)
+    return _run(graph, k, budget, p_target, masks)

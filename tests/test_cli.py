@@ -181,6 +181,26 @@ def test_error_paths_exit_one(tmp_path):
         "palettebox theta Q3 --class 99": "--class needs --remove alongside it",
         "palettebox theta Q3 --class 0": "--class needs --remove alongside it",
         "palettebox theta Q3 --host C5": "--host needs --remove alongside it",
+        # construct refuses a flag its theorem does not read
+        "palettebox construct --theorem cng --graph C5 --s 7 --host C3":
+            "--host needs --theorem mah or nrg alongside it",
+        "palettebox construct --theorem mah --graph C6 --host C5 --s 3":
+            "--s needs --theorem cng or png or cubic alongside it",
+        "palettebox construct --theorem mah --graph C6 --host C5 --remove 0-1":
+            "--remove needs --theorem nrg alongside it",
+        "palettebox construct --theorem cng --graph C5 --s 7 --c 2":
+            "--c needs --theorem mah alongside it",
+        "palettebox construct --theorem png --graph C5 --s 5 --mode path":
+            "--mode needs --theorem cubic alongside it",
+        # a malformed --remove names the flag and the item
+        "palettebox construct --theorem nrg --graph Q3 --host C5 --remove 0-x":
+            "--remove takes edges u-v separated by commas, got '0-x'",
+        "palettebox construct --theorem nrg --graph Q3 --host C5 --remove 0-1,":
+            "--remove takes edges u-v separated by commas, got ''",
+        "palettebox theta Q3 --host C5 --remove 0:1":
+            "--remove takes edges u-v separated by commas, got '0:1'",
+        "palettebox theta Q3 --host C5 --remove 0-1-2":
+            "--remove takes edges u-v separated by commas, got '0-1-2'",
     }
     for command in [*checks, *messages]:
         proc = sh(command, cwd=tmp_path)

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palettebox import search
 from palettebox.coloring import EdgeColoring, check_proper, palette_summary
 from palettebox.constructions import PATH_MODE_FAMILY
 from palettebox.corpus import random_graph, small_corpus
@@ -141,14 +142,36 @@ def test_palette_search_node_counts_are_pinned():
     assert tracker.nodes == 99
 
 
-@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 2_951), (5, 3, 1_771)],
-                         ids=["P3xC5", "P5xC3"])
-def test_path_cycle_node_counts_are_pinned(path, cycle, nodes):
+@pytest.mark.parametrize("g, h, interval, rule, nodes", [
     # both have palette index 4; the count search exhausts p = 2, the one
     # parity family of p = 3 is exhausted, and the count search finds p = 4
-    cert = palette_index_exact(cartesian_product(path_graph(path), cycle_graph(cycle)))
-    assert cert.interval == (4, 4) and cert.rule == "parity-families"
+    (path_graph(3), cycle_graph(5), (4, 4), "parity-families", 2_951),
+    (path_graph(5), cycle_graph(3), (4, 4), "parity-families", 1_771),
+    # p = 3 has no parity family, and the 11 families of p = 4 are exhausted
+    (path_graph(5), path_graph(5), (5, 5), "parity-families", 17_347),
+    # class 2, so p = 3 is the first target, and the count search finds it
+    (cycle_graph(5), cycle_graph(5), (3, 3), "regular-class2", 3_768),
+], ids=["P3xC5", "P5xC3", "P5xP5", "C5xC5"])
+def test_path_cycle_node_counts_are_pinned(g, h, interval, rule, nodes):
+    cert = palette_index_exact(cartesian_product(g, h))
+    assert cert.interval == interval and cert.rule == rule
     assert cert.nodes == nodes
+
+
+def test_each_target_orders_the_edges_once(monkeypatch):
+    # P5 x P5 settles three targets: p = 3 by parity, p = 4 by exhausting
+    # its families and p = 5 by a coloring; the count search and every
+    # family search of a target share one edge order
+    calls = []
+    order = search.edge_order
+
+    def counted(graph):
+        calls.append(graph)
+        return order(graph)
+    monkeypatch.setattr(search, "edge_order", counted)
+    cert = palette_index_exact(cartesian_product(path_graph(5), path_graph(5)))
+    assert cert.interval == (5, 5)
+    assert len(calls) == 3
 
 
 def test_candidate_witness_sets_the_upper_bound():

@@ -146,12 +146,42 @@ def test_palette_count_search():
 def test_palette_searches_settle_degenerate_input_without_the_kernel(run, outcome, monkeypatch):
     def no_kernel(*args):
         raise AssertionError("the kernel ran")
-    monkeypatch.setattr(search, "_seeded_palette_search", no_kernel)
+    monkeypatch.setattr(search, "_backend", lambda: (no_kernel, no_kernel, list))
     if outcome is ValueError:
         with pytest.raises(ValueError):
             run()
     else:
         assert run() == outcome
+
+
+P3C5 = cartesian_product(path_graph(3), cycle_graph(5))
+P5C5 = cartesian_product(path_graph(5), cycle_graph(5))
+
+
+@pytest.mark.parametrize("whole, unrun, final", [
+    (lambda t: search_k_coloring(PETERSEN, 4, t),
+     lambda: search._search(PETERSEN, search.edge_order(PETERSEN), 4), FOUND),
+    (lambda t: search_palette_count(P3C5, 12, 3, t),
+     lambda: search._search(P3C5, search.edge_order(P3C5), 12, 3), EXHAUSTED),
+    (lambda t: search_palette_count(P3C5, 12, 4, t),
+     lambda: search._search(P3C5, search.edge_order(P3C5), 12, 4), FOUND),
+    (lambda t: search_palette_family(P5C5, PATH_MODE_FAMILY, t),
+     lambda: search._search(P5C5, search.edge_order(P5C5), *search._family_args(PATH_MODE_FAMILY)),
+     FOUND),
+], ids=["petersen-k4", "p3c5-count-p3", "p3c5-count-p4", "p5c5-family"])
+@pytest.mark.parametrize("turn", [1, 7, 1_024])
+def test_a_search_resumed_in_turns_matches_one_run(whole, unrun, final, turn):
+    tracker = BudgetTracker(None)
+    expected = whole(tracker)
+    assert expected[0] == final
+    resumed = BudgetTracker(None)
+    s = unrun()
+    turns = 1
+    while (result := search._drive(s, resumed, turn))[0] == PAUSED:
+        turns += 1
+    assert result == expected and resumed.nodes == tracker.nodes
+    # the turn that settles the search may spend all of it
+    assert turns == -(-tracker.nodes // turn)
 
 
 def test_palette_family_search():
