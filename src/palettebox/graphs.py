@@ -7,6 +7,7 @@ graphs have byte-identical edge tuples.
 
 from __future__ import annotations
 
+import gc
 import operator
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
@@ -42,16 +43,20 @@ class Graph:
         n, edges = self.n, self.edges
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for e in edges:
-            u, v = e
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge {e} is not canonical or out of range")
-        # a strictly increasing edge tuple is sorted and repeats no edge
-        if not all(map(operator.lt, edges, edges[1:])):
-            prev, e = next(pair for pair in zip(edges, edges[1:]) if not pair[0] < pair[1])
-            if e == prev:
-                raise ValueError(f"duplicate edge {e}")
-            raise ValueError("edges must be sorted lexicographically")
+        if type(edges) is tuple:
+            # one pass: each edge must be in range and follow the one before
+            # it, starting from a virtual edge (0, 0), so the first needs 0 <= u
+            pu, pv = 0, 0
+            try:
+                for u, v in edges:
+                    if not (pu < u < v < n or u == pu and pv < v < n):
+                        break
+                    pu, pv = u, v
+                else:
+                    return
+            except (TypeError, ValueError):
+                pass
+        _check_edges_in_two_passes(n, edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
@@ -108,6 +113,44 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)}, tag={self.tag!r})"
+
+
+def _check_edges_in_two_passes(n: int, edges: Sequence) -> None:
+    """The edge check ``Graph`` falls back on where its one pass rejects or cannot run.
+
+    Every edge must be in range, then the edges must increase strictly, so
+    a range error anywhere comes before any order error.  The one pass runs
+    only on a tuple, because a rejected input is read again here; any other
+    container comes straight here.
+    """
+    for e in edges:
+        u, v = e
+        if not (0 <= u < v < n):
+            raise ValueError(f"edge {e} is not canonical or out of range")
+    # a strictly increasing edge tuple is sorted and repeats no edge
+    if not all(map(operator.lt, edges, edges[1:])):
+        prev, e = next(pair for pair in zip(edges, edges[1:]) if not pair[0] < pair[1])
+        if e == prev:
+            raise ValueError(f"duplicate edge {e}")
+        raise ValueError("edges must be sorted lexicographically")
+
+
+class _collector_paused:
+    """Pause the cyclic garbage collector, then restore the state it had.
+
+    For bulk builds of tuples and lists of ints and strings: they form no
+    reference cycle, so a collection during the build would only rescan
+    them.  A class rather than a generator, as ``contextlib.suppress`` is,
+    because a small product pays its entry and exit on every build.
+    """
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self.enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +250,26 @@ def map_product_edges(g: Graph, h: Graph, g_cols: Sequence[Sequence[T]],
     edges: list = [None] * size
     values: list = [None] * size
     p = 0
-    for a, g_here in enumerate(g_up):
-        base = a * nh
-        row = h_rows[a]
-        g_fibers = [(g_cols[i], v * nh) for i, v in g_here]
-        for x, h_here in enumerate(h_up):
-            low = base + x
-            for j, y in h_here:
-                edges[p] = (low, base + y)
-                values[p] = row[j]
-                p += 1
-            for col, top in g_fibers:
-                edges[p] = (low, top + x)
-                values[p] = col[x]
-                p += 1
-    # the edge list goes before the graph is checked and the value tuple built
-    edges = tuple(edges)
-    return Graph(g.n * nh, edges, f"product({g.tag},{h.tag})"), tuple(values)
+    # every endpoint is taken from this list, so each vertex is one int object
+    vertices = list(range(g.n * nh))
+    with _collector_paused():
+        for a, g_here in enumerate(g_up):
+            base = a * nh
+            fiber, row = vertices[base:base + nh], h_rows[a]
+            g_fibers = [(g_cols[i], vertices[v * nh:(v + 1) * nh]) for i, v in g_here]
+            for x, h_here in enumerate(h_up):
+                low = fiber[x]
+                for j, y in h_here:
+                    edges[p] = (low, fiber[y])
+                    values[p] = row[j]
+                    p += 1
+                for col, top in g_fibers:
+                    edges[p] = (low, top[x])
+                    values[p] = col[x]
+                    p += 1
+        # the edge list goes before the graph is checked and the value tuple built
+        edges = tuple(edges)
+        return Graph(g.n * nh, edges, f"product({g.tag},{h.tag})"), tuple(values)
 
 
 def _edges_up(graph: Graph) -> list[list[tuple[int, int]]]:

@@ -38,7 +38,7 @@ from typing import Callable
 
 from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring, product_coloring
-from palettebox.graphs import Graph, cycle_graph
+from palettebox.graphs import Graph, _collector_paused, cycle_graph
 
 ASCENDING = "ascending-vertical"
 DESCENDING = "descending-vertical"
@@ -101,7 +101,8 @@ class TorusDecomposition:
 
     @cached_property
     def z_sets(self) -> tuple[tuple[Step, ...], ...]:
-        return tuple(z_set(self.s, self.t, i) for i in range(self.t))
+        with _collector_paused():
+            return tuple(z_set(self.s, self.t, i) for i in range(self.t))
 
     def class_of_walk(self, i: int) -> int:
         """Class index of walk Z_i.

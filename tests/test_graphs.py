@@ -1,8 +1,11 @@
+import gc
 import itertools
+import operator
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from palettebox import graphs
 from palettebox.graphs import (
     Graph,
     Matching,
@@ -22,6 +25,7 @@ from palettebox.graphs import (
     petersen_graph,
     remove_edges,
 )
+from palettebox.torus import TorusDecomposition, torus_three_palette_coloring
 
 
 def test_canonical_edge_orders_and_rejects_loops():
@@ -35,6 +39,15 @@ def test_graph_validation():
     assert Graph.from_edges(3, [(2, 0), (1, 0)]).edges == ((0, 1), (0, 2))
 
 
+def _unpack_message(edge):
+    """The interpreter's own message for unpacking an edge of the wrong length."""
+    try:
+        u, v = edge
+    except ValueError as error:
+        return str(error)
+    raise AssertionError(f"{edge} unpacks to two endpoints")
+
+
 @pytest.mark.parametrize("n, edges, message", [
     (-1, (), "vertex count must be nonnegative"),
     (2, ((0, 2),), "edge (0, 2) is not canonical or out of range"),
@@ -45,13 +58,67 @@ def test_graph_validation():
     (4, ((0, 1), (1, 2), (1, 2), (2, 3)), "duplicate edge (1, 2)"),
     (3, ((0, 2), (0, 1)), "edges must be sorted lexicographically"),
     (4, ((0, 1), (2, 3), (1, 2)), "edges must be sorted lexicographically"),
+    (3, ((-1, 2),), "edge (-1, 2) is not canonical or out of range"),
+    # range errors come before order errors, wherever they stand
+    (3, ((0, 1), (0, 1), (1, 5)), "edge (1, 5) is not canonical or out of range"),
+    (3, ((0, 1, 2),), _unpack_message((0, 1, 2))),
 ], ids=["negative n", "out of range", "negative endpoint", "not canonical", "loop",
-        "duplicate", "inner duplicate", "unsorted", "unsorted tail"])
+        "duplicate", "inner duplicate", "unsorted", "unsorted tail", "negative first edge",
+        "range error after a duplicate", "three-item edge"])
 def test_graph_rejects_malformed_input(n, edges, message):
     with pytest.raises(ValueError) as info:
         Graph(n, edges)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+def test_a_well_formed_graph_is_checked_in_one_pass(monkeypatch):
+    def rescan(n, edges):
+        raise AssertionError(f"rescanned the well-formed edges {edges}")
+
+    monkeypatch.setattr(graphs, "_check_edges_in_two_passes", rescan)
+    for g in (Graph(0, ()), Graph(3, ((0, 2),)), path_graph(4), complete_graph(5),
+              cartesian_product(cycle_graph(5), path_graph(3))):
+        Graph(g.n, g.edges)
+
+
+def _two_pass_check(n, edges):
+    """The reference edge check: every edge in range, then strictly increasing."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    for e in edges:
+        u, v = e
+        if not (0 <= u < v < n):
+            raise ValueError(f"edge {e} is not canonical or out of range")
+    if not all(map(operator.lt, edges, edges[1:])):
+        prev, e = next(pair for pair in zip(edges, edges[1:]) if not pair[0] < pair[1])
+        if e == prev:
+            raise ValueError(f"duplicate edge {e}")
+        raise ValueError("edges must be sorted lexicographically")
+
+
+_endpoints = st.integers(-1, 6)
+_pairs = st.tuples(_endpoints, _endpoints)
+_edges = st.one_of(_pairs, st.tuples(_endpoints), st.tuples(_endpoints, _endpoints, _endpoints))
+
+
+@given(st.integers(-1, 6),
+       st.one_of(st.lists(_edges, max_size=6), st.lists(_pairs, max_size=8).map(sorted),
+                 st.sets(_pairs.filter(lambda e: e[0] < e[1]), max_size=8).map(sorted)))
+@example(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+@example(3, [(0, 1), (0, 1), (1, 5)])
+@example(3, [(0, 2), (0, 1), (1, 2, 0)])
+def test_graph_accepts_exactly_what_the_two_pass_check_accepts(n, edges):
+    for container in (tuple, list):
+        edges = container(edges)
+        try:
+            _two_pass_check(n, edges)
+        except ValueError as error:
+            with pytest.raises(ValueError) as info:
+                Graph(n, edges)
+            assert str(info.value) == str(error)
+        else:
+            assert Graph(n, edges).edges == edges
 
 
 def test_provenance_never_affects_equality():
@@ -123,6 +190,34 @@ def test_product_size_formulas(n, m):
     prod = cartesian_product(g, h)
     assert prod.n == g.n * h.n
     assert len(prod.edges) == len(g.edges) * h.n + len(h.edges) * g.n
+
+
+def test_product_holds_one_int_object_per_vertex():
+    # past 256, every arithmetic result is a new int object
+    g = cartesian_product(cycle_graph(301), cycle_graph(3))
+    assert len({id(x) for e in g.edges for x in e}) == g.n
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_collector_pause_restores_the_state_it_found(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with graphs._collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            with graphs._collector_paused():
+                raise KeyError("inside the pause")
+        assert gc.isenabled() is enabled
+        cartesian_product(cycle_graph(5), path_graph(3))
+        assert gc.isenabled() is enabled
+        torus_three_palette_coloring(7, 7)
+        assert gc.isenabled() is enabled
+        TorusDecomposition(7, 7).z_sets
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @st.composite
