@@ -6,8 +6,8 @@ from a collection of at most ``p_target`` distinct masks.  The
 minimum-palette search starts it with an empty collection, or with only
 the empty palette of isolated vertices, and the collection grows as
 vertices complete.  The family search starts it with the family already
-collected and ``p_target`` its size, and with ``maxused[0] = k``: the cap
-on new colors is then k at every depth, which turns color-symmetry
+collected and ``p_target`` its size, and with all k colors allowed at
+depth 0: every depth may then use every color, which turns color-symmetry
 breaking off, as it must be since the family fixes concrete colors.
 
 Each kernel advances by at most ``node_limit`` nodes per call and leaves
@@ -24,9 +24,10 @@ one constructor per backend: int64 numpy arrays for numba, plain lists
 of Python ints for the fallback, where indexing a list skips the boxing
 of numpy scalars.
 
-Colors are tracked in bitmasks (bit c-1 for color c).  Both backends
-cap usable colors at 62, so that every mask fits the int64 slots of the
-numba buffers; exact search beyond that is out of desk scale anyway.
+In the kernels color c is bit ``1 << c`` of every mask, so the next color
+to try is the lowest set bit of one mask.  Usable colors stop at 62, bits
+1 to 62, so that every mask fits the int64 slots of the numba buffers;
+exact search beyond that is out of desk scale anyway.
 
 The three searches take a ``Graph`` and return an ``EdgeColoring`` with
 colors in canonical edge order, so the order in which the kernels color
@@ -80,12 +81,15 @@ def active_backend() -> str:
 # kernel bodies (compiled and interpreted from the same source)
 
 
-def _color_chunk_py(eu, ev, m, k, assign, vmask, maxused, pos, node_limit):
+def _color_chunk_py(eu, ev, m, k, assign, vmask, opened, pos, node_limit):
     """Extend a proper k-coloring depth-first; new colors ascend.
 
-    Returns (status, pos, nodes).  At depth d, ``assign[d]`` is the last
-    color tried there; its bits are set only while the search sits deeper.
+    Returns (status, pos, nodes).  ``assign[d]`` is the bit of the last
+    color tried at depth d, 1 before any, set in ``vmask`` only while the
+    search sits deeper; ``opened[d]`` has the colors opened above d and the
+    next new one, up to k.
     """
+    top = 1 << k
     d = pos
     nodes = 0
     while True:
@@ -94,33 +98,29 @@ def _color_chunk_py(eu, ev, m, k, assign, vmask, maxused, pos, node_limit):
         nodes += 1
         u = eu[d]
         v = ev[d]
-        both = vmask[u] | vmask[v]
-        cap = maxused[d] + 1
-        if cap > k:
-            cap = k
-        c = assign[d] + 1
-        while c <= cap and (both >> (c - 1)) & 1 == 1:
-            c += 1
-        if c <= cap:
-            assign[d] = c
-            bit = 1 << (c - 1)
+        t = assign[d]
+        allowed = opened[d]
+        free = allowed & ~(vmask[u] | vmask[v]) & (-t ^ t)  # -t ^ t: bits above t
+        if free:
+            bit = free & -free
+            assign[d] = bit
             vmask[u] |= bit
             vmask[v] |= bit
-            maxused[d + 1] = c if c > maxused[d] else maxused[d]
+            opened[d + 1] = allowed | bit << 1 if allowed >> 1 < bit < top else allowed
             d += 1
             if d == m:
                 return FOUND, d, nodes
         else:
-            assign[d] = 0
+            assign[d] = 1
             d -= 1
             if d < 0:
                 return EXHAUSTED, d, nodes
-            bit = 1 << (assign[d] - 1)
+            bit = assign[d]
             vmask[eu[d]] ^= bit
             vmask[ev[d]] ^= bit
 
 
-def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
+def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened,
                      deg_left, distinct, dsize, added, dcount, pos, node_limit):
     """Proper-coloring search allowing at most p_target distinct palettes.
 
@@ -135,11 +135,13 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
     The caller may seed the collection: ``distinct[:dcount]`` entries
     present at the start are never removed, since backtracking removes
     only what ``added`` records.  Seeding ``dcount = p_target`` fixes the
-    palettes outright.  ``maxused[0]`` seeds the symmetry-breaking cap:
-    0 lets depth 0 open color 1 only, k lets every depth use all k colors.
+    palettes outright.  ``assign`` and ``opened`` are as in the coloring
+    kernel: ``opened[0]`` holding color 1 alone opens colors in turn, and
+    all k colors let every depth use all k.
 
     Returns (status, dcount, pos, nodes).
     """
+    top = 1 << k
     d = pos
     nodes = 0
     while True:
@@ -148,86 +150,83 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, maxused,
         nodes += 1
         u = eu[d]
         v = ev[d]
-        both = vmask[u] | vmask[v]
-        cap = maxused[d] + 1
-        if cap > k:
-            cap = k
-        c = assign[d] + 1
+        t = assign[d]
+        allowed = opened[d]
+        free = allowed & ~(vmask[u] | vmask[v]) & (-t ^ t)  # -t ^ t: bits above t
         committed = False
-        while c <= cap:
-            if (both >> (c - 1)) & 1 == 0:
-                bit = 1 << (c - 1)
-                new_u = vmask[u] | bit
-                new_v = vmask[v] | bit
-                ok = True
-                n_new = 0
-                w1 = -1
-                w2 = -1
-                if deg_left[u] == 1:
-                    hit = False
-                    for i in range(dcount):
-                        if distinct[i] == new_u:
-                            hit = True
-                            break
+        while free:
+            bit = free & -free
+            free ^= bit
+            new_u = vmask[u] | bit
+            new_v = vmask[v] | bit
+            ok = True
+            n_new = 0
+            w1 = -1
+            w2 = -1
+            if deg_left[u] == 1:
+                hit = False
+                for i in range(dcount):
+                    if distinct[i] == new_u:
+                        hit = True
+                        break
+                if not hit:
+                    w1 = new_u
+                    n_new = 1
+            elif dcount == p_target:
+                fits = False
+                for i in range(dcount):
+                    if (new_u & ~distinct[i]) == 0 and dsize[i] == deg[u]:
+                        fits = True
+                        break
+                ok = fits
+            if ok:
+                if deg_left[v] == 1:
+                    hit = new_v == w1
                     if not hit:
-                        w1 = new_u
-                        n_new = 1
+                        for i in range(dcount):
+                            if distinct[i] == new_v:
+                                hit = True
+                                break
+                    if not hit:
+                        w2 = new_v
+                        n_new += 1
                 elif dcount == p_target:
                     fits = False
                     for i in range(dcount):
-                        if (new_u & ~distinct[i]) == 0 and dsize[i] == deg[u]:
+                        if (new_v & ~distinct[i]) == 0 and dsize[i] == deg[v]:
                             fits = True
                             break
                     ok = fits
-                if ok:
-                    if deg_left[v] == 1:
-                        hit = new_v == w1
-                        if not hit:
-                            for i in range(dcount):
-                                if distinct[i] == new_v:
-                                    hit = True
-                                    break
-                        if not hit:
-                            w2 = new_v
-                            n_new += 1
-                    elif dcount == p_target:
-                        fits = False
-                        for i in range(dcount):
-                            if (new_v & ~distinct[i]) == 0 and dsize[i] == deg[v]:
-                                fits = True
-                                break
-                        ok = fits
-                if ok and dcount + n_new > p_target:
-                    ok = False
-                if ok:
-                    assign[d] = c
-                    vmask[u] = new_u
-                    vmask[v] = new_v
-                    deg_left[u] -= 1
-                    deg_left[v] -= 1
-                    if w1 >= 0:
-                        distinct[dcount] = w1
-                        dsize[dcount] = deg[u]
-                        dcount += 1
-                    if w2 >= 0:
-                        distinct[dcount] = w2
-                        dsize[dcount] = deg[v]
-                        dcount += 1
-                    added[d] = n_new
-                    maxused[d + 1] = c if c > maxused[d] else maxused[d]
-                    committed = True
-                    break
-            c += 1
+            if ok and dcount + n_new > p_target:
+                ok = False
+            if ok:
+                assign[d] = bit
+                vmask[u] = new_u
+                vmask[v] = new_v
+                deg_left[u] -= 1
+                deg_left[v] -= 1
+                if w1 >= 0:
+                    distinct[dcount] = w1
+                    dsize[dcount] = deg[u]
+                    dcount += 1
+                if w2 >= 0:
+                    distinct[dcount] = w2
+                    dsize[dcount] = deg[v]
+                    dcount += 1
+                added[d] = n_new
+                opened[d + 1] = allowed | bit << 1 if allowed >> 1 < bit < top else allowed
+                committed = True
+                break
         if committed:
             d += 1
             if d == m:
                 return FOUND, dcount, d, nodes
         else:
-            assign[d] = 0
+            assign[d] = 1
             d -= 1
             if d < 0:
                 return EXHAUSTED, dcount, d, nodes
-            bit = 1 << (assign[d] - 1)
+            bit = assign[d]
             u = eu[d]
             v = ev[d]
             vmask[u] ^= bit
@@ -399,8 +398,8 @@ def _drive(search, budget, allowance=None):
     returns ``(status, *state, nodes)``; ``state``, the scalars the kernel
     resumes from, is updated in place, so a PAUSED search resumes on the
     next call.  Returns (status, coloring or None): on FOUND, ``assign[d]``
-    colors edge ``order[d]``.  ``int()`` turns numba's int64 values into
-    the Python ints ``EdgeColoring`` requires.
+    is the bit of edge ``order[d]``'s color.  ``int()`` turns numba's
+    int64 values into the Python ints ``EdgeColoring`` requires.
     """
     graph, order, step, args, state, assign = search
     tracker = ensure_tracker(budget)
@@ -416,7 +415,7 @@ def _drive(search, budget, allowance=None):
         if status == FOUND:
             colors = [0] * len(order)
             for slot, c in zip(order, assign):
-                colors[slot] = int(c)
+                colors[slot] = int(c).bit_length() - 1
             return FOUND, EdgeColoring(graph, tuple(colors))
         if status == EXHAUSTED:
             return EXHAUSTED, None
@@ -431,17 +430,17 @@ def _search(graph, order, k, p_target=None, family=None):
     """
     m = len(order)
     color_step, palette_step, buf = _backend()
-    assign = buf([0] * m)
+    assign = buf([1] * m)
     eu = buf(graph.edges[i][0] for i in order)
     ev = buf(graph.edges[i][1] for i in order)
     if p_target is None:
-        args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([0] * (m + 1)))
+        args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([2] + [0] * m))
         return graph, order, color_step, args, [0], assign
     seed = family if family is not None else [0] if 0 in graph.degrees else []
     free = [0] * (p_target + 1 - len(seed))
     args = (eu, ev, m, k, buf(graph.degrees), p_target, assign, buf([0] * graph.n),
-            buf([0 if family is None else k] + [0] * m), buf(graph.degrees), buf(seed + free),
-            buf([bin(mask).count("1") for mask in seed] + free), buf([0] * m))
+            buf([2 if family is None else (2 << k) - 2] + [0] * m), buf(graph.degrees),
+            buf(seed + free), buf([bin(mask).count("1") for mask in seed] + free), buf([0] * m))
     return graph, order, palette_step, args, [len(seed), 0], assign
 
 
@@ -453,11 +452,11 @@ def _family_args(family) -> tuple[int, int, list[int]]:
         for c in pal:
             if not (1 <= c <= MAX_COLORS):
                 raise ValueError(f"family color {c} out of kernel range")
-            mask |= 1 << (c - 1)
+            mask |= 1 << c
         masks.append(mask)
     if not masks:
         raise ValueError("palette family must be nonempty")
-    return max(masks).bit_length(), len(masks), masks
+    return max(masks).bit_length() - 1, len(masks), masks
 
 
 def _run(graph, k, budget, *args):

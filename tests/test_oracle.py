@@ -1,3 +1,4 @@
+from hashlib import sha256
 from random import Random
 
 import pytest
@@ -156,6 +157,22 @@ def test_path_cycle_node_counts_are_pinned(g, h, interval, rule, nodes):
     cert = palette_index_exact(cartesian_product(g, h))
     assert cert.interval == interval and cert.rule == rule
     assert cert.nodes == nodes
+
+
+@pytest.mark.parametrize("g, h, interval, rule, nodes, digest", [
+    (cycle_graph(5), cycle_graph(7), (3, 3), "regular-class2", 11_834,
+     "8bb31872ffeb1564671471536217d00af33d751c5868f783bf126ab08f36f5e6"),
+    (path_graph(3), cycle_graph(7), (4, 4), "parity-families", 6_628,
+     "a192ee8e466c7995fb8a91a5526db4c76298f241a3f163c8433113fa81b2d58c"),
+    (path_graph(3), complete_graph(5), (4, 4), "parity-families", 206_957,
+     "5c7a0baee4c6041c9841167ed8ab947b4a463a499fabf9f0642d1fdd86674af9"),
+], ids=["C5xC7", "P3xC7", "P3xK5"])
+def test_certificates_and_witnesses_are_pinned(g, h, interval, rule, nodes, digest):
+    # the stop, interval, node count and sha256 of the witness colors: a
+    # change here means the search visited other nodes or found another witness
+    cert = palette_index_exact(cartesian_product(g, h))
+    assert (cert.stop, cert.interval, cert.rule, cert.nodes) == ("exact", interval, rule, nodes)
+    assert sha256(bytes(cert.witness.colors)).hexdigest() == digest
 
 
 def test_each_target_orders_the_edges_once(monkeypatch):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import itertools
 import random
 
+import numpy
 import pytest
 
 from palettebox import search
@@ -262,36 +263,50 @@ def test_family_search_finds_the_first_in_family_coloring():
 # numba runs the kernels on int64 arrays and the fallback on lists of
 # Python ints.  Driving each uncompiled kernel over both buffer types, in
 # small chunks so every pause and resume is compared too, stands in for a
-# numba parity check where numba is not installed.  The family cases run
-# the palette kernel seeded with the family, as search_palette_family does.
+# numba parity check where numba is not installed.  The int64 side runs
+# with numpy's integer overflow raised, so a mask that passes bit 62 fails
+# instead of wrapping.  The family cases run the palette kernel seeded
+# with the family, as search_palette_family does.  Each run returns its
+# calls and the colors of ``assign`` decoded from their bits (0 where no
+# color is set).
 
 PARITY_CHUNK = 7
 PETERSEN = petersen_graph()
 K5 = complete_graph(5)
 P3C4 = cartesian_product(path_graph(3), cycle_graph(4))
-# every center edge needs its own color, so k = MAX_COLORS reaches bit 61
+# every center edge needs its own color, so k = MAX_COLORS reaches bit 62
 STAR = Graph.from_edges(MAX_COLORS + 1, [(0, i) for i in range(1, MAX_COLORS + 1)])
 HIGH_FAMILY = [{60, 61, 62}, {59, 61, 62}, {59, 60, 62}, {59, 60, 61, 62}]
+
+
+def on_int64(run, *args):
+    """``run`` on int64 buffers, with numpy's integer overflow an error."""
+    with numpy.errstate(over="raise"):
+        return run(search._int64, *args)
+
+
+def colors_of(assign):
+    return [int(c).bit_length() - 1 for c in assign]
 
 
 def color_run(buf, g, k):
     eu, ev = edge_arrays(g)
     m = len(eu)
     eu_b, ev_b = buf(eu), buf(ev)
-    assign, vmask, maxused = buf([0] * m), buf([0] * g.n), buf([0] * (m + 1))
+    assign, vmask, opened = buf([1] * m), buf([0] * g.n), buf([2] + [0] * m)
     calls, status, pos = [], PAUSED, 0
     while status == PAUSED:
         status, pos, nodes = search._color_chunk_py(eu_b, ev_b, m, k, assign, vmask,
-                                                    maxused, pos, PARITY_CHUNK)
+                                                    opened, pos, PARITY_CHUNK)
         calls.append((int(status), int(pos), int(nodes)))
-    return calls, [int(c) for c in assign]
+    return calls, colors_of(assign)
 
 
-def pcount_run(buf, g, k, p_target, seed=(), maxused0=0):
+def pcount_run(buf, g, k, p_target, seed=(), opened0=2):
     eu, ev = edge_arrays(g)
     m = len(eu)
     eu_b, ev_b, deg = buf(eu), buf(ev), buf(g.degrees)
-    assign, vmask, maxused = buf([0] * m), buf([0] * g.n), buf([maxused0] + [0] * m)
+    assign, vmask, opened = buf([1] * m), buf([0] * g.n), buf([opened0] + [0] * m)
     deg_left, added = buf(g.degrees), buf([0] * m)
     free = [0] * (p_target + 1 - len(seed))
     distinct = buf([mask for mask, _ in seed] + free)
@@ -299,17 +314,17 @@ def pcount_run(buf, g, k, p_target, seed=(), maxused0=0):
     calls, status, pos, dcount = [], PAUSED, 0, len(seed)
     while status == PAUSED:
         status, dcount, pos, nodes = search._pcount_chunk_py(
-            eu_b, ev_b, m, k, deg, p_target, assign, vmask, maxused, deg_left,
+            eu_b, ev_b, m, k, deg, p_target, assign, vmask, opened, deg_left,
             distinct, dsize, added, dcount, pos, PARITY_CHUNK)
         calls.append((int(status), int(dcount), int(pos), int(nodes)))
-    return calls, [int(c) for c in assign]
+    return calls, colors_of(assign)
 
 
 def family_run(buf, g, family):
     """The palette kernel with ``family`` as its full collection, as the family search runs it."""
-    seed = [(sum(1 << (c - 1) for c in pal), len(pal)) for pal in family]
-    k = max(mask for mask, _ in seed).bit_length()
-    return pcount_run(buf, g, k, len(seed), seed, maxused0=k)
+    seed = [(sum(1 << c for c in pal), len(pal)) for pal in family]
+    k = max(mask for mask, _ in seed).bit_length() - 1
+    return pcount_run(buf, g, k, len(seed), seed, opened0=(2 << k) - 2)
 
 
 @pytest.mark.parametrize("g, k, final", [
@@ -324,7 +339,7 @@ def family_run(buf, g, family):
 ])
 def test_color_kernel_same_on_list_and_int64_buffers(g, k, final):
     on_lists = color_run(list, g, k)
-    assert on_lists == color_run(search._int64, g, k)
+    assert on_lists == on_int64(color_run, g, k)
     assert on_lists[0][-1][0] == final
 
 
@@ -340,7 +355,7 @@ def test_color_kernel_same_on_list_and_int64_buffers(g, k, final):
 ])
 def test_pcount_kernel_same_on_list_and_int64_buffers(g, k, p_target, final):
     on_lists = pcount_run(list, g, k, p_target)
-    assert on_lists == pcount_run(search._int64, g, k, p_target)
+    assert on_lists == on_int64(pcount_run, g, k, p_target)
     assert on_lists[0][-1][0] == final
 
 
@@ -354,7 +369,7 @@ def test_pcount_kernel_same_on_list_and_int64_buffers(g, k, p_target, final):
 ])
 def test_family_kernel_same_on_list_and_int64_buffers(g, family, final):
     on_lists = family_run(list, g, family)
-    assert on_lists == family_run(search._int64, g, family)
+    assert on_lists == on_int64(family_run, g, family)
     assert on_lists[0][-1][0] == final
 
 

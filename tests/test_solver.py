@@ -1,3 +1,4 @@
+from hashlib import sha256
 from random import Random
 
 import pytest
@@ -132,6 +133,24 @@ def test_k9_node_count_is_pinned():
     res = chromatic_index(complete_graph(9))
     assert res.value == 9
     assert res.nodes == 113_994
+
+
+@pytest.mark.parametrize("g, value, nodes, digest", [
+    (complete_graph(9), 9, 113_994,
+     "9c39970cb80094a1e4cbbdcf689a6daf43fa7e5cf90c8894cf87f074dc56dc94"),
+    (complete_graph(7), 7, 21,
+     "6fee9410ed5acb227c98e623fc451d3326ca8d77cdf413e6dc47cd2bfa9c00bf"),
+    (petersen_graph(), 4, 94,
+     "cdd1725f96fc84bda74f95c4567eea48d6ad49987947d0a72b9d95bff0d2201a"),
+    (hypercube_graph(3), 3, 12,
+     "2e66506b1d9fc969b743fa8fff64661d14b7ba0717a70cfa9771fd293db0f511"),
+], ids=["K9", "K7", "petersen", "Q3"])
+def test_chromatic_index_searches_are_pinned(g, value, nodes, digest):
+    # the status, node count and sha256 of the witness colors: a change
+    # here means the search visited other nodes or found another witness
+    res = chromatic_index(g)
+    assert (res.status, res.value, res.nodes) == ("exact", value, nodes)
+    assert sha256(bytes(res.witness.colors)).hexdigest() == digest
 
 
 def assert_vizing_coloring(g):
