@@ -2,9 +2,9 @@
 
 Subcommands: gen, product, construct, torus, theta, oracle, verify,
 export.  Exit codes: 0 success, 1 a check failed, 2 a search stopped
-before a verdict, because its budget ran out or because ``oracle``
-reached its --max-palettes cap or the search's color limit.  The
-default budget comes from the PALETTEBOX_BUDGET_SECONDS and
+before a verdict, because its budget ran out, because it reached the
+search's color limit or because ``oracle`` reached its --max-palettes
+cap.  The default budget comes from the PALETTEBOX_BUDGET_SECONDS and
 PALETTEBOX_BUDGET_NODES environment variables when flags are absent.
 """
 
@@ -80,7 +80,7 @@ def _coloring_report(col: EdgeColoring) -> tuple[dict, str]:
     obj = formats.coloring_to_json(col)
     obj["palettes"] = formats.palettes_to_json(summ)
     pal = ", ".join("{" + ",".join(map(str, sorted(p))) + "}" for p in summ.distinct)
-    text = (f"{col.graph.tag or 'graph'}: {col.graph.n} vertices, "
+    text = (f"{col.graph.tag}: {col.graph.n} vertices, "
             f"{len(col.graph.edges)} edges, {summ.count} palettes: {pal}")
     return obj, text
 
@@ -88,7 +88,7 @@ def _coloring_report(col: EdgeColoring) -> tuple[dict, str]:
 def _cmd_gen(args) -> int:
     g = formats.parse_graph_spec(args.graph)
     _emit(args, formats.graph_to_json(g),
-          f"{g.tag or 'graph'}: {g.n} vertices, {len(g.edges)} edges")
+          f"{g.tag}: {g.n} vertices, {len(g.edges)} edges")
     return PASS
 
 
@@ -211,7 +211,7 @@ def _cmd_theta(args) -> int:
         "isPartialCube": cube,
         "everyVertexInEveryClass": tc.every_vertex_in_every_class,
     }
-    text = (f"{g.tag or 'graph'}: {tc.count} theta classes, "
+    text = (f"{g.tag}: {tc.count} theta classes, "
             f"partial cube: {'yes' if cube else 'no'}")
     _emit(args, obj, text)
     return PASS
@@ -229,7 +229,7 @@ def _cmd_oracle(args) -> int:
     cert = palette_index_exact(g, max_palettes=args.max_palettes, budget=budget)
     obj = formats.certificate_to_json(cert)
     if cert.exact:
-        text = f"palette index of {g.tag or 'graph'} = {cert.lower} (rule: {cert.rule})"
+        text = f"palette index of {g.tag} = {cert.lower} (rule: {cert.rule})"
     else:
         if cert.stop == "max-palettes":
             cap = args.max_palettes if args.max_palettes is not None else default_max_palettes(g)
@@ -238,7 +238,7 @@ def _cmd_oracle(args) -> int:
             why = f"stopped at the search's {MAX_COLORS}-color limit"
         else:
             why = "budget ran out"
-        text = f"palette index of {g.tag or 'graph'} in [{cert.lower}, {cert.upper}] ({why})"
+        text = f"palette index of {g.tag} in [{cert.lower}, {cert.upper}] ({why})"
     _emit(args, obj, text)
     return PASS if cert.exact else INDETERMINATE
 

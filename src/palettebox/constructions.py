@@ -32,16 +32,19 @@ from palettebox.graphs import (
     path_graph,
     remove_edges,
 )
-from palettebox.search import BUDGET, BudgetExhausted
+from palettebox.search import BUDGET, MAX_COLORS, BudgetExhausted
 from palettebox.solver import chromatic_index
 from palettebox.torus import torus_three_palette_coloring
 
 
 def solve_exact(graph: Graph, budget=None):
-    """The exact ``chromatic_index`` result, or ``BudgetExhausted``."""
+    """The exact ``chromatic_index`` result, or ``BudgetExhausted`` naming what stopped it."""
     result = chromatic_index(graph, budget)
     if result.status != "exact":
-        raise BudgetExhausted(f"could not classify {graph.tag} within the search budget")
+        # the color count that stopped is Delta+1 exactly when class 2 was proven
+        k = result.delta + (result.value is not None)
+        why = f"the search's {MAX_COLORS}-color limit" if k > MAX_COLORS else "the search budget"
+        raise BudgetExhausted(f"could not classify {graph.tag} within {why}")
     return result
 
 

@@ -36,7 +36,10 @@ def graph_from_json(obj: dict) -> Graph:
     n = _json_int(obj["n"], "graph JSON 'n'")
     edges = [_json_ints(e, 2, f"graph JSON edge {i}", "graph JSON endpoint of edge")
              for i, e in enumerate(_json_list(obj["edges"], "graph JSON 'edges'"))]
-    return Graph.from_edges(n, edges, obj.get("provenance", ""))
+    provenance = obj.get("provenance")
+    if provenance is not None and not isinstance(provenance, str):
+        raise ValueError(f"graph JSON 'provenance' must be a string, got {provenance!r}")
+    return Graph.from_edges(n, edges, provenance)
 
 
 def _json_int(value, what: str) -> int:
@@ -106,7 +109,9 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def torus_to_json(dec: TorusDecomposition) -> dict:
-    z_sets = [[list(step) for step in walk] for walk in dec.z_sets]
+    from palettebox.torus import z_set
+
+    z_sets = [[list(step) for step in z_set(dec.s, dec.t, i)] for i in range(dec.t)]
     classes = [sorted(i for i in range(dec.t) if dec.class_of_walk(i) == c)
                for c in range(3)]
     return {"s": dec.s, "t": dec.t, "ell": dec.ell, "shift": dec.shift,

@@ -31,7 +31,8 @@ class Graph:
 
     ``provenance`` is a construction tag such as ``cycle(5)`` or
     ``product(cycle(5),cycle(3))``.  It documents where the graph came
-    from and never takes part in equality.  Connectivity is not enforced
+    from and never takes part in equality; ``tag`` reads it, or
+    ``graph(n)`` when it is absent or empty.  Connectivity is not enforced
     anywhere; operations that need it check it themselves.
     """
 
@@ -66,10 +67,6 @@ class Graph:
         return cls(n, tuple(canon), provenance)
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
     def edge_index(self) -> dict[Edge, int]:
         """Position of each edge in the canonical edge tuple."""
         return {e: i for i, e in enumerate(self.edges)}
@@ -102,14 +99,14 @@ class Graph:
         return len(set(self.degrees)) <= 1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edge_set
+        return canonical_edge(u, v) in self.edge_index
 
     def incident_edges(self, v: int) -> tuple[Edge, ...]:
         return tuple(canonical_edge(v, w) for w in self.adjacency[v])
 
     @property
     def tag(self) -> str:
-        return self.provenance if self.provenance is not None else f"graph({self.n})"
+        return self.provenance or f"graph({self.n})"
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)}, tag={self.tag!r})"
@@ -133,24 +130,6 @@ def _check_edges_in_two_passes(n: int, edges: Sequence) -> None:
         if e == prev:
             raise ValueError(f"duplicate edge {e}")
         raise ValueError("edges must be sorted lexicographically")
-
-
-class _collector_paused:
-    """Pause the cyclic garbage collector, then restore the state it had.
-
-    For bulk builds of tuples and lists of ints and strings: they form no
-    reference cycle, so a collection during the build would only rescan
-    them.  A class rather than a generator, as ``contextlib.suppress`` is,
-    because a small product pays its entry and exit on every build.
-    """
-
-    def __enter__(self):
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc):
-        if self.enabled:
-            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +231,11 @@ def map_product_edges(g: Graph, h: Graph, g_cols: Sequence[Sequence[T]],
     p = 0
     # every endpoint is taken from this list, so each vertex is one int object
     vertices = list(range(g.n * nh))
-    with _collector_paused():
+    # tuples of ints form no reference cycle, so a collection during the
+    # build would only rescan them; the collector is restored as it was found
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         for a, g_here in enumerate(g_up):
             base = a * nh
             fiber, row = vertices[base:base + nh], h_rows[a]
@@ -270,6 +253,9 @@ def map_product_edges(g: Graph, h: Graph, g_cols: Sequence[Sequence[T]],
         # the edge list goes before the graph is checked and the value tuple built
         edges = tuple(edges)
         return Graph(g.n * nh, edges, f"product({g.tag},{h.tag})"), tuple(values)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _edges_up(graph: Graph) -> list[list[tuple[int, int]]]:
@@ -297,7 +283,7 @@ def remove_edges(graph: Graph, removed: Iterable[Sequence[int]]) -> Graph:
     Every requested edge must exist; vertices are kept even if isolated.
     """
     gone = {canonical_edge(u, v) for u, v in removed}
-    missing = gone - graph.edge_set
+    missing = gone.difference(graph.edge_index)
     if missing:
         raise ValueError(f"edges not present: {sorted(missing)}")
     rest = tuple(e for e in graph.edges if e not in gone)
@@ -319,7 +305,7 @@ class Matching:
     def __post_init__(self):
         seen: set[int] = set()
         for e in self.edges:
-            if e not in self.host.edge_set:
+            if e not in self.host.edge_index:
                 raise ValueError(f"matching edge {e} is not in the host graph")
             u, v = e
             if u in seen or v in seen:

@@ -5,7 +5,8 @@ Every graph's chromatic index is its maximum degree Delta or Delta+1
 with color symmetry broken by introducing each new color as the smallest
 unused one; on exhaustion it produces a (Delta+1)-witness.  A budget can
 interrupt either phase, in which case the verdict is explicitly
-indeterminate rather than a guess.
+indeterminate rather than a guess, and so is a search that would need
+more colors than the kernel holds.
 
 ``misra_gries_coloring`` builds a (Delta+1)-coloring without search, so
 an upper bound is always at hand when a budget runs out.
@@ -52,12 +53,17 @@ def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
     is classified as class 2 without searching.  Exhaustive failure of
     the Delta search likewise yields class 2, and a (Delta+1)-witness is
     then searched for (it always exists; a budget stop keeps Delta+1).
+    A color count past ``search.MAX_COLORS`` stops the same way as the
+    budget does, so it is indeterminate too.
     """
     tracker = ensure_tracker(budget)
     delta = graph.max_degree
     parity_class_two = delta > 0 and graph.is_regular and graph.n % 2 == 1
     for k in (delta + 1,) if parity_class_two else (delta, delta + 1):
-        status, witness = search.search_k_coloring(graph, k, tracker)
+        if k > search.MAX_COLORS:  # past the kernel's color width nothing is searched
+            status, witness = search.BUDGET, None
+        else:
+            status, witness = search.search_k_coloring(graph, k, tracker)
         if status == search.FOUND:
             return ChromaticIndexResult("exact", k, witness, delta, tracker.nodes)
         if status == search.BUDGET:

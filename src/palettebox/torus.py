@@ -19,11 +19,12 @@ of even cycles; coloring class j's horizontal edges 2j+1 and vertical
 edges 2j+2 is proper and leaves exactly three distinct vertex palettes.
 
 Vertices are (row j, column k) with j in [s], k in [t], flattened
-row-major to j*t + k.  A walk is stored as a tuple of (kind, j, k)
+row-major to j*t + k.  ``z_set`` builds a walk as a tuple of (kind, j, k)
 steps in walk order: from (j, k), an ascending-vertical step goes to
 (j, k+1), a descending-vertical step to (j, k-1) and a horizontal step
-to (j+1, k), with wraparound.  The checks step through the stored walks
-in integer coordinates and test every edge against the offset table.
+to (j+1, k), with wraparound.  The checks build each walk in turn, step
+through it in integer coordinates, test every edge against the offset
+table and then drop it, so no walk is stored.
 A walk that closes up after 2s steps and repeats no vertex is a cycle
 of even length 2s, so a class whose walks share no vertex is a disjoint
 union of even cycles.  For s < t use commutativity: decompose the
@@ -38,7 +39,7 @@ from typing import Callable
 
 from palettebox._record import frozen
 from palettebox.coloring import EdgeColoring, product_coloring
-from palettebox.graphs import Graph, _collector_paused, cycle_graph
+from palettebox.graphs import Graph, cycle_graph
 
 ASCENDING = "ascending-vertical"
 DESCENDING = "descending-vertical"
@@ -83,7 +84,7 @@ def z_set(s: int, t: int, i: int) -> tuple[Step, ...]:
 
 @frozen
 class TorusDecomposition:
-    """All t walks of C_s box C_t plus their classes by index mod 3."""
+    """The t walks of C_s box C_t, kept as their closed form, plus their classes by index mod 3."""
 
     s: int
     t: int
@@ -98,11 +99,6 @@ class TorusDecomposition:
     @property
     def shift(self) -> int:
         return (self.s - self.t) // (2 * self.t)
-
-    @cached_property
-    def z_sets(self) -> tuple[tuple[Step, ...], ...]:
-        with _collector_paused():
-            return tuple(z_set(self.s, self.t, i) for i in range(self.t))
 
     def class_of_walk(self, i: int) -> int:
         """Class index of walk Z_i.
@@ -186,7 +182,7 @@ def _edge_starts(cycle: Graph) -> list[int]:
 
 
 def _step_walk(dec: TorusDecomposition, i: int) -> tuple[list[str], set[int]]:
-    """Problems of the stored walk Z_i, and the flat vertices it leaves from.
+    """Problems of the walk Z_i that ``z_set`` builds, and the flat vertices it leaves from.
 
     One pass in integer coordinates checks that the walk has 2s edges,
     each on the grid and starting where the last one ended, that it closes
@@ -194,7 +190,7 @@ def _step_walk(dec: TorusDecomposition, i: int) -> tuple[list[str], set[int]]:
     puts every edge on Z_i.
     """
     s, t = dec.s, dec.t
-    walk = dec.z_sets[i]
+    walk = z_set(s, t, i)
     problems = []
     if len(walk) != 2 * s:
         problems.append(f"Z_{i} has {len(walk)} edges, expected {2 * s}")

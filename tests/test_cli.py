@@ -131,7 +131,37 @@ def test_oracle_says_the_color_limit_stopped_it(tmp_path):
     stopped = sh("palettebox oracle k232.json", cwd=tmp_path)
     assert stopped.returncode == 2
     assert stopped.stdout.strip() == (
-        f"palette index of graph in [2, 17] (stopped at the search's {search.MAX_COLORS}-color limit)")
+        f"palette index of graph(34) in [2, 17] (stopped at the search's {search.MAX_COLORS}-color limit)")
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    # K63 is 62-regular of odd order: class 2 by parity, with nothing searched
+    ("oracle K63", 2, "palette index of complete(63) in [3, 63] (stopped at the search's 62-color limit)"),
+    # the Misra-Gries witness of K64 uses 63 colors, so every vertex sees all of them
+    ("oracle K64", 0, "palette index of complete(64) = 1 (rule: degree-set)"),
+    ("oracle K63 --lower-bound-only", 0, "palette index >= 3 (regular-class2)"),
+])
+def test_oracle_past_the_color_limit(argv, code, text, capsys):
+    assert cli.main(argv.split()) == code
+    assert capsys.readouterr().out == text + "\n"
+
+
+@pytest.mark.parametrize("graph", ["K63", "K64"])
+def test_construct_names_the_color_limit_that_stopped_it(graph, capsys):
+    assert cli.main(f"construct --theorem cng --graph {graph} --s 3".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"could not classify complete({graph[1:]}) within the search's "
+                            f"{search.MAX_COLORS}-color limit\n")
+
+
+def test_graph_json_without_provenance_is_named_by_its_order(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    assert cli.main(["gen", str(path)]) == 0
+    assert capsys.readouterr().out == "graph(3): 3 vertices, 2 edges\n"
+    assert cli.main(["product", str(path), "C3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"] == "product(graph(3),cycle(3))"
 
 
 def test_budget_env_and_flag_precedence(tmp_path):
@@ -235,8 +265,10 @@ _GRAPH = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
     ("export", {"graph": _GRAPH, "colors": 5}, "coloring JSON 'colors' must be a list, got 5"),
     ("export", {"graph": _GRAPH, "colors": [[0, 1, 1.5]]},
      "coloring JSON value of entry [0, 1, 1.5] must be an integer, got 1.5"),
+    ("gen", {"n": 3, "edges": [], "provenance": 5},
+     "graph JSON 'provenance' must be a string, got 5"),
 ], ids=["edge-int", "edges-int", "edge-triple", "entry-int", "no-colors", "entry-pair",
-        "colors-int", "float-color"])
+        "colors-int", "float-color", "provenance-int"])
 def test_json_of_the_wrong_shape_is_an_error_line(tmp_path, command, obj, message):
     (tmp_path / "bad.json").write_text(json.dumps(obj))
     proc = sh(f"palettebox {command} bad.json", cwd=tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -27,7 +28,7 @@ from palettebox.graphs import (
 )
 from palettebox.oracle import palette_index_exact
 from palettebox.solver import chromatic_index
-from palettebox.torus import TorusDecomposition, torus_three_palette_coloring
+from palettebox.torus import TorusDecomposition, torus_three_palette_coloring, z_set
 
 
 def test_graph_json_roundtrip():
@@ -41,6 +42,8 @@ def test_graph_json_without_provenance():
     obj = {"n": 3, "edges": [[0, 1], [1, 2]]}
     g = graph_from_json(obj)
     assert g.n == 3 and g.edges == ((0, 1), (1, 2))
+    assert g.provenance is None and g.tag == "graph(3)"
+    assert graph_from_json({**obj, "provenance": ""}).tag == "graph(3)"
 
 
 def test_graph_json_takes_only_integers(non_integer_graph):
@@ -90,6 +93,15 @@ def test_torus_json_shape():
     assert all(len(w) == 10 for w in obj["zSets"])
     assert obj["zSets"][0][:2] == [["ascending-vertical", 0, 0], ["horizontal", 0, 1]]
     assert len(obj["classes"]) == 3
+
+
+@pytest.mark.parametrize("s, t, digest", [
+    (13, 11, "f705e7040c5fc3bcd711890cc89014ae61e6c757ab7396946dda62253d67158f"),
+    (41, 39, "0e7a5755e4de175ea72cb26d3fc5cc10d83f1d3bc95f2d5dd561d565e6770cda"),
+])
+def test_torus_json_bytes_are_pinned(s, t, digest):
+    text = dump_json(torus_to_json(TorusDecomposition(s, t)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_dump_json_is_stable():
@@ -153,6 +165,12 @@ def test_class_dot_export():
     assert labels == {"1", "2", "3"}
 
 
+def test_class_dot_bytes_are_pinned():
+    dot = export_class_dot(TorusDecomposition(7, 7))
+    assert hashlib.sha256(dot.encode()).hexdigest() == (
+        "5b1aff60bce0c56ad85e583795d73b3bae4825cfc9a2b817d57e7d855db053e0")
+
+
 def test_class_coloring_uses_one_color_per_class():
     dec = TorusDecomposition(5, 3)
     col = class_coloring(dec)
@@ -164,8 +182,8 @@ def test_class_coloring_uses_one_color_per_class():
 def test_class_coloring_colors_each_walk_by_its_class(s, t, torus_edge):
     dec = TorusDecomposition(s, t)
     col = class_coloring(dec)
-    for i, walk in enumerate(dec.z_sets):
-        for step in walk:
+    for i in range(t):
+        for step in z_set(s, t, i):
             assert col.color_of(*torus_edge(s, t, step)) == dec.class_of_walk(i) + 1
 
 

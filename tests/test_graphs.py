@@ -25,7 +25,7 @@ from palettebox.graphs import (
     petersen_graph,
     remove_edges,
 )
-from palettebox.torus import TorusDecomposition, torus_three_palette_coloring
+from palettebox.torus import torus_three_palette_coloring
 
 
 def test_canonical_edge_orders_and_rejects_loops():
@@ -198,23 +198,42 @@ def test_product_holds_one_int_object_per_vertex():
     assert len({id(x) for e in g.edges for x in e}) == g.n
 
 
+class _CollectorProbe:
+    """A table row that notes whether the collector runs each time the build reads it."""
+
+    def __init__(self, fail=False):
+        self.seen = []
+        self.fail = fail
+
+    def __getitem__(self, j):
+        if self.fail:
+            raise KeyError("inside the build")
+        self.seen.append(gc.isenabled())
+        return 0
+
+
+def _probed_product(probe):
+    """C_5 box P_3 through ``map_product_edges``, every P_3 fiber reading its values from ``probe``."""
+    g, h = cycle_graph(5), path_graph(3)
+    return graphs.map_product_edges(g, h, [[0] * h.n] * len(g.edges), [probe] * g.n)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_collector_pause_restores_the_state_it_found(enabled):
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        with graphs._collector_paused():
-            assert not gc.isenabled()
+        probe = _CollectorProbe()
+        prod, _ = _probed_product(probe)
+        assert prod == cartesian_product(cycle_graph(5), path_graph(3))
+        assert probe.seen and not any(probe.seen)
         assert gc.isenabled() is enabled
         with pytest.raises(KeyError):
-            with graphs._collector_paused():
-                raise KeyError("inside the pause")
+            _probed_product(_CollectorProbe(fail=True))
         assert gc.isenabled() is enabled
         cartesian_product(cycle_graph(5), path_graph(3))
         assert gc.isenabled() is enabled
         torus_three_palette_coloring(7, 7)
-        assert gc.isenabled() is enabled
-        TorusDecomposition(7, 7).z_sets
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

@@ -303,6 +303,16 @@ def test_certificate_says_why_it_stopped():
     assert palette_index_exact(k232).stop == "color-width"
 
 
+def test_regular_graphs_past_the_color_limit():
+    k63 = palette_index_exact(complete_graph(63))
+    assert (k63.interval, k63.rule, k63.stop) == ((3, 63), "regular-class2", "color-width")
+    assert lower_bound(complete_graph(63)) == (3, "regular-class2")
+    k64 = palette_index_exact(complete_graph(64))
+    assert (k64.interval, k64.rule, k64.stop, k64.nodes) == ((1, 1), "degree-set", "exact", 0)
+    assert k64.witness.used_colors() == frozenset(range(1, 64))
+    assert check_proper(k64.witness)[0]
+
+
 def test_coloring_within_family():
     g = cycle_graph(4)
     status, col = coloring_within_family(g, [frozenset({1, 2})])

@@ -153,6 +153,13 @@ def test_chromatic_index_searches_are_pinned(g, value, nodes, digest):
     assert sha256(bytes(res.witness.colors)).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, value", [(63, 63), (64, None)])
+def test_color_counts_past_the_kernel_limit_are_indeterminate(n, value):
+    # K63 needs 63 colors by parity; K64 would search 63 colors first
+    res = chromatic_index(complete_graph(n))
+    assert (res.status, res.value, res.witness, res.nodes) == ("indeterminate", value, None, 0)
+
+
 def assert_vizing_coloring(g):
     col = misra_gries_coloring(g)
     assert check_proper(col)[0]

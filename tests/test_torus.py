@@ -101,8 +101,7 @@ def test_walk_5_3_first_steps(torus_edge):
 @pytest.mark.parametrize("s, t", ODD_PAIRS)
 def test_walks_partition_all_edges(s, t):
     dec = TorusDecomposition(s, t)
-    assert len(dec.z_sets) == t
-    assert all(len(w) == 2 * s for w in dec.z_sets)
+    assert all(len(z_set(s, t, i)) == 2 * s for i in range(t))
     ok, problems = verify_partition(dec)
     assert ok, problems
 
@@ -116,13 +115,21 @@ def test_classes_give_even_cycles(s, t):
 
 
 def test_both_checks_step_through_the_walks_once(monkeypatch):
-    calls = []
+    calls, built = [], []
     step_walk = torus._step_walk
     monkeypatch.setattr(torus, "_step_walk", lambda dec, i: calls.append(i) or step_walk(dec, i))
+    monkeypatch.setattr(torus, "z_set", lambda s, t, i: built.append(i) or z_set(s, t, i))
     dec = TorusDecomposition(7, 5)
     assert verify_partition(dec) == (True, [])
     assert even_cycle_classes(dec) == (True, [])
     assert calls == [0, 1, 2, 3, 4]
+    assert built == [0, 1, 2, 3, 4]
+
+
+def test_a_checked_decomposition_holds_no_walk():
+    dec = TorusDecomposition(7, 5)
+    assert verify_partition(dec)[0] and even_cycle_classes(dec)[0]
+    assert set(vars(dec)) == {"s", "t", "walk_offsets", "walk_checks"}
 
 
 def test_class_assignment_repair_when_t_is_one_mod_three():
@@ -152,9 +159,9 @@ def test_three_palette_coloring(s, t):
 def test_coloring_matches_class_colors(s, t, torus_edge):
     dec = TorusDecomposition(s, t)
     col = torus_three_palette_coloring(s, t)
-    for i, walk in enumerate(dec.z_sets):
+    for i in range(t):
         j = dec.class_of_walk(i)
-        for step in walk:
+        for step in z_set(s, t, i):
             want = 2 * j + 1 if step[0] == "horizontal" else 2 * j + 2
             assert col.color_of(*torus_edge(s, t, step)) == want
 
@@ -184,93 +191,93 @@ def test_edge_coloring_matches_the_walk_rule(s, t, rule_coloring):
     assert torus_three_palette_coloring(s, t) == rule_coloring(*walk_rule(dec, by_class))
 
 
-def _with_walks(dec, walks):
-    """Replace the cached walks of ``dec``, as a broken decomposition would have them.
-
-    The cached walk checks go too, so the next check steps the new walks.
-    """
-    dec.__dict__["z_sets"] = tuple(tuple(w) for w in walks)
-    dec.__dict__.pop("walk_checks", None)
+def _walks(s, t):
+    """The walks ``z_set`` builds for C_s box C_t, each as a list of steps."""
+    return [list(z_set(s, t, i)) for i in range(t)]
 
 
-def test_partition_check_fails_when_two_walks_swap_an_edge():
-    dec = TorusDecomposition(7, 5)
-    z0, z1 = list(dec.z_sets[0]), list(dec.z_sets[1])
+def _with_walks(monkeypatch, walks):
+    """Make ``torus.z_set`` build ``walks``, as a broken decomposition would have them."""
+    monkeypatch.setattr(torus, "z_set", lambda s, t, i: tuple(walks[i]))
+
+
+def test_partition_check_fails_when_two_walks_swap_an_edge(monkeypatch):
+    z0, z1, *others = _walks(7, 5)
     z0[3], z1[3] = z1[3], z0[3]
-    _with_walks(dec, [z0, z1, *dec.z_sets[2:]])
-    ok, problems = verify_partition(dec)
+    _with_walks(monkeypatch, [z0, z1, *others])
+    ok, problems = verify_partition(TorusDecomposition(7, 5))
     assert not ok
     assert any(p.startswith("Z_0") for p in problems)
     assert any(p.startswith("Z_1") for p in problems)
 
 
-def test_both_checks_fail_when_a_walk_copies_an_edge_of_another():
+def test_both_checks_fail_when_a_walk_copies_an_edge_of_another(monkeypatch):
+    walks = _walks(7, 5)
+    walks[0][3] = walks[1][3]
+    _with_walks(monkeypatch, walks)
     dec = TorusDecomposition(7, 5)
-    z0 = list(dec.z_sets[0])
-    z0[3] = dec.z_sets[1][3]
-    _with_walks(dec, [z0, *dec.z_sets[1:]])
     ok, problems = verify_partition(dec)
     assert not ok and problems
     ok, problems = even_cycle_classes(dec)
     assert not ok and problems
 
 
-def test_partition_check_fails_when_a_walk_is_cut_short():
-    dec = TorusDecomposition(7, 5)
-    _with_walks(dec, [dec.z_sets[0][:-2], *dec.z_sets[1:]])
-    ok, problems = verify_partition(dec)
+def test_partition_check_fails_when_a_walk_is_cut_short(monkeypatch):
+    walks = _walks(7, 5)
+    walks[0] = walks[0][:-2]
+    _with_walks(monkeypatch, walks)
+    ok, problems = verify_partition(TorusDecomposition(7, 5))
     assert not ok
     assert "Z_0 has 12 edges, expected 14" in problems
     assert any(p.startswith("Z_0 does not close up") for p in problems)
 
 
-def test_partition_check_fails_when_a_walk_revisits_a_vertex():
-    dec = TorusDecomposition(7, 5)
+def test_partition_check_fails_when_a_walk_revisits_a_vertex(monkeypatch):
+    walks = _walks(7, 5)
     # out along the edge (0,0)-(0,1) and straight back, seven times
-    there_and_back = [("ascending-vertical", 0, 0), ("descending-vertical", 0, 1)] * 7
-    _with_walks(dec, [there_and_back, *dec.z_sets[1:]])
-    ok, problems = verify_partition(dec)
+    walks[0] = [("ascending-vertical", 0, 0), ("descending-vertical", 0, 1)] * 7
+    _with_walks(monkeypatch, walks)
+    ok, problems = verify_partition(TorusDecomposition(7, 5))
     assert not ok
     assert any(p.startswith("Z_0 revisits a vertex") for p in problems)
     assert "Z_0 repeats an edge" in problems
 
 
-def test_partition_check_fails_when_a_walk_steps_out_of_order():
-    dec = TorusDecomposition(7, 5)
-    z0 = list(dec.z_sets[0])
+def test_partition_check_fails_when_a_walk_steps_out_of_order(monkeypatch):
+    walks = _walks(7, 5)
+    z0 = walks[0]
     z0[2], z0[3] = z0[3], z0[2]
-    _with_walks(dec, [z0, *dec.z_sets[1:]])
-    ok, problems = verify_partition(dec)
+    _with_walks(monkeypatch, walks)
+    ok, problems = verify_partition(TorusDecomposition(7, 5))
     assert not ok
     assert any(p.startswith("Z_0 breaks at") for p in problems)
 
 
-def test_partition_check_fails_when_a_walk_follows_another():
+def test_partition_check_fails_when_a_walk_follows_another(monkeypatch):
     # Z_1 is a closed simple 2s-cycle, so only walk_of tells it apart from Z_0
-    dec = TorusDecomposition(7, 5)
-    _with_walks(dec, [dec.z_sets[1], *dec.z_sets[1:]])
-    ok, problems = verify_partition(dec)
+    walks = _walks(7, 5)
+    _with_walks(monkeypatch, [walks[1], *walks[1:]])
+    ok, problems = verify_partition(TorusDecomposition(7, 5))
     assert not ok
-    assert problems == [f"Z_0 holds edges of other walks, first {dec.z_sets[1][0]}"]
+    assert problems == [f"Z_0 holds edges of other walks, first {walks[1][0]}"]
 
 
-def test_partition_check_fails_when_a_walk_leaves_the_grid():
+def test_partition_check_fails_when_a_walk_leaves_the_grid(monkeypatch):
     # C_7 x C_5 has rows 0..6 and columns 0..4; (0, 5) is the flat vertex (1, 0)
-    dec = TorusDecomposition(7, 5)
-    z0, *others = dec.z_sets
+    z0, *others = _walks(7, 5)
     for step in [("ascending-vertical", 7, 0), ("horizontal", -1, 2), ("ascending-vertical", 0, 5)]:
-        _with_walks(dec, [[step, *z0[1:]], *others])
-        ok, problems = verify_partition(dec)
+        _with_walks(monkeypatch, [[step, *z0[1:]], *others])
+        ok, problems = verify_partition(TorusDecomposition(7, 5))
         assert not ok
         assert f"Z_0 leaves the grid at {step}" in problems
 
 
-def test_partition_check_fails_on_an_unknown_step_kind():
-    dec = TorusDecomposition(5, 3)
-    z0 = list(dec.z_sets[0])
+def test_partition_check_fails_on_an_unknown_step_kind(monkeypatch):
+    walks = _walks(5, 3)
+    z0 = walks[0]
     z0[1] = ("diagonal", *z0[1][1:])
-    _with_walks(dec, [z0, *dec.z_sets[1:]])
-    ok, problems = verify_partition(dec)
+    _with_walks(monkeypatch, walks)
+    ok, problems = verify_partition(TorusDecomposition(5, 3))
     assert not ok
     assert any("unknown kind 'diagonal'" in p for p in problems)
 
