@@ -41,9 +41,8 @@ def solve_exact(graph: Graph, budget=None):
     """The exact ``chromatic_index`` result, or ``BudgetExhausted`` naming what stopped it."""
     result = chromatic_index(graph, budget)
     if result.status != "exact":
-        # the color count that stopped is Delta+1 exactly when class 2 was proven
-        k = result.delta + (result.value is not None)
-        why = f"the search's {MAX_COLORS}-color limit" if k > MAX_COLORS else "the search budget"
+        why = (f"the search's {MAX_COLORS}-color limit" if result.stop == "color-width"
+               else "the search budget")
         raise BudgetExhausted(f"could not classify {graph.tag} within {why}")
     return result
 

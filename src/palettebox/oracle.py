@@ -17,10 +17,10 @@ A color class is a matching, so each color lies on an even number of
 vertices (Hornak, Kalinowski, Meszka and Wozniak, "Minimum number of
 palettes in edge colorings", Graphs and Combinatorics 2014), which
 leaves few families to exhaust.  The count search tends to find
-colorings fast and the families to refute targets fast.  Each turn
-resumes its search where the last one stopped, so no node is searched
-twice, and a target costs about twice what the better of the two
-searches needs on its own.
+colorings fast and the families to refute targets fast.  Every search
+is a resumable ``search.Search``, so each turn resumes where the last
+one stopped, no node is searched twice, and a target costs about twice
+what the better of the two searches needs on its own.
 
 Lower bound rules:
 
@@ -234,32 +234,33 @@ def _settle_target(graph: Graph, k: int, p: int, tracker):
 
     Returns (status, rule, coloring): FOUND with a coloring, EXHAUSTED
     with the rule that refuted p, or BUDGET.  The count search and the
-    family search take turns of _TURN nodes, built once on one edge
-    order and each resumed where its last turn stopped; the family
-    search runs the families one after another within its turns.
+    family search, ``search.Search`` objects on one edge order, take turns
+    of _TURN nodes, and each ``run`` resumes its search where the last
+    turn stopped; the family search runs the families one after another
+    within its turns.
     Nothing here reads the clock, so node counts repeat from run to run.
     The families are enumerated only once the first turn of the count
     search fails to settle, so graphs it settles never pay for them.
     """
     order = search.edge_order(graph)
-    count = search._search(graph, order, k, p)
+    count = search.Search(graph, order, k, p)
     families = None
     while True:
-        status, found = search._drive(count, tracker, _TURN)
+        status, found = count.run(tracker, _TURN)
         if status == search.PAUSED:
             if families is None:
-                families = (search._search(graph, order, *search._family_args(palettes))
+                families = (search.Search(graph, order, family=palettes)
                             for palettes in _parity_families(graph, p, k))
                 family = next(families, None)
                 if family is None:
                     return search.EXHAUSTED, "parity", None
             end = tracker.nodes + _TURN
-            status, found = search._drive(family, tracker, _TURN)
+            status, found = family.run(tracker, _TURN)
             while status == search.EXHAUSTED:
                 family = next(families, None)
                 if family is None:
                     return search.EXHAUSTED, "parity-families", None
-                status, found = search._drive(family, tracker, end - tracker.nodes)
+                status, found = family.run(tracker, end - tracker.nodes)
             if status == search.PAUSED:
                 continue
         return status, "exhaustive" if status == search.EXHAUSTED else None, found
@@ -335,8 +336,15 @@ def coloring_within_family(graph: Graph, family: Iterable[frozenset[int]],
     """Proper coloring whose palettes all lie in the given family, if any.
 
     Returns (status, coloring) with search.FOUND / EXHAUSTED / BUDGET.
+    Infeasible at once if some vertex degree matches no family member's
+    size; the search is built first, so a family it rejects still raises.
     """
-    return search.search_palette_family(graph, family, budget)
+    family = [frozenset(pal) for pal in family]
+    found = search.Search(graph, search.edge_order(graph), family=family)
+    sizes = {len(pal) for pal in family}
+    if any(d not in sizes for d in graph.degrees):
+        return search.EXHAUSTED, None
+    return found.run(budget)
 
 
 def naive_minimum_palettes(graph: Graph) -> int:

@@ -11,11 +11,12 @@ depth 0: every depth may then use every color, which turns color-symmetry
 breaking off, as it must be since the family fixes concrete colors.
 
 Each kernel advances by at most ``node_limit`` nodes per call and leaves
-its entire stack in the caller's arrays; ``_drive`` calls it chunk by
-chunk, resuming a search paused by a node allowance, and enforces
-wall-clock budgets between calls, so compiled code never reads the
-clock.  Budget interruptions therefore cannot change which solution is
-found, only whether the search finishes.
+its entire stack in the caller's arrays.  ``Search``, the one entry point
+to all three searches, holds those arrays; its ``run`` calls the kernel
+chunk by chunk, resumes a search paused by a node allowance or stopped by
+the budget, and enforces wall-clock budgets between calls, so compiled
+code never reads the clock.  Budget interruptions therefore cannot change
+which solution is found, only whether the search finishes.
 
 The same function bodies serve both backends: when numba is importable
 they are compiled with ``njit`` and run compiled, and otherwise the
@@ -29,9 +30,9 @@ to try is the lowest set bit of one mask.  Usable colors stop at 62, bits
 1 to 62, so that every mask fits the int64 slots of the numba buffers;
 exact search beyond that is out of desk scale anyway.
 
-The three searches take a ``Graph`` and return an ``EdgeColoring`` with
-colors in canonical edge order, so the order in which the kernels color
-edges stays in this module.  They color edges in the order of
+A ``Search`` takes a ``Graph`` and an edge order, and returns an
+``EdgeColoring`` with colors in canonical edge order, so the order in
+which the kernels color edges stays inside the search.  Its callers pass
 ``edge_order``, which always takes next an edge whose endpoints have the
 fewest uncolored edges left.  Vertices thus complete early, and a
 completed vertex is where the palette searches learn a palette and can
@@ -387,119 +388,102 @@ def edge_order(graph: Graph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# wrappers
+# the search object
 
 
-def _drive(search, budget, allowance=None):
-    """Run a search chunk by chunk until it settles, the budget runs out or ``allowance`` is spent.
+class Search:
+    """One budgeted, resumable search of ``graph``, coloring edges along ``order``.
 
-    ``search`` is (graph, order, step, args, state, assign), as ``_search``
-    builds it.  Each call is ``step(*args, *state, node_limit)`` and
-    returns ``(status, *state, nodes)``; ``state``, the scalars the kernel
-    resumes from, is updated in place, so a PAUSED search resumes on the
-    next call.  Returns (status, coloring or None): on FOUND, ``assign[d]``
-    is the bit of edge ``order[d]``'s color.  ``int()`` turns numba's
-    int64 values into the Python ints ``EdgeColoring`` requires.
+    Without ``p`` it is the coloring search with colors in [k]; with it the
+    count search with at most p distinct palettes; with ``family``, an
+    iterable of color sets, the family search, whose k and p are the
+    family's largest color and size.  Each is seeded as the module
+    docstring says.  Input the kernels cannot run is settled here, so
+    ``run`` never starts them: an edgeless graph has the empty coloring,
+    and no coloring exists with k <= 0 or with p below the palettes that
+    are forced (the empty one of isolated vertices, and one more if there
+    are edges).  More colors than ``MAX_COLORS``, a family color outside
+    1..MAX_COLORS and an empty family raise ``ValueError``.
     """
-    graph, order, step, args, state, assign = search
-    tracker = ensure_tracker(budget)
-    end = math.inf if allowance is None else tracker.nodes + allowance
-    while True:
-        chunk = tracker.next_chunk()
-        if tracker.exceeded():
-            return BUDGET, None
-        if tracker.nodes >= end:
-            return PAUSED, None
-        status, *state[:], nodes = step(*args, *state, min(chunk, end - tracker.nodes))
-        tracker.add_nodes(nodes)
-        if status == FOUND:
-            colors = [0] * len(order)
-            for slot, c in zip(order, assign):
-                colors[slot] = int(c).bit_length() - 1
-            return FOUND, EdgeColoring(graph, tuple(colors))
-        if status == EXHAUSTED:
-            return EXHAUSTED, None
 
+    __slots__ = ("graph", "order", "_step", "_args", "_state", "_assign", "_settled")
 
-def _search(graph, order, k, p_target=None, family=None):
-    """An unrun search of ``graph`` along ``order`` with colors in [k].
+    def __init__(self, graph: Graph, order: list[int], k: Optional[int] = None,
+                 p: Optional[int] = None, family=None):
+        if family is not None:
+            masks = []
+            for pal in family:
+                mask = 0
+                for c in pal:
+                    if not (1 <= c <= MAX_COLORS):
+                        raise ValueError(f"family color {c} out of kernel range")
+                    mask |= 1 << c
+                masks.append(mask)
+            if not masks:
+                raise ValueError("palette family must be nonempty")
+            k, p, family = max(masks).bit_length() - 1, len(masks), masks
+        self.graph = graph
+        self.order = order
+        self._settled = None
+        # a p below the forced palettes would seed more palettes than ``distinct`` holds
+        forced = (0 in graph.degrees) + bool(graph.edges)
+        if graph.edges and k <= 0 or p is not None and p < forced:
+            self._settled = EXHAUSTED, None
+        elif not graph.edges:
+            self._settled = FOUND, EdgeColoring(graph, ())
+        elif k > MAX_COLORS:
+            raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
+        if self._settled is not None:
+            return
+        m = len(order)
+        color_step, palette_step, buf = _backend()
+        self._assign = assign = buf([1] * m)
+        eu = buf(graph.edges[i][0] for i in order)
+        ev = buf(graph.edges[i][1] for i in order)
+        if p is None:
+            self._step, self._state = color_step, [0]
+            self._args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([2] + [0] * m))
+            return
+        seed = family if family is not None else [0] if 0 in graph.degrees else []
+        free = [0] * (p + 1 - len(seed))
+        self._step = palette_step
+        self._args = (eu, ev, m, k, buf(graph.degrees), p, assign, buf([0] * graph.n),
+                      buf([2 if family is None else (2 << k) - 2] + [0] * m), buf(graph.degrees),
+                      buf(seed + free), buf([bin(mask).count("1") for mask in seed] + free),
+                      buf([0] * m))
+        self._state = [len(seed), 0]
 
-    Without ``p_target`` it is the coloring search; with it the count
-    search, or with ``family``, a list of p_target masks, the family
-    search, each seeded as the module docstring says.
-    """
-    m = len(order)
-    color_step, palette_step, buf = _backend()
-    assign = buf([1] * m)
-    eu = buf(graph.edges[i][0] for i in order)
-    ev = buf(graph.edges[i][1] for i in order)
-    if p_target is None:
-        args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([2] + [0] * m))
-        return graph, order, color_step, args, [0], assign
-    seed = family if family is not None else [0] if 0 in graph.degrees else []
-    free = [0] * (p_target + 1 - len(seed))
-    args = (eu, ev, m, k, buf(graph.degrees), p_target, assign, buf([0] * graph.n),
-            buf([2 if family is None else (2 << k) - 2] + [0] * m), buf(graph.degrees),
-            buf(seed + free), buf([bin(mask).count("1") for mask in seed] + free), buf([0] * m))
-    return graph, order, palette_step, args, [len(seed), 0], assign
+    def run(self, budget=None, allowance=None):
+        """Run chunk by chunk until the search settles, the budget runs out or ``allowance`` is spent.
 
+        Returns (status, coloring or None): FOUND, EXHAUSTED, BUDGET, or
+        PAUSED once ``allowance`` nodes are spent; the next call resumes a
+        BUDGET or PAUSED search where it stopped.  Each kernel call is
+        ``step(*args, *state, node_limit)`` and returns ``(status, *state,
+        nodes)``, ``state`` being the scalars the kernel resumes from.  On
+        FOUND, ``assign[d]`` is the bit of edge ``order[d]``'s color, and
+        ``int()`` turns numba's int64 values into Python ints.
+        """
+        if self._settled is not None:
+            return self._settled
+        step, args, state = self._step, self._args, self._state
+        tracker = ensure_tracker(budget)
+        end = math.inf if allowance is None else tracker.nodes + allowance
+        while True:
+            chunk = tracker.next_chunk()
+            if tracker.exceeded():
+                return BUDGET, None
+            if tracker.nodes >= end:
+                return PAUSED, None
+            status, *state[:], nodes = step(*args, *state, min(chunk, end - tracker.nodes))
+            tracker.add_nodes(nodes)
+            if status == FOUND:
+                colors = [0] * len(self.order)
+                for slot, c in zip(self.order, self._assign):
+                    colors[slot] = int(c).bit_length() - 1
+                self._settled = FOUND, EdgeColoring(self.graph, tuple(colors))
+                return self._settled
+            if status == EXHAUSTED:
+                self._settled = EXHAUSTED, None
+                return self._settled
 
-def _family_args(family) -> tuple[int, int, list[int]]:
-    """``_search``'s (k, p_target, family) for ``family``, an iterable of color sets."""
-    masks = []
-    for pal in family:
-        mask = 0
-        for c in pal:
-            if not (1 <= c <= MAX_COLORS):
-                raise ValueError(f"family color {c} out of kernel range")
-            mask |= 1 << c
-        masks.append(mask)
-    if not masks:
-        raise ValueError("palette family must be nonempty")
-    return max(masks).bit_length() - 1, len(masks), masks
-
-
-def _run(graph, k, budget, *args):
-    """``_search(graph, edge_order(graph), k, *args)`` run to the end, past the shared guards."""
-    if not graph.edges:
-        return FOUND, EdgeColoring(graph, ())
-    if k <= 0:
-        return EXHAUSTED, None
-    if k > MAX_COLORS:
-        raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
-    return _drive(_search(graph, edge_order(graph), k, *args), budget)
-
-
-def search_k_coloring(graph: Graph, k: int, budget=None):
-    """Search a proper edge coloring of ``graph`` with colors in [k].
-
-    Returns (status, coloring or None) with status FOUND, EXHAUSTED, or
-    BUDGET.
-    """
-    return _run(graph, k, budget)
-
-
-def search_palette_count(graph: Graph, k: int, p_target: int, budget=None):
-    """Search a proper coloring with at most p_target distinct palettes.
-
-    Isolated vertices contribute the empty palette, pre-seeded, and edges
-    a nonempty one.  Returns (status, coloring or None).
-    """
-    if (0 in graph.degrees) + bool(graph.edges) > p_target:
-        return EXHAUSTED, None
-    return _run(graph, k, budget, p_target)
-
-
-def search_palette_family(graph: Graph, family, budget=None):
-    """Search a proper coloring whose vertex palettes all lie in ``family``.
-
-    ``family`` is an iterable of color sets.  Infeasible immediately if
-    some vertex degree matches no family member's size.  The palette
-    kernel runs with the family as its full collection and with every
-    color allowed at every depth.
-    """
-    k, p_target, masks = _family_args(family)
-    sizes = {bin(mask).count("1") for mask in masks}
-    if any(d not in sizes for d in graph.degrees):
-        return EXHAUSTED, None
-    return _run(graph, k, budget, p_target, masks)

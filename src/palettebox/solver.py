@@ -31,7 +31,10 @@ class ChromaticIndexResult:
 
     ``status`` is "exact" or "indeterminate"; ``witness`` is set only for
     exact outcomes, and ``value`` also for a class-2 graph whose
-    (Delta+1)-witness search ran out of budget.
+    (Delta+1)-witness search ran out of budget.  ``stop`` says why the
+    computation stopped, in ``Certificate.stop``'s words: ``exact``, else
+    ``budget`` or ``color-width`` (the next search needs more colors than
+    ``search.MAX_COLORS``).
     """
 
     status: str
@@ -39,6 +42,7 @@ class ChromaticIndexResult:
     witness: Optional[EdgeColoring]
     delta: int
     nodes: int
+    stop: str
 
     @property
     def is_class_one(self) -> Optional[bool]:
@@ -61,14 +65,15 @@ def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
     parity_class_two = delta > 0 and graph.is_regular and graph.n % 2 == 1
     for k in (delta + 1,) if parity_class_two else (delta, delta + 1):
         if k > search.MAX_COLORS:  # past the kernel's color width nothing is searched
-            status, witness = search.BUDGET, None
+            status, stop = search.BUDGET, "color-width"
         else:
-            status, witness = search.search_k_coloring(graph, k, tracker)
+            status, witness = search.Search(graph, search.edge_order(graph), k).run(tracker)
+            stop = "budget"
         if status == search.FOUND:
-            return ChromaticIndexResult("exact", k, witness, delta, tracker.nodes)
+            return ChromaticIndexResult("exact", k, witness, delta, tracker.nodes, "exact")
         if status == search.BUDGET:
             value = k if k > delta else None  # k > delta: class 2 is proven
-            return ChromaticIndexResult("indeterminate", value, None, delta, tracker.nodes)
+            return ChromaticIndexResult("indeterminate", value, None, delta, tracker.nodes, stop)
     raise RuntimeError("no (Delta+1)-coloring found; this contradicts Vizing's bound")
 
 

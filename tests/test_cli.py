@@ -296,12 +296,12 @@ def test_budget_stops_exit_two(capsys):
 @pytest.mark.parametrize("graph", ["C5", "C4"])
 def test_png_classifies_its_factor_once(graph, monkeypatch, capsys):
     calls = []
-    kernel = search.search_k_coloring
+    run = search.Search.run
 
-    def counted(*args):
-        calls.append(args[1])
-        return kernel(*args)
-    monkeypatch.setattr(search, "search_k_coloring", counted)
+    def counted(self, *args):
+        calls.append(self)
+        return run(self, *args)
+    monkeypatch.setattr(search.Search, "run", counted)
     assert cli.main(["construct", "--theorem", "png", "--graph", graph, "--s", "5"]) == 0
     assert len(calls) == 1
 

@@ -1,9 +1,11 @@
 """The package and the CLI load a module only when a name or a command needs it."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +91,18 @@ def test_unknown_names_raise_and_submodules_still_import():
         palettebox.no_such_name
     from palettebox import coloring
     assert coloring is importlib.import_module("palettebox.coloring")
+
+
+def test_only_search_reads_the_private_names_of_search():
+    # the search module's buffers, kernels and guards stay behind Search
+    for path in Path(palettebox.__file__).parent.glob("*.py"):
+        if path.name == "search.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                private = node.value.id == "search" and node.attr.startswith("_")
+            elif isinstance(node, ast.ImportFrom) and node.module == "palettebox.search":
+                private = any(alias.name.startswith("_") for alias in node.names)
+            else:
+                continue
+            assert not private, f"{path.name}:{node.lineno} reads a private name of search"

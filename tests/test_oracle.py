@@ -27,9 +27,9 @@ from palettebox.search import (
     EXHAUSTED,
     FOUND,
     BudgetTracker,
+    Search,
     SearchBudget,
-    search_palette_count,
-    search_palette_family,
+    edge_order,
 )
 from palettebox.solver import chromatic_index
 
@@ -246,7 +246,7 @@ def test_interrupted_oracle_keeps_the_candidate_upper_bound():
     # P7 x P7 has no parity family at p = 3, and p = 4 outlasts the budget;
     # without the candidate the Misra-Gries coloring's 6 palettes bound it
     g = cartesian_product(path_graph(7), path_graph(7))
-    status, col = search_palette_count(g, 20, 5)
+    status, col = Search(g, edge_order(g), 20, 5).run()
     assert status == FOUND
     budget = SearchBudget(max_nodes=100_000)
     assert palette_index_exact(g, budget=budget).interval == (4, 6)
@@ -271,11 +271,12 @@ def test_parity_families_agree_with_the_count_search():
     assert sum(0 in g.degrees for g in graphs) >= 20
     for g in graphs:
         index = palette_index_exact(g).lower
+        order = edge_order(g)
         for p in range(1, index + 1):
             k = min(p * g.max_degree, len(g.edges))
-            families = all(search_palette_family(g, family)[0] == EXHAUSTED
+            families = all(Search(g, order, family=family).run()[0] == EXHAUSTED
                            for family in _parity_families(g, p, k))
-            count = search_palette_count(g, k, p)[0] == EXHAUSTED
+            count = Search(g, order, k, p).run()[0] == EXHAUSTED
             assert families == count, (g.n, g.edges, p)
 
 
@@ -319,8 +320,8 @@ def test_coloring_within_family():
     assert status == FOUND
     assert palette_summary(col).palette_sets() == {frozenset({1, 2})}
     c5 = cycle_graph(5)
-    status, col = coloring_within_family(c5, [frozenset({1, 2})])
-    assert status == EXHAUSTED and col is None
+    status, col = coloring_within_family(c5, [{1, 2}])
+    assert status == EXHAUSTED and col is None  # an odd cycle has no 2-coloring
 
 
 def test_naive_oracle_known_values():

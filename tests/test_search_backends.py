@@ -24,18 +24,23 @@ from palettebox.search import (
     MAX_COLORS,
     PAUSED,
     BudgetTracker,
+    Search,
     SearchBudget,
     active_backend,
-    search_k_coloring,
-    search_palette_count,
-    search_palette_family,
+    edge_order,
 )
+from palettebox.oracle import coloring_within_family
 
 
 def edge_arrays(g):
     """Edge endpoints in search order, as the kernels take them."""
-    order = search.edge_order(g)
+    order = edge_order(g)
     return ([g.edges[i][0] for i in order], [g.edges[i][1] for i in order])
+
+
+def run(g, k=None, p=None, family=None, budget=None):
+    """One whole search of ``g`` along the edge order every caller passes."""
+    return Search(g, edge_order(g), k, p, family).run(budget)
 
 
 def palette_count(col):
@@ -57,40 +62,40 @@ def test_k_coloring_on_both_backends(monkeypatch, backend):
         monkeypatch.setattr(search, "HAS_NUMBA", False)
     assert active_backend() == backend
     g = petersen_graph()
-    status, col = search_k_coloring(g, 3)
+    status, col = run(g, 3)
     assert status == EXHAUSTED and col is None  # class 2, needs 4
-    status, col = search_k_coloring(g, 4)
+    status, col = run(g, 4)
     assert status == FOUND and col.graph is g
     assert col.max_color == 4
     assert palette_count(col) >= 3  # regular and class 2
 
 
-def wrapper_results():
-    """Every wrapper on small graphs, sharing one tracker, and its node total."""
+def search_results():
+    """Every kind of search on small graphs, sharing one tracker, and its node total."""
     tracker = BudgetTracker(None)
-    results = (search_k_coloring(K5, 5, tracker),
-               search_palette_count(K5, 16, 4, tracker),
-               search_palette_family(P3C4, PATH_MODE_FAMILY, tracker),
-               search_palette_family(PETERSEN, HIGH_FAMILY, tracker))
+    results = (run(K5, 5, budget=tracker),
+               run(K5, 16, 4, budget=tracker),
+               run(P3C4, family=PATH_MODE_FAMILY, budget=tracker),
+               run(PETERSEN, family=HIGH_FAMILY, budget=tracker))
     return results, tracker.nodes
 
 
 def test_backends_agree(monkeypatch):
     if not search.HAS_NUMBA:
         pytest.skip("numba unavailable")
-    compiled = wrapper_results()
+    compiled = search_results()
     monkeypatch.setattr(search, "HAS_NUMBA", False)
-    assert wrapper_results() == compiled
+    assert search_results() == compiled
 
 
-def test_wrappers_same_on_list_and_int64_buffers(monkeypatch):
+def test_searches_same_on_list_and_int64_buffers(monkeypatch):
     # the Python kernels on int64 arrays stand in for numba: the colorings
     # read back from the buffers must hold Python ints either way
     kernels = (search._color_chunk_py, search._pcount_chunk_py)
     monkeypatch.setattr(search, "_backend", lambda: (*kernels, list))
-    on_lists = wrapper_results()
+    on_lists = search_results()
     monkeypatch.setattr(search, "_backend", lambda: (*kernels, search._int64))
-    assert wrapper_results() == on_lists
+    assert search_results() == on_lists
     for status, col in on_lists[0]:
         assert status == FOUND
         assert all(type(c) is int for c in col.colors)
@@ -98,106 +103,93 @@ def test_wrappers_same_on_list_and_int64_buffers(monkeypatch):
 
 def test_empty_and_zero_color_edges():
     empty = Graph(0, ())
-    assert search_k_coloring(empty, 3) == (FOUND, EdgeColoring(empty, ()))
-    status, col = search_k_coloring(cycle_graph(3), 0)
+    assert run(empty, 3) == (FOUND, EdgeColoring(empty, ()))
+    status, col = run(cycle_graph(3), 0)
     assert status == EXHAUSTED and col is None
 
 
 def test_max_colors_guard():
     with pytest.raises(ValueError):
-        search_k_coloring(cycle_graph(3), MAX_COLORS + 1)
+        Search(cycle_graph(3), edge_order(cycle_graph(3)), MAX_COLORS + 1)
 
 
 def test_node_budget_reports_budget_status():
     tight = SearchBudget(max_nodes=1)
-    status, col = search_k_coloring(petersen_graph(), 4, budget=tight)
+    status, col = run(petersen_graph(), 4, budget=tight)
     assert status == BUDGET and col is None
 
 
 def test_deterministic_budget_repeatable():
     g = petersen_graph()
     budget = SearchBudget(max_nodes=10_000_000)
-    first = search_k_coloring(g, 4, budget=budget)
-    second = search_k_coloring(g, 4, budget=budget)
+    first = run(g, 4, budget=budget)
+    second = run(g, 4, budget=budget)
     assert first == second
     assert first[0] == FOUND
 
 
 def test_palette_count_search():
     g = cycle_graph(5)
-    status, col = search_palette_count(g, 3, 2)
+    status, col = run(g, 3, 2)
     assert status == EXHAUSTED  # regular graphs never land on exactly 2
-    status, col = search_palette_count(g, 3, 3)
+    status, col = run(g, 3, 3)
     assert status == FOUND
     assert palette_count(col) == 3
 
 
-@pytest.mark.parametrize("run, outcome", [
+@pytest.mark.parametrize("settle, outcome", [
     # an isolated vertex's empty palette is already one more than 0 allow
-    (lambda: search_palette_count(Graph(2, ()), 3, 0), (EXHAUSTED, None)),
-    (lambda: search_palette_count(Graph(2, ()), 3, 1), (FOUND, EdgeColoring(Graph(2, ()), ()))),
-    (lambda: search_palette_count(cycle_graph(4), 2, 0), (EXHAUSTED, None)),
-    (lambda: search_palette_count(cycle_graph(4), 0, 1), (EXHAUSTED, None)),
-    (lambda: search_palette_count(cycle_graph(4), MAX_COLORS + 1, 1), ValueError),
-    (lambda: search_palette_family(cycle_graph(4), [{0, 1}]), ValueError),
-    (lambda: search_palette_family(cycle_graph(4), [{1, MAX_COLORS + 1}]), ValueError),
-    (lambda: search_palette_family(cycle_graph(4), []), ValueError),
+    (lambda: run(Graph(2, ()), 3, 0), (EXHAUSTED, None)),
+    (lambda: run(Graph(2, ()), 3, 1), (FOUND, EdgeColoring(Graph(2, ()), ()))),
+    (lambda: run(cycle_graph(4), 2, 0), (EXHAUSTED, None)),
+    (lambda: run(cycle_graph(4), 0, 1), (EXHAUSTED, None)),
+    (lambda: run(cycle_graph(4), MAX_COLORS + 1, 1), ValueError),
+    (lambda: run(cycle_graph(4), family=[{0, 1}]), ValueError),
+    (lambda: run(cycle_graph(4), family=[{1, MAX_COLORS + 1}]), ValueError),
+    (lambda: run(cycle_graph(4), family=[]), ValueError),
 ], ids=["seed-above-target", "edgeless", "no-palettes", "no-colors", "too-many-colors",
         "color-zero", "color-above-limit", "empty-family"])
-def test_palette_searches_settle_degenerate_input_without_the_kernel(run, outcome, monkeypatch):
+def test_palette_searches_settle_degenerate_input_without_the_kernel(settle, outcome, monkeypatch):
     def no_kernel(*args):
         raise AssertionError("the kernel ran")
     monkeypatch.setattr(search, "_backend", lambda: (no_kernel, no_kernel, list))
     if outcome is ValueError:
         with pytest.raises(ValueError):
-            run()
+            settle()
     else:
-        assert run() == outcome
+        assert settle() == outcome
 
 
 P3C5 = cartesian_product(path_graph(3), cycle_graph(5))
 P5C5 = cartesian_product(path_graph(5), cycle_graph(5))
 
 
-@pytest.mark.parametrize("whole, unrun, final", [
-    (lambda t: search_k_coloring(PETERSEN, 4, t),
-     lambda: search._search(PETERSEN, search.edge_order(PETERSEN), 4), FOUND),
-    (lambda t: search_palette_count(P3C5, 12, 3, t),
-     lambda: search._search(P3C5, search.edge_order(P3C5), 12, 3), EXHAUSTED),
-    (lambda t: search_palette_count(P3C5, 12, 4, t),
-     lambda: search._search(P3C5, search.edge_order(P3C5), 12, 4), FOUND),
-    (lambda t: search_palette_family(P5C5, PATH_MODE_FAMILY, t),
-     lambda: search._search(P5C5, search.edge_order(P5C5), *search._family_args(PATH_MODE_FAMILY)),
-     FOUND),
+@pytest.mark.parametrize("unrun, final", [
+    (lambda: Search(PETERSEN, edge_order(PETERSEN), 4), FOUND),
+    (lambda: Search(P3C5, edge_order(P3C5), 12, 3), EXHAUSTED),
+    (lambda: Search(P3C5, edge_order(P3C5), 12, 4), FOUND),
+    (lambda: Search(P5C5, edge_order(P5C5), family=PATH_MODE_FAMILY), FOUND),
 ], ids=["petersen-k4", "p3c5-count-p3", "p3c5-count-p4", "p5c5-family"])
 @pytest.mark.parametrize("turn", [1, 7, 1_024])
-def test_a_search_resumed_in_turns_matches_one_run(whole, unrun, final, turn):
+def test_a_search_resumed_in_turns_matches_one_run(unrun, final, turn):
     tracker = BudgetTracker(None)
-    expected = whole(tracker)
+    expected = unrun().run(tracker)
     assert expected[0] == final
     resumed = BudgetTracker(None)
     s = unrun()
     turns = 1
-    while (result := search._drive(s, resumed, turn))[0] == PAUSED:
+    while (result := s.run(resumed, turn))[0] == PAUSED:
         turns += 1
     assert result == expected and resumed.nodes == tracker.nodes
+    # a settled search keeps its outcome and runs no further node
+    assert s.run(resumed, turn) == expected and resumed.nodes == tracker.nodes
     # the turn that settles the search may spend all of it
     assert turns == -(-tracker.nodes // turn)
 
 
-def test_palette_family_search():
-    g = cycle_graph(4)
-    status, col = search_palette_family(g, [{1, 2}])
-    assert status == FOUND
-    assert palette_summary(col).palette_sets() == {frozenset({1, 2})}
-    status, col = search_palette_family(cycle_graph(5), [{1, 2}])
-    assert status == EXHAUSTED and col is None  # an odd cycle has no 2-coloring
-
-
 def test_family_search_respects_budget():
     family = [frozenset({1, 2, 3}), frozenset({1, 4, 5}), frozenset({2, 4, 6})]
-    status, _ = search_palette_family(petersen_graph(), family,
-                                      budget=SearchBudget(max_nodes=5))
+    status, _ = run(petersen_graph(), family=family, budget=SearchBudget(max_nodes=5))
     assert status == BUDGET
 
 
@@ -222,7 +214,7 @@ def first_in_family(g, family, k):
     depth-first search over the edges in search order, colors ascending,
     meets them.
     """
-    order = search.edge_order(g)
+    order = edge_order(g)
     eu, ev = edge_arrays(g)
     for colors in itertools.product(range(1, k + 1), repeat=len(order)):
         at = [set() for _ in range(g.n)]
@@ -252,7 +244,7 @@ def test_family_search_finds_the_first_in_family_coloring():
         family = {frozenset(rng.sample(range(1, 5), rng.choice(sizes)))
                   for _ in range(rng.randint(1, 4))}
         expected = first_in_family(g, family, 4)
-        assert search_palette_family(g, family) == expected
+        assert coloring_within_family(g, family) == expected
         outcomes.add(expected[0])
     assert outcomes == {FOUND, EXHAUSTED}
 
@@ -266,7 +258,7 @@ def test_family_search_finds_the_first_in_family_coloring():
 # numba parity check where numba is not installed.  The int64 side runs
 # with numpy's integer overflow raised, so a mask that passes bit 62 fails
 # instead of wrapping.  The family cases run the palette kernel seeded
-# with the family, as search_palette_family does.  Each run returns its
+# with the family, as a family ``Search`` does.  Each run returns its
 # calls and the colors of ``assign`` decoded from their bits (0 where no
 # color is set).
 
@@ -440,7 +432,7 @@ class NodeClock:
 
 
 def p3c5_palette_search(tracker):
-    return search_palette_count(cartesian_product(path_graph(3), cycle_graph(5)), 12, 3, tracker)
+    return run(cartesian_product(path_graph(3), cycle_graph(5)), 12, 3, budget=tracker)
 
 
 def test_time_budget_overshoots_by_about_one_chunk(monkeypatch):

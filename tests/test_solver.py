@@ -55,6 +55,15 @@ def test_empty_graph():
     assert res.status == "exact" and res.value == 0
 
 
+@pytest.mark.parametrize("graph, budget, stop", [
+    (cycle_graph(5), None, "exact"),
+    (petersen_graph(), SearchBudget(max_nodes=5), "budget"),
+    (complete_graph(63), None, "color-width"),
+], ids=["C5", "petersen", "K63"])
+def test_result_says_why_it_stopped(graph, budget, stop):
+    assert chromatic_index(graph, budget).stop == stop
+
+
 def test_budget_exhaustion_is_reported():
     res = chromatic_index(petersen_graph(), budget=SearchBudget(max_nodes=2))
     assert res.status == "indeterminate"
