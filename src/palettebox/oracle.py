@@ -229,12 +229,12 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
         yield from fill(0, 0)
 
 
-def _settle_target(graph: Graph, k: int, p: int, tracker):
+def _settle_target(graph: Graph, order: list[int], k: int, p: int, tracker):
     """Decide whether some coloring has at most p palettes, p being a proven lower bound.
 
     Returns (status, rule, coloring): FOUND with a coloring, EXHAUSTED
     with the rule that refuted p, or BUDGET.  The count search and the
-    family search, ``search.Search`` objects on one edge order, take turns
+    family search, ``search.Search`` objects on the edge order ``order``, take turns
     of _TURN nodes, and each ``run`` resumes its search where the last
     turn stopped; the family search runs the families one after another
     within its turns.
@@ -242,7 +242,6 @@ def _settle_target(graph: Graph, k: int, p: int, tracker):
     The families are enumerated only once the first turn of the count
     search fails to settle, so graphs it settles never pay for them.
     """
-    order = search.edge_order(graph)
     count = search.Search(graph, order, k, p)
     families = None
     while True:
@@ -304,6 +303,7 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     upper, witness = min(known, key=lambda kc: kc[0], default=(None, None))
 
     stop = "exact"
+    order = None  # one edge order serves every target, made when the first one runs
     p = proven
     while upper is None or p < upper:
         if p > max_palettes:
@@ -314,7 +314,9 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
             # Exhaustion above the kernel's color width would be unsound.
             stop = "color-width"
             break
-        status, why, found = _settle_target(graph, k, p, tracker)
+        if order is None:
+            order = search.edge_order(graph)
+        status, why, found = _settle_target(graph, order, k, p, tracker)
         if status == search.FOUND:
             upper, witness = p, found
             break

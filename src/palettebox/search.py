@@ -129,9 +129,22 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened,
     complete once its last incident edge is colored; completed palettes
     are collected in ``distinct[:dcount]`` (sizes in ``dsize``, the
     vertex's degree, as a proper palette has one color per edge) and may
-    never exceed p_target distinct values.  Once the cap is reached, every
-    partially colored vertex must still fit inside some collected palette
-    of its exact degree, which prunes hard.
+    never exceed p_target distinct values.
+
+    Every candidate test asks one question: does some collected palette
+    of x's degree hold x's colors plus c?  A complete palette has exactly
+    deg(x) colors, so for a completing x that is the same as equalling a
+    collected palette.  A node therefore reads the collection once per
+    endpoint it constrains, into r_x, the union of the collected palettes
+    of x's degree that hold x's colors, and tests every candidate c with
+    one AND against it.  With the collection full, both endpoints must
+    pass (a completing vertex may add no palette, a partial one must fit
+    a palette it can still complete to), which prunes hard.  With one slot
+    left, two completing endpoints with different palettes must not both
+    be new.  Otherwise every candidate passes, and r_x only says whether
+    a completed palette is new.  A candidate that fails is never
+    committed, so filtering before the pick visits the nodes a test per
+    candidate would.
 
     The caller may seed the collection: ``distinct[:dcount]`` entries
     present at the start are never removed, since backtracking removes
@@ -151,74 +164,55 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened,
         nodes += 1
         u = eu[d]
         v = ev[d]
+        mu = vmask[u]
+        mv = vmask[v]
         t = assign[d]
         allowed = opened[d]
-        free = allowed & ~(vmask[u] | vmask[v]) & (-t ^ t)  # -t ^ t: bits above t
-        committed = False
-        while free:
+        free = allowed & ~(mu | mv) & (-t ^ t)  # -t ^ t: bits above t
+        full = dcount == p_target
+        done_u = deg_left[u] == 1
+        done_v = deg_left[v] == 1
+        r_u = 0
+        r_v = 0
+        if free != 0 and (full or done_u):
+            du = deg[u]
+            for i in range(dcount):
+                s = distinct[i]
+                if dsize[i] == du and (mu & s) == mu:
+                    r_u |= s
+            if full:
+                free &= r_u
+        if free != 0 and (full or done_v):
+            dv = deg[v]
+            for i in range(dcount):
+                s = distinct[i]
+                if dsize[i] == dv and (mv & s) == mv:
+                    r_v |= s
+            if full:
+                free &= r_v
+        if done_u and done_v and mu != mv and dcount + 1 == p_target:
+            free &= r_u | r_v
+        if free != 0:
             bit = free & -free
-            free ^= bit
-            new_u = vmask[u] | bit
-            new_v = vmask[v] | bit
-            ok = True
+            assign[d] = bit
+            vmask[u] = mu | bit
+            vmask[v] = mv | bit
+            deg_left[u] -= 1
+            deg_left[v] -= 1
             n_new = 0
-            w1 = -1
-            w2 = -1
-            if deg_left[u] == 1:
-                hit = False
-                for i in range(dcount):
-                    if distinct[i] == new_u:
-                        hit = True
-                        break
-                if not hit:
-                    w1 = new_u
-                    n_new = 1
-            elif dcount == p_target:
-                fits = False
-                for i in range(dcount):
-                    if (new_u & ~distinct[i]) == 0 and dsize[i] == deg[u]:
-                        fits = True
-                        break
-                ok = fits
-            if ok:
-                if deg_left[v] == 1:
-                    hit = new_v == w1
-                    if not hit:
-                        for i in range(dcount):
-                            if distinct[i] == new_v:
-                                hit = True
-                                break
-                    if not hit:
-                        w2 = new_v
-                        n_new += 1
-                elif dcount == p_target:
-                    fits = False
-                    for i in range(dcount):
-                        if (new_v & ~distinct[i]) == 0 and dsize[i] == deg[v]:
-                            fits = True
-                            break
-                    ok = fits
-            if ok and dcount + n_new > p_target:
-                ok = False
-            if ok:
-                assign[d] = bit
-                vmask[u] = new_u
-                vmask[v] = new_v
-                deg_left[u] -= 1
-                deg_left[v] -= 1
-                if w1 >= 0:
-                    distinct[dcount] = w1
-                    dsize[dcount] = deg[u]
-                    dcount += 1
-                if w2 >= 0:
-                    distinct[dcount] = w2
-                    dsize[dcount] = deg[v]
-                    dcount += 1
-                added[d] = n_new
-                opened[d + 1] = allowed | bit << 1 if allowed >> 1 < bit < top else allowed
-                committed = True
-                break
-        if committed:
+            if done_u and (bit & r_u) == 0:
+                distinct[dcount] = mu | bit
+                dsize[dcount] = deg[u]
+                dcount += 1
+                n_new = 1
+            # equal palettes of u and v are one new palette
+            if done_v and (bit & r_v) == 0 and (n_new == 0 or mu != mv):
+                distinct[dcount] = mv | bit
+                dsize[dcount] = deg[v]
+                dcount += 1
+                n_new += 1
+            added[d] = n_new
+            opened[d + 1] = allowed | bit << 1 if allowed >> 1 < bit < top else allowed
             d += 1
             if d == m:
                 return FOUND, dcount, d, nodes

@@ -75,6 +75,8 @@ def search_results():
     tracker = BudgetTracker(None)
     results = (run(K5, 5, budget=tracker),
                run(K5, 16, 4, budget=tracker),
+               run(P3C5, 8, 2, budget=tracker),
+               run(P3C5, 16, 4, budget=tracker),
                run(P3C4, family=PATH_MODE_FAMILY, budget=tracker),
                run(PETERSEN, family=HIGH_FAMILY, budget=tracker))
     return results, tracker.nodes
@@ -96,9 +98,9 @@ def test_searches_same_on_list_and_int64_buffers(monkeypatch):
     on_lists = search_results()
     monkeypatch.setattr(search, "_backend", lambda: (*kernels, search._int64))
     assert search_results() == on_lists
-    for status, col in on_lists[0]:
-        assert status == FOUND
-        assert all(type(c) is int for c in col.colors)
+    assert [status for status, _ in on_lists[0]] == [FOUND, FOUND, EXHAUSTED] + [FOUND] * 3
+    for _, col in on_lists[0]:
+        assert col is None or all(type(c) is int for c in col.colors)
 
 
 def test_empty_and_zero_color_edges():
@@ -269,6 +271,9 @@ P3C4 = cartesian_product(path_graph(3), cycle_graph(4))
 # every center edge needs its own color, so k = MAX_COLORS reaches bit 62
 STAR = Graph.from_edges(MAX_COLORS + 1, [(0, i) for i in range(1, MAX_COLORS + 1)])
 HIGH_FAMILY = [{60, 61, 62}, {59, 61, 62}, {59, 60, 62}, {59, 60, 61, 62}]
+# P3 beside a triangle: the triangle's last edge completes both its ends
+# with two different palettes, which the collection must count twice
+P3_AND_K3 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)])
 
 
 def on_int64(run, *args):
@@ -342,6 +347,11 @@ def test_color_kernel_same_on_list_and_int64_buffers(g, k, final):
     (K5, 16, 4, FOUND),
     (P3C4, 5, 1, EXHAUSTED),
     (P3C4, 4, 2, FOUND),
+    # two palette degrees: the full collection and the one slot left both prune
+    (P3C5, 8, 2, EXHAUSTED),
+    (P3C5, 16, 4, FOUND),
+    (P3_AND_K3, 5, 4, EXHAUSTED),
+    (P3_AND_K3, 5, 5, FOUND),
     (STAR, MAX_COLORS, MAX_COLORS, EXHAUSTED),
     (STAR, MAX_COLORS, MAX_COLORS + 1, FOUND),
 ])
