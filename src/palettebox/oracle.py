@@ -93,8 +93,13 @@ def default_max_palettes(graph: Graph) -> int:
     return distinct + graph.max_degree
 
 
-def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[ChromaticIndexResult]]:
-    """The lower bound, its rule and the chromatic-index result it used."""
+def _lower_bound_impl(graph: Graph, tracker,
+                      order=None) -> tuple[int, str, Optional[ChromaticIndexResult]]:
+    """The lower bound, its rule and the chromatic-index result it used.
+
+    ``order`` is the edge order of the chromatic-index searches, as in
+    ``chromatic_index``.
+    """
     if graph.n == 0:
         return 0, "degree-set", None
     distinct = len(set(graph.degrees))
@@ -102,7 +107,7 @@ def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[Chromat
         return distinct, "degree-set", None
     if graph.max_degree == 0:
         return 1, "degree-set", None
-    result = chromatic_index(graph, tracker)
+    result = chromatic_index(graph, tracker, order)
     if result.is_class_one is False:
         return 3, "regular-class2", result
     return 1, "degree-set", result
@@ -297,13 +302,15 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     delta = graph.max_degree
     m = len(graph.edges)
 
-    proven, rule, chrom = _lower_bound_impl(graph, tracker)
+    # one edge order serves the chromatic index and every target; past the
+    # kernel's color width in degree, no search runs at all
+    order = search.edge_order(graph) if delta <= search.MAX_COLORS else None
+    proven, rule, chrom = _lower_bound_impl(graph, tracker, order)
     if chrom is not None and chrom.witness is not None:
         known.append((palette_summary(chrom.witness).count, chrom.witness))
     upper, witness = min(known, key=lambda kc: kc[0], default=(None, None))
 
     stop = "exact"
-    order = None  # one edge order serves every target, made when the first one runs
     p = proven
     while upper is None or p < upper:
         if p > max_palettes:
@@ -314,8 +321,6 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
             # Exhaustion above the kernel's color width would be unsound.
             stop = "color-width"
             break
-        if order is None:
-            order = search.edge_order(graph)
         status, why, found = _settle_target(graph, order, k, p, tracker)
         if status == search.FOUND:
             upper, witness = p, found

@@ -82,13 +82,18 @@ def active_backend() -> str:
 # kernel bodies (compiled and interpreted from the same source)
 
 
-def _color_chunk_py(eu, ev, m, k, assign, vmask, opened, pos, node_limit):
+def _color_chunk_py(eu, ev, m, k, assign, vmask, opened, untried, pos, node_limit):
     """Extend a proper k-coloring depth-first; new colors ascend.
 
-    Returns (status, pos, nodes).  ``assign[d]`` is the bit of the last
-    color tried at depth d, 1 before any, set in ``vmask`` only while the
-    search sits deeper; ``opened[d]`` has the colors opened above d and the
-    next new one, up to k.
+    Returns (status, pos, nodes).  ``assign[d]`` is the bit of the color
+    at depth d, 1 before the depth's first try, set in ``vmask`` only
+    while the search sits deeper; ``opened[d]`` has the colors opened
+    above d and the next new one, up to k.  The first visit to depth d
+    computes its candidates, the opened colors that neither endpoint has,
+    and ``untried[d]`` keeps those not tried yet.  Everything the
+    candidates depend on is restored when the search backtracks to d, so
+    a return to d, or a call resuming at a depth with ``assign[d] != 1``,
+    takes the lowest untried bit.
     """
     top = 1 << k
     d = pos
@@ -99,14 +104,17 @@ def _color_chunk_py(eu, ev, m, k, assign, vmask, opened, pos, node_limit):
         nodes += 1
         u = eu[d]
         v = ev[d]
-        t = assign[d]
-        allowed = opened[d]
-        free = allowed & ~(vmask[u] | vmask[v]) & (-t ^ t)  # -t ^ t: bits above t
+        if assign[d] == 1:
+            free = opened[d] & ~(vmask[u] | vmask[v])
+        else:
+            free = untried[d]
         if free:
             bit = free & -free
+            untried[d] = free ^ bit
             assign[d] = bit
             vmask[u] |= bit
             vmask[v] |= bit
+            allowed = opened[d]
             opened[d + 1] = allowed | bit << 1 if allowed >> 1 < bit < top else allowed
             d += 1
             if d == m:
@@ -121,8 +129,8 @@ def _color_chunk_py(eu, ev, m, k, assign, vmask, opened, pos, node_limit):
             vmask[ev[d]] ^= bit
 
 
-def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened,
-                     deg_left, distinct, dsize, added, dcount, pos, node_limit):
+def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened, untried,
+                     deg_left, distinct, dsize, added, r_us, r_vs, dcount, pos, node_limit):
     """Proper-coloring search allowing at most p_target distinct palettes.
 
     ``vmask`` doubles as the running palette of each vertex.  A vertex is
@@ -134,24 +142,27 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened,
     Every candidate test asks one question: does some collected palette
     of x's degree hold x's colors plus c?  A complete palette has exactly
     deg(x) colors, so for a completing x that is the same as equalling a
-    collected palette.  A node therefore reads the collection once per
-    endpoint it constrains, into r_x, the union of the collected palettes
-    of x's degree that hold x's colors, and tests every candidate c with
-    one AND against it.  With the collection full, both endpoints must
-    pass (a completing vertex may add no palette, a partial one must fit
-    a palette it can still complete to), which prunes hard.  With one slot
-    left, two completing endpoints with different palettes must not both
-    be new.  Otherwise every candidate passes, and r_x only says whether
-    a completed palette is new.  A candidate that fails is never
-    committed, so filtering before the pick visits the nodes a test per
-    candidate would.
+    collected palette.  The first visit to a depth therefore reads the
+    collection once per endpoint it constrains, into r_x, the union of the
+    collected palettes of x's degree that hold x's colors, and tests every
+    candidate c with one AND against it.  With the collection full, both
+    endpoints must pass (a completing vertex may add no palette, a partial
+    one must fit a palette it can still complete to), which prunes hard.
+    With one slot left, two completing endpoints with different palettes
+    must not both be new.  Otherwise every candidate passes, and r_x only
+    says whether a completed palette is new.  A candidate that fails is
+    never committed, so filtering before the pick visits the nodes a test
+    per candidate would.
 
     The caller may seed the collection: ``distinct[:dcount]`` entries
     present at the start are never removed, since backtracking removes
     only what ``added`` records.  Seeding ``dcount = p_target`` fixes the
-    palettes outright.  ``assign`` and ``opened`` are as in the coloring
-    kernel: ``opened[0]`` holding color 1 alone opens colors in turn, and
-    all k colors let every depth use all k.
+    palettes outright.  ``assign``, ``opened`` and ``untried`` are as in
+    the coloring kernel: ``opened[0]`` holding color 1 alone opens colors
+    in turn, and all k colors let every depth use all k.  The collection
+    and ``deg_left`` are restored on backtracking too, so that visit also
+    keeps r_u and r_v in ``r_us[d]`` and ``r_vs[d]``, and a return to d
+    does not read the collection again.
 
     Returns (status, dcount, pos, nodes).
     """
@@ -166,34 +177,40 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened,
         v = ev[d]
         mu = vmask[u]
         mv = vmask[v]
-        t = assign[d]
-        allowed = opened[d]
-        free = allowed & ~(mu | mv) & (-t ^ t)  # -t ^ t: bits above t
-        full = dcount == p_target
         done_u = deg_left[u] == 1
         done_v = deg_left[v] == 1
-        r_u = 0
-        r_v = 0
-        if free != 0 and (full or done_u):
-            du = deg[u]
-            for i in range(dcount):
-                s = distinct[i]
-                if dsize[i] == du and (mu & s) == mu:
-                    r_u |= s
-            if full:
-                free &= r_u
-        if free != 0 and (full or done_v):
-            dv = deg[v]
-            for i in range(dcount):
-                s = distinct[i]
-                if dsize[i] == dv and (mv & s) == mv:
-                    r_v |= s
-            if full:
-                free &= r_v
-        if done_u and done_v and mu != mv and dcount + 1 == p_target:
-            free &= r_u | r_v
+        if assign[d] == 1:
+            free = opened[d] & ~(mu | mv)
+            full = dcount == p_target
+            r_u = 0
+            r_v = 0
+            if free != 0 and (full or done_u):
+                du = deg[u]
+                for i in range(dcount):
+                    s = distinct[i]
+                    if dsize[i] == du and (mu & s) == mu:
+                        r_u |= s
+                if full:
+                    free &= r_u
+            if free != 0 and (full or done_v):
+                dv = deg[v]
+                for i in range(dcount):
+                    s = distinct[i]
+                    if dsize[i] == dv and (mv & s) == mv:
+                        r_v |= s
+                if full:
+                    free &= r_v
+            if done_u and done_v and mu != mv and dcount + 1 == p_target:
+                free &= r_u | r_v
+            r_us[d] = r_u
+            r_vs[d] = r_v
+        else:
+            free = untried[d]
+            r_u = r_us[d]
+            r_v = r_vs[d]
         if free != 0:
             bit = free & -free
+            untried[d] = free ^ bit
             assign[d] = bit
             vmask[u] = mu | bit
             vmask[v] = mv | bit
@@ -212,6 +229,7 @@ def _pcount_chunk_py(eu, ev, m, k, deg, p_target, assign, vmask, opened,
                 dcount += 1
                 n_new += 1
             added[d] = n_new
+            allowed = opened[d]
             opened[d + 1] = allowed | bit << 1 if allowed >> 1 < bit < top else allowed
             d += 1
             if d == m:
@@ -436,15 +454,17 @@ class Search:
         ev = buf(graph.edges[i][1] for i in order)
         if p is None:
             self._step, self._state = color_step, [0]
-            self._args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([2] + [0] * m))
+            self._args = (eu, ev, m, k, assign, buf([0] * graph.n), buf([2] + [0] * m),
+                          buf([0] * m))
             return
         seed = family if family is not None else [0] if 0 in graph.degrees else []
         free = [0] * (p + 1 - len(seed))
         self._step = palette_step
         self._args = (eu, ev, m, k, buf(graph.degrees), p, assign, buf([0] * graph.n),
-                      buf([2 if family is None else (2 << k) - 2] + [0] * m), buf(graph.degrees),
-                      buf(seed + free), buf([bin(mask).count("1") for mask in seed] + free),
-                      buf([0] * m))
+                      buf([2 if family is None else (2 << k) - 2] + [0] * m), buf([0] * m),
+                      buf(graph.degrees), buf(seed + free),
+                      buf([bin(mask).count("1") for mask in seed] + free),
+                      buf([0] * m), buf([0] * m), buf([0] * m))
         self._state = [len(seed), 0]
 
     def run(self, budget=None, allowance=None):

@@ -49,8 +49,11 @@ class ChromaticIndexResult:
         return None if self.value is None else self.value == self.delta
 
 
-def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
+def chromatic_index(graph: Graph, budget=None, order=None) -> ChromaticIndexResult:
     """Compute the chromatic index with an optional search budget.
+
+    Both color counts are searched along ``order``, by default
+    ``search.edge_order(graph)``, made once, before the first search.
 
     A Delta-regular graph of odd order has no perfect matching, so no
     color class of a Delta-coloring could cover every vertex; that case
@@ -67,7 +70,9 @@ def chromatic_index(graph: Graph, budget=None) -> ChromaticIndexResult:
         if k > search.MAX_COLORS:  # past the kernel's color width nothing is searched
             status, stop = search.BUDGET, "color-width"
         else:
-            status, witness = search.Search(graph, search.edge_order(graph), k).run(tracker)
+            if order is None:
+                order = search.edge_order(graph)
+            status, witness = search.Search(graph, order, k).run(tracker)
             stop = "budget"
         if status == search.FOUND:
             return ChromaticIndexResult("exact", k, witness, delta, tracker.nodes, "exact")

@@ -192,10 +192,18 @@ def test_corpus_certificates_are_pinned():
     assert digest.hexdigest() == "ceec86d29f1caf71895cede561c23331c5829fca7fd4a1adbdd451bc0194e033"
 
 
-def test_every_target_shares_one_edge_order(monkeypatch):
+@pytest.mark.parametrize("graph, interval", [
     # P5 x P5 settles three targets: p = 3 by parity, p = 4 by exhausting
-    # its families and p = 5 by a coloring; the count search and every
-    # family search of every target share one edge order
+    # its families and p = 5 by a coloring
+    (cartesian_product(path_graph(5), path_graph(5)), (5, 5)),
+    # Petersen's chromatic index exhausts Delta = 3 colors, then colors with 4
+    (petersen_graph(), (3, 3)),
+    # C5 x C5 is class 2 by parity; its 5-palette witness leaves target 3 to search
+    (cartesian_product(cycle_graph(5), cycle_graph(5)), (3, 3)),
+], ids=["p5p5", "petersen", "c5c5"])
+def test_every_target_shares_one_edge_order(monkeypatch, graph, interval):
+    # the chromatic-index searches, and the count and family searches of
+    # every target, share the certificate's one edge order
     calls = []
     order = search.edge_order
 
@@ -203,8 +211,8 @@ def test_every_target_shares_one_edge_order(monkeypatch):
         calls.append(graph)
         return order(graph)
     monkeypatch.setattr(search, "edge_order", counted)
-    cert = palette_index_exact(cartesian_product(path_graph(5), path_graph(5)))
-    assert cert.interval == (5, 5)
+    cert = palette_index_exact(graph)
+    assert cert.interval == interval
     assert len(calls) == 1
 
 

@@ -166,12 +166,16 @@ P3C5 = cartesian_product(path_graph(3), cycle_graph(5))
 P5C5 = cartesian_product(path_graph(5), cycle_graph(5))
 
 
+# with 1-node turns, every return to a depth is a pause followed by a call
+# that resumes from that depth's untried colors; petersen-k3 does so on the
+# coloring kernel all the way to exhaustion
 @pytest.mark.parametrize("unrun, final", [
+    (lambda: Search(PETERSEN, edge_order(PETERSEN), 3), EXHAUSTED),
     (lambda: Search(PETERSEN, edge_order(PETERSEN), 4), FOUND),
     (lambda: Search(P3C5, edge_order(P3C5), 12, 3), EXHAUSTED),
     (lambda: Search(P3C5, edge_order(P3C5), 12, 4), FOUND),
     (lambda: Search(P5C5, edge_order(P5C5), family=PATH_MODE_FAMILY), FOUND),
-], ids=["petersen-k4", "p3c5-count-p3", "p3c5-count-p4", "p5c5-family"])
+], ids=["petersen-k3", "petersen-k4", "p3c5-count-p3", "p3c5-count-p4", "p5c5-family"])
 @pytest.mark.parametrize("turn", [1, 7, 1_024])
 def test_a_search_resumed_in_turns_matches_one_run(unrun, final, turn):
     tracker = BudgetTracker(None)
@@ -291,10 +295,11 @@ def color_run(buf, g, k):
     m = len(eu)
     eu_b, ev_b = buf(eu), buf(ev)
     assign, vmask, opened = buf([1] * m), buf([0] * g.n), buf([2] + [0] * m)
+    untried = buf([0] * m)
     calls, status, pos = [], PAUSED, 0
     while status == PAUSED:
         status, pos, nodes = search._color_chunk_py(eu_b, ev_b, m, k, assign, vmask,
-                                                    opened, pos, PARITY_CHUNK)
+                                                    opened, untried, pos, PARITY_CHUNK)
         calls.append((int(status), int(pos), int(nodes)))
     return calls, colors_of(assign)
 
@@ -305,14 +310,15 @@ def pcount_run(buf, g, k, p_target, seed=(), opened0=2):
     eu_b, ev_b, deg = buf(eu), buf(ev), buf(g.degrees)
     assign, vmask, opened = buf([1] * m), buf([0] * g.n), buf([opened0] + [0] * m)
     deg_left, added = buf(g.degrees), buf([0] * m)
+    untried, r_us, r_vs = buf([0] * m), buf([0] * m), buf([0] * m)
     free = [0] * (p_target + 1 - len(seed))
     distinct = buf([mask for mask, _ in seed] + free)
     dsize = buf([size for _, size in seed] + free)
     calls, status, pos, dcount = [], PAUSED, 0, len(seed)
     while status == PAUSED:
         status, dcount, pos, nodes = search._pcount_chunk_py(
-            eu_b, ev_b, m, k, deg, p_target, assign, vmask, opened, deg_left,
-            distinct, dsize, added, dcount, pos, PARITY_CHUNK)
+            eu_b, ev_b, m, k, deg, p_target, assign, vmask, opened, untried, deg_left,
+            distinct, dsize, added, r_us, r_vs, dcount, pos, PARITY_CHUNK)
         calls.append((int(status), int(dcount), int(pos), int(nodes)))
     return calls, colors_of(assign)
 
