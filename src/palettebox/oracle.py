@@ -9,18 +9,21 @@ count p from a certified lower bound up to u-1.  A coloring with p
 distinct palettes mentions at most p*Delta colors, so restricting the
 search to min(p*Delta, |E|) colors loses nothing.
 
-Each target p is settled by two searches that take turns of a fixed
-number of nodes: the palette-count search, which explores every
-coloring with at most p distinct palettes, and the family search over
-the parity-feasible palette families of p (see ``_parity_families``).
 A color class is a matching, so each color lies on an even number of
 vertices (Hornak, Kalinowski, Meszka and Wozniak, "Minimum number of
-palettes in edge colorings", Graphs and Combinatorics 2014), which
-leaves few families to exhaust.  The count search tends to find
-colorings fast and the families to refute targets fast.  Every search
-is a resumable ``search.Search``, so each turn resumes where the last
-one stopped, no node is searched twice, and a target costs about twice
-what the better of the two searches needs on its own.
+palettes in edge colorings", Graphs and Combinatorics 2014).  So each
+color of a palette on an odd number of vertices lies in another such
+palette, and a target p whose palette degrees and parities cannot meet
+that (see ``_parity_kinds``) is refuted before any search.  Any other
+target p is settled by two searches that take turns of a fixed number
+of nodes: the palette-count search, which explores every coloring with
+at most p distinct palettes, and the family search over the
+parity-feasible palette families of p (see ``_parity_families``), of
+which the parity argument leaves few to exhaust.  The count search
+tends to find colorings fast and the families to refute targets fast.
+Every search is a resumable ``search.Search``, so each turn resumes
+where the last one stopped, no node is searched twice, and a target
+costs about twice what the better of the two searches needs on its own.
 
 Lower bound rules:
 
@@ -29,7 +32,8 @@ Lower bound rules:
   (one palette would give a Delta-coloring, and exactly two distinct
   palettes are impossible on a regular graph).
 * ``exhaustive``: the count search exhausted the last target.
-* ``parity``: the last target has no parity-feasible palette family.
+* ``parity``: the last target has no parity-feasible palette family,
+  decided before any search.
 * ``parity-families``: the family search exhausted every parity-feasible
   palette family of the last target.
 
@@ -43,6 +47,7 @@ bound.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from typing import Iterable, Iterator, Optional
 
 from palettebox import search
@@ -94,11 +99,11 @@ def default_max_palettes(graph: Graph) -> int:
 
 
 def _lower_bound_impl(graph: Graph, tracker,
-                      order=None) -> tuple[int, str, Optional[ChromaticIndexResult]]:
+                      make_order=None) -> tuple[int, str, Optional[ChromaticIndexResult]]:
     """The lower bound, its rule and the chromatic-index result it used.
 
-    ``order`` is the edge order of the chromatic-index searches, as in
-    ``chromatic_index``.
+    ``make_order`` makes the edge order of the chromatic-index searches,
+    as in ``chromatic_index``.
     """
     if graph.n == 0:
         return 0, "degree-set", None
@@ -107,7 +112,7 @@ def _lower_bound_impl(graph: Graph, tracker,
         return distinct, "degree-set", None
     if graph.max_degree == 0:
         return 1, "degree-set", None
-    result = chromatic_index(graph, tracker, order)
+    result = chromatic_index(graph, tracker, make_order)
     if result.is_class_one is False:
         return 3, "regular-class2", result
     return 1, "degree-set", result
@@ -123,35 +128,23 @@ def lower_bound(graph: Graph, budget=None) -> tuple[int, str]:
     return value, rule
 
 
-def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozenset[int]]]:
-    """Yield, lazily, the palette families a coloring with exactly p palettes can have.
+def _parity_kinds(graph: Graph, p: int) -> Iterator[list[tuple[int, bool]]]:
+    """Yield the kinds of p palettes that pass the parity test.
 
-    Let n_P vertices carry palette P.  Every color class is a matching,
-    so for each color c the sum of n_P over the palettes P that hold c
-    is even: each color lies in an even number of odd palettes (n_P
-    odd).  Among the c_d palettes of degree d, o_d are odd, with
+    A kind gives each palette other than the empty one its degree, and
+    whether it is odd: on an odd number n_P of vertices.  Every color
+    class is a matching, so for each color c the sum of n_P over the
+    palettes P that hold c is even: each color lies in an even number of
+    odd palettes.  Among the c_d palettes of degree d, o_d are odd, with
     o_d = n_d (mod 2), and o_d + 2(c_d - o_d) <= n_d since an even
     palette is on at least two vertices.  Isolated vertices take the
-    empty palette, which is added to every family, and the others share
-    the remaining palettes.
-
-    Up to renaming colors a family is a vector x over the nonempty sets
-    S of palette positions: x_S colors lie in exactly the palettes S.
-    Only S holding an even number of odd palettes may have x_S > 0,
-    palette i needs sum(x_S for S holding i) = its degree, and there are
-    at most ``colors`` colors in all.  Positions are filled in order,
-    each by the sets whose least member it is.  Palettes of one degree
-    must be distinct, and two neighbouring palettes of one degree and
-    parity are kept only in the order that makes x lexicographically
-    largest over the two (sets in integer order as bitmasks), which
-    keeps the largest x of every relabeling of those groups.  Every
-    coloring with exactly p distinct palettes relabels into a family
-    yielded here, under the parity pattern of its own palette counts, so
-    exhausting them all refutes p whenever the palette index is at least p.
+    empty palette, and the others share the remaining palettes, at least
+    one for each degree.  Each color of an odd palette lies in another
+    odd palette, so a kind passes only if no odd palette's degree
+    exceeds the sum of the other odd palettes' degrees.
     """
     counts = Counter(graph.degrees)
-    tail = [frozenset()] if counts.pop(0, 0) else []
-    slots = p - len(tail)
+    slots = p - (counts.pop(0, 0) > 0)
     groups = sorted(counts.items())
 
     def kinds(j: int, left: int):
@@ -168,6 +161,63 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
                         yield [(d, True)] * o + [(d, False)] * (c - o) + rest
 
     for kind in kinds(0, slots):
+        odd = [d for d, is_odd in kind if is_odd]
+        if 2 * max(odd, default=0) <= sum(odd):
+            yield kind
+
+
+def _has_parity_kind(graph: Graph, p: int) -> bool:
+    """Whether ``_parity_kinds(graph, p)`` yields any kind, mostly without enumerating them.
+
+    Let n_d vertices have degree d > 0, and N be the sum of the n_d.  The
+    palette counts that have a passing kind run from a least one up to N:
+    a passing kind with fewer than N palettes grows by one palette and
+    still passes, by one more even palette of a degree with room for it,
+    or else by an even palette turned into two odd ones of its degree.
+    Take one palette of each degree, odd when n_d is odd.  If these odd
+    palettes pass, that is the least count.  Otherwise the largest odd
+    degree exceeds the sum of the others by 2h > 0.  Two more odd
+    palettes of one degree d >= h then pass, at one palette more when
+    n_d is even and two when it is odd, and one palette more passes only
+    that way.  Without such a degree the kinds are enumerated.
+    """
+    degrees = graph.degrees
+    counts = {d: degrees.count(d) for d in set(degrees)}
+    tail = counts.pop(0, 0) > 0
+    odd = [d for d, n in counts.items() if n % 2]
+    h = max(odd, default=0) - sum(odd) // 2
+    least = len(counts)
+    if h > 0:
+        more = min((1 + n % 2 for d, n in counts.items() if d >= h and n > 1), default=0)
+        if not more:
+            return next(_parity_kinds(graph, p), None) is not None
+        least += more
+    return least <= p - tail <= sum(counts.values())
+
+
+def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozenset[int]]]:
+    """Yield, lazily, the palette families a coloring with exactly p palettes can have.
+
+    The families are enumerated kind by kind over ``_parity_kinds``, so a
+    kind that fails the parity test costs nothing here.  Up to renaming
+    colors a family is a vector x over the nonempty sets S of palette
+    positions: x_S colors lie in exactly the palettes S.
+    Only S holding an even number of odd palettes may have x_S > 0,
+    palette i needs sum(x_S for S holding i) = its degree, and there are
+    at most ``colors`` colors in all.  Positions are filled in order,
+    each by the sets whose least member it is.  Palettes of one degree
+    must be distinct, and two neighbouring palettes of one degree and
+    parity are kept only in the order that makes x lexicographically
+    largest over the two (sets in integer order as bitmasks), which
+    keeps the largest x of every relabeling of those groups.  The empty
+    palette of isolated vertices is added to every family.  Every
+    coloring with exactly p distinct palettes relabels into a family
+    yielded here, under the parity pattern of its own palette counts, so
+    exhausting them all refutes p whenever the palette index is at least p.
+    """
+    tail = [frozenset()] if 0 in graph.degrees else []
+    for kind in _parity_kinds(graph, p):
+        slots = len(kind)
         need = [d for d, _ in kind]
         odd = sum(1 << i for i, (_, is_odd) in enumerate(kind) if is_odd)
         # by_least[i]: the allowed sets whose least member is position i
@@ -234,19 +284,24 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
         yield from fill(0, 0)
 
 
-def _settle_target(graph: Graph, order: list[int], k: int, p: int, tracker):
+def _settle_target(graph: Graph, ordered, k: int, p: int, tracker):
     """Decide whether some coloring has at most p palettes, p being a proven lower bound.
 
     Returns (status, rule, coloring): FOUND with a coloring, EXHAUSTED
-    with the rule that refuted p, or BUDGET.  The count search and the
-    family search, ``search.Search`` objects on the edge order ``order``, take turns
-    of _TURN nodes, and each ``run`` resumes its search where the last
-    turn stopped; the family search runs the families one after another
-    within its turns.
+    with the rule that refuted p, or BUDGET.  A target with no kind
+    that passes the parity test is refuted before any search, and
+    without an edge order.  Otherwise the count search and the family
+    search, ``search.Search`` objects on the edge order ``ordered()``,
+    take turns of _TURN nodes, and each ``run`` resumes its search where
+    the last turn stopped; the family search runs the families one after
+    another within its turns.
     Nothing here reads the clock, so node counts repeat from run to run.
     The families are enumerated only once the first turn of the count
     search fails to settle, so graphs it settles never pay for them.
     """
+    if not _has_parity_kind(graph, p):
+        return search.EXHAUSTED, "parity", None
+    order = ordered()
     count = search.Search(graph, order, k, p)
     families = None
     while True:
@@ -302,10 +357,10 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     delta = graph.max_degree
     m = len(graph.edges)
 
-    # one edge order serves the chromatic index and every target; past the
-    # kernel's color width in degree, no search runs at all
-    order = search.edge_order(graph) if delta <= search.MAX_COLORS else None
-    proven, rule, chrom = _lower_bound_impl(graph, tracker, order)
+    # one edge order serves the chromatic index and every target, made when
+    # the first search starts
+    ordered = cache(lambda: search.edge_order(graph))
+    proven, rule, chrom = _lower_bound_impl(graph, tracker, ordered)
     if chrom is not None and chrom.witness is not None:
         known.append((palette_summary(chrom.witness).count, chrom.witness))
     upper, witness = min(known, key=lambda kc: kc[0], default=(None, None))
@@ -321,7 +376,7 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
             # Exhaustion above the kernel's color width would be unsound.
             stop = "color-width"
             break
-        status, why, found = _settle_target(graph, order, k, p, tracker)
+        status, why, found = _settle_target(graph, ordered, k, p, tracker)
         if status == search.FOUND:
             upper, witness = p, found
             break

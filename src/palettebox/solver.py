@@ -49,11 +49,12 @@ class ChromaticIndexResult:
         return None if self.value is None else self.value == self.delta
 
 
-def chromatic_index(graph: Graph, budget=None, order=None) -> ChromaticIndexResult:
+def chromatic_index(graph: Graph, budget=None, make_order=None) -> ChromaticIndexResult:
     """Compute the chromatic index with an optional search budget.
 
-    Both color counts are searched along ``order``, by default
-    ``search.edge_order(graph)``, made once, before the first search.
+    Both color counts are searched along one edge order, made when the
+    first search starts by ``make_order()``, by default
+    ``search.edge_order(graph)``; no order is made when nothing is searched.
 
     A Delta-regular graph of odd order has no perfect matching, so no
     color class of a Delta-coloring could cover every vertex; that case
@@ -64,6 +65,7 @@ def chromatic_index(graph: Graph, budget=None, order=None) -> ChromaticIndexResu
     budget does, so it is indeterminate too.
     """
     tracker = ensure_tracker(budget)
+    order = None
     delta = graph.max_degree
     parity_class_two = delta > 0 and graph.is_regular and graph.n % 2 == 1
     for k in (delta + 1,) if parity_class_two else (delta, delta + 1):
@@ -71,7 +73,7 @@ def chromatic_index(graph: Graph, budget=None, order=None) -> ChromaticIndexResu
             status, stop = search.BUDGET, "color-width"
         else:
             if order is None:
-                order = search.edge_order(graph)
+                order = make_order() if make_order else search.edge_order(graph)
             status, witness = search.Search(graph, order, k).run(tracker)
             stop = "budget"
         if status == search.FOUND:

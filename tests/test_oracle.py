@@ -1,3 +1,4 @@
+from collections import Counter
 from hashlib import sha256
 from random import Random
 
@@ -17,7 +18,9 @@ from palettebox.graphs import (
     petersen_graph,
 )
 from palettebox.oracle import (
+    _has_parity_kind,
     _parity_families,
+    _parity_kinds,
     coloring_within_family,
     lower_bound,
     naive_minimum_palettes,
@@ -115,14 +118,14 @@ def test_budget_exhaustion_yields_interval():
 
 @pytest.mark.parametrize("budget", [
     SearchBudget(max_nodes=1),
-    SearchBudget(max_nodes=1_700),
+    SearchBudget(max_nodes=1_200),
     SearchBudget(max_seconds=0.0),
 ])
 def test_interrupted_oracle_keeps_an_upper_bound(budget):
     # P5 x C3 has palette index 4 and is not regular, so no chromatic-index
     # witness exists to fall back on; the Misra-Gries coloring bounds it.
-    # 1,700 nodes stop it at p = 4, after the families refuted p = 3; it
-    # needs 1,771.
+    # 1,200 nodes stop it at p = 4, after the families refuted p = 3; it
+    # needs 1,298.
     g = cartesian_product(path_graph(5), cycle_graph(3))
     cert = palette_index_exact(g, budget=budget)
     assert not cert.exact
@@ -144,12 +147,13 @@ def test_palette_search_node_counts_are_pinned():
 
 
 @pytest.mark.parametrize("g, h, interval, rule, nodes", [
-    # both have palette index 4; the count search exhausts p = 2, the one
+    # both have palette index 4; p = 2 has no parity-feasible kind, the one
     # parity family of p = 3 is exhausted, and the count search finds p = 4
-    (path_graph(3), cycle_graph(5), (4, 4), "parity-families", 2_951),
-    (path_graph(5), cycle_graph(3), (4, 4), "parity-families", 1_771),
-    # p = 3 has no parity family, and the 11 families of p = 4 are exhausted
-    (path_graph(5), path_graph(5), (5, 5), "parity-families", 17_347),
+    (path_graph(3), cycle_graph(5), (4, 4), "parity-families", 2_012),
+    (path_graph(5), cycle_graph(3), (4, 4), "parity-families", 1_298),
+    # p = 3 has no parity-feasible kind, and the 11 families of p = 4 are
+    # exhausted
+    (path_graph(5), path_graph(5), (5, 5), "parity-families", 16_323),
     # class 2, so p = 3 is the first target, and the count search finds it
     (cycle_graph(5), cycle_graph(5), (3, 3), "regular-class2", 3_768),
 ], ids=["P3xC5", "P5xC3", "P5xP5", "C5xC5"])
@@ -162,9 +166,9 @@ def test_path_cycle_node_counts_are_pinned(g, h, interval, rule, nodes):
 @pytest.mark.parametrize("g, h, interval, rule, nodes, digest", [
     (cycle_graph(5), cycle_graph(7), (3, 3), "regular-class2", 11_834,
      "8bb31872ffeb1564671471536217d00af33d751c5868f783bf126ab08f36f5e6"),
-    (path_graph(3), cycle_graph(7), (4, 4), "parity-families", 6_628,
+    (path_graph(3), cycle_graph(7), (4, 4), "parity-families", 5_604,
      "a192ee8e466c7995fb8a91a5526db4c76298f241a3f163c8433113fa81b2d58c"),
-    (path_graph(3), complete_graph(5), (4, 4), "parity-families", 206_957,
+    (path_graph(3), complete_graph(5), (4, 4), "parity-families", 205_933,
      "5c7a0baee4c6041c9841167ed8ab947b4a463a499fabf9f0642d1fdd86674af9"),
 ], ids=["C5xC7", "P3xC7", "P3xK5"])
 def test_certificates_and_witnesses_are_pinned(g, h, interval, rule, nodes, digest):
@@ -188,22 +192,27 @@ def test_corpus_certificates_are_pinned():
         nodes += cert.nodes
         digest.update(repr((cert.interval, cert.rule, cert.stop, cert.nodes,
                             cert.witness.colors)).encode())
-    assert nodes == 80_043
-    assert digest.hexdigest() == "ceec86d29f1caf71895cede561c23331c5829fca7fd4a1adbdd451bc0194e033"
+    assert nodes == 71_357
+    assert digest.hexdigest() == "8146b4398792b3e4534359c479c831d2d0c37f6ed1e16f8ffd069e31f5d2e92c"
 
 
-@pytest.mark.parametrize("graph, interval", [
+@pytest.mark.parametrize("graph, interval, orders", [
     # P5 x P5 settles three targets: p = 3 by parity, p = 4 by exhausting
     # its families and p = 5 by a coloring
-    (cartesian_product(path_graph(5), path_graph(5)), (5, 5)),
+    (cartesian_product(path_graph(5), path_graph(5)), (5, 5), 1),
+    # p = 2 is refuted by parity before any search, so p = 3 makes the order
+    (cartesian_product(path_graph(3), cycle_graph(5)), (4, 4), 1),
     # Petersen's chromatic index exhausts Delta = 3 colors, then colors with 4
-    (petersen_graph(), (3, 3)),
+    (petersen_graph(), (3, 3), 1),
     # C5 x C5 is class 2 by parity; its 5-palette witness leaves target 3 to search
-    (cartesian_product(cycle_graph(5), cycle_graph(5)), (3, 3)),
-], ids=["p5p5", "petersen", "c5c5"])
-def test_every_target_shares_one_edge_order(monkeypatch, graph, interval):
+    (cartesian_product(cycle_graph(5), cycle_graph(5)), (3, 3), 1),
+    # class 2 by parity, and every search would need more than 62 colors
+    (complete_graph(63), (3, 63), 0),
+], ids=["p5p5", "p3c5", "petersen", "c5c5", "k63"])
+def test_every_target_shares_one_edge_order(monkeypatch, graph, interval, orders):
     # the chromatic-index searches, and the count and family searches of
-    # every target, share the certificate's one edge order
+    # every target, share the certificate's one edge order, made only
+    # once a search runs
     calls = []
     order = search.edge_order
 
@@ -213,7 +222,7 @@ def test_every_target_shares_one_edge_order(monkeypatch, graph, interval):
     monkeypatch.setattr(search, "edge_order", counted)
     cert = palette_index_exact(graph)
     assert cert.interval == interval
-    assert len(calls) == 1
+    assert len(calls) == orders
 
 
 def test_candidate_witness_sets_the_upper_bound():
@@ -249,7 +258,7 @@ def _family_witness(path, cycle):
     return g, col
 
 
-@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 2_358), (5, 3, 1_572)],
+@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 1_419), (5, 3, 1_099)],
                          ids=["P3xC5", "P5xC3"])
 def test_family_witness_spares_the_last_target(path, cycle, nodes):
     # the witness has 4 palettes, so only p = 2 and 3 are searched
@@ -305,18 +314,65 @@ def test_parity_families_agree_with_the_count_search():
             assert families == count, (g.n, g.edges, p)
 
 
-def test_parity_rules_name_the_refutation():
+def test_parity_rules_name_the_refutation(monkeypatch):
     # P5 x P5 has degrees 2, 3 and 4 on 4, 12 and 9 vertices.  At p = 3 its
-    # one degree-4 palette is odd and alone, so it has no family: the first
-    # 1,024 count-search nodes do not settle p = 3, and parity does.
+    # one degree-4 palette is odd and alone, so no kind passes the parity
+    # test and p = 3 is refuted before any search is built.
     grid = cartesian_product(path_graph(5), path_graph(5))
+    assert not _has_parity_kind(grid, 3)
     assert next(_parity_families(grid, 3, 12), None) is None
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return Search(*args, **kwargs)
+    monkeypatch.setattr(search, "Search", counted)
     cert = palette_index_exact(grid, max_palettes=3)
-    assert (cert.interval, cert.rule, cert.nodes) == ((4, 6), "parity", 1_024)
+    assert (cert.interval, cert.rule, cert.nodes) == ((4, 6), "parity", 0)
+    assert built == []
+    monkeypatch.undo()
     # p = 4 is refuted by exhausting its 11 families
     assert sum(1 for _ in _parity_families(grid, 4, 16)) == 11
     cert = palette_index_exact(grid)
     assert (cert.interval, cert.rule) == ((5, 5), "parity-families")
+
+
+def _kind(coloring):
+    """Each nonempty palette's degree and whether an odd number of vertices carry it."""
+    summary = palette_summary(coloring)
+    carriers = Counter(summary.per_vertex)
+    return sorted((len(pal), carriers[i] % 2 == 1) for i, pal in enumerate(summary.distinct) if pal)
+
+
+def test_parity_kind_test_is_sound():
+    # P3 x C5 at p = 2 has one odd palette, of degree 4; C3 x C5 at p = 3
+    # has three odd palettes of degree 4
+    assert not _has_parity_kind(cartesian_product(path_graph(3), cycle_graph(5)), 2)
+    assert _has_parity_kind(cartesian_product(cycle_graph(3), cycle_graph(5)), 3)
+    graphs = list(small_corpus(12))
+    for seed in (1, 2):
+        rng = Random(seed)
+        graphs += [random_graph(rng, 2, 8) for _ in range(150)]
+    # stars, a spider with six legs of two edges and three triangles at one
+    # vertex: an odd palette of high degree that no single pair of odd
+    # palettes balances (in stars from four leaves on), so the quick test
+    # enumerates their kinds
+    graphs += [Graph.from_edges(t + 1, [(0, i) for i in range(1, t + 1)]) for t in range(2, 9)]
+    graphs.append(Graph.from_edges(13, [e for i in range(1, 7) for e in ((0, i), (i, 6 + i))]))
+    graphs.append(Graph.from_edges(7, [e for i in (1, 3, 5) for e in ((0, i), (0, i + 1), (i, i + 1))]))
+    for g in graphs:
+        cert = palette_index_exact(g)
+        assert cert.exact
+        # the witness's own kind is one that passes
+        assert _kind(cert.witness) in [sorted(kind) for kind in _parity_kinds(g, cert.upper)]
+        # the quick test says whether any kind passes
+        for p in range(1, g.n + 1):
+            assert _has_parity_kind(g, p) == (next(_parity_kinds(g, p), None) is not None)
+        # and what it refutes has no coloring, by the enumerator that
+        # shares nothing with the oracle
+        refuted = [p for p in range(1, cert.upper) if not _has_parity_kind(g, p)]
+        if refuted and len(g.edges) <= 12:
+            assert naive_minimum_palettes(g) > max(refuted), g.edges
 
 
 def test_certificate_says_why_it_stopped():
