@@ -17,13 +17,17 @@ palette, and a target p whose palette degrees and parities cannot meet
 that (see ``_parity_kinds``) is refuted before any search.  Any other
 target p is settled by two searches that take turns of a fixed number
 of nodes: the palette-count search, which explores every coloring with
-at most p distinct palettes, and the family search over the
-parity-feasible palette families of p (see ``_parity_families``), of
-which the parity argument leaves few to exhaust.  The count search
-tends to find colorings fast and the families to refute targets fast.
-Every search is a resumable ``search.Search``, so each turn resumes
-where the last one stopped, no node is searched twice, and a target
-costs about twice what the better of the two searches needs on its own.
+at most p distinct palettes, and the family search over the palette
+families of p that pass the parity test and the matching test (see
+``_parity_families``), of which the two tests leave few to exhaust.  The
+matching test sharpens the same argument: a color in every palette of
+some vertex degrees and in no other palette is a perfect matching of
+the subgraph those vertices induce, so that subgraph has no component
+of odd order.  The count search tends to find colorings fast and the
+families to refute targets fast.  Every search is a resumable
+``search.Search``, so each turn resumes where the last one stopped, no
+node is searched twice, and a target costs about twice what the better
+of the two searches needs on its own.
 
 Lower bound rules:
 
@@ -32,10 +36,12 @@ Lower bound rules:
   (one palette would give a Delta-coloring, and exactly two distinct
   palettes are impossible on a regular graph).
 * ``exhaustive``: the count search exhausted the last target.
-* ``parity``: the last target has no parity-feasible palette family,
+* ``parity``: the last target has no parity-feasible kind of palettes,
   decided before any search.
-* ``parity-families``: the family search exhausted every parity-feasible
-  palette family of the last target.
+* ``parity-matching``: no palette family of the last target passes the
+  parity test and the matching test.
+* ``parity-families``: the family search exhausted every palette family
+  of the last target that passes both tests.
 
 A search that stops early reports the proven interval and is never
 marked exact; ``Certificate.stop`` says why it stopped.  Its upper bound
@@ -195,15 +201,41 @@ def _has_parity_kind(graph: Graph, p: int) -> bool:
     return least <= p - tail <= sum(counts.values())
 
 
-def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozenset[int]]]:
+def _has_odd_part(graph: Graph, degrees: frozenset[int]) -> bool:
+    """Whether the vertices whose degree is in ``degrees`` induce a component of odd order."""
+    adjacency, inside = graph.adjacency, [d in degrees for d in graph.degrees]
+    for s in range(graph.n):
+        if inside[s]:
+            inside[s] = False
+            stack, size = [s], 0
+            while stack:
+                size += 1
+                for v in adjacency[stack.pop()]:
+                    if inside[v]:
+                        inside[v] = False
+                        stack.append(v)
+            if size % 2:
+                return True
+    return False
+
+
+def _parity_families(graph: Graph, p: int, colors: int,
+                     odd_parts=None) -> Iterator[list[frozenset[int]]]:
     """Yield, lazily, the palette families a coloring with exactly p palettes can have.
 
     The families are enumerated kind by kind over ``_parity_kinds``, so a
     kind that fails the parity test costs nothing here.  Up to renaming
     colors a family is a vector x over the nonempty sets S of palette
     positions: x_S colors lie in exactly the palettes S.
-    Only S holding an even number of odd palettes may have x_S > 0,
-    palette i needs sum(x_S for S holding i) = its degree, and there are
+    Only S holding an even number of odd palettes may have x_S > 0.  Nor
+    may S that holds every palette of each degree in D(S), its members'
+    degrees, when the vertices V_D of those degrees induce a component of
+    odd order (the matching test): a color in exactly the palettes S lies
+    on every vertex of V_D and on no other, so its class would be a
+    perfect matching of G[V_D].  ``odd_parts`` memoizes, per degree set
+    D, whether G[V_D] has an odd component (``_has_odd_part``); a caller
+    may share one dict between calls on the same graph.
+    Palette i needs sum(x_S for S holding i) = its degree, and there are
     at most ``colors`` colors in all.  Positions are filled in order,
     each by the sets whose least member it is.  Palettes of one degree
     must be distinct, and two neighbouring palettes of one degree and
@@ -212,19 +244,32 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
     keeps the largest x of every relabeling of those groups.  The empty
     palette of isolated vertices is added to every family.  Every
     coloring with exactly p distinct palettes relabels into a family
-    yielded here, under the parity pattern of its own palette counts, so
+    yielded here, under the parity pattern of its own palette counts: its
+    colors pass both tests, as each color class is a matching.  So
     exhausting them all refutes p whenever the palette index is at least p.
     """
+    if odd_parts is None:
+        odd_parts = {}
     tail = [frozenset()] if 0 in graph.degrees else []
     for kind in _parity_kinds(graph, p):
         slots = len(kind)
         need = [d for d, _ in kind]
         odd = sum(1 << i for i, (_, is_odd) in enumerate(kind) if is_odd)
+        # of_degree[d]: the positions of the palettes of degree d
+        of_degree: dict[int, int] = {}
+        for i, d in enumerate(need):
+            of_degree[d] = of_degree.get(d, 0) | 1 << i
         # by_least[i]: the allowed sets whose least member is position i
         by_least: list[list[tuple[int, list[int]]]] = [[] for _ in kind]
         for s in range(1, 1 << slots):
             if bin(s & odd).count("1") % 2 == 0:
                 members = [i for i in range(slots) if s >> i & 1]
+                degrees = frozenset(kind[i][0] for i in members)
+                if sum(of_degree[d] for d in degrees) == s:
+                    if degrees not in odd_parts:
+                        odd_parts[degrees] = _has_odd_part(graph, degrees)
+                    if odd_parts[degrees]:
+                        continue
                 by_least[members[0]].append((s, members))
         x: dict[int, int] = {}
 
@@ -284,7 +329,7 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
         yield from fill(0, 0)
 
 
-def _settle_target(graph: Graph, ordered, k: int, p: int, tracker):
+def _settle_target(graph: Graph, ordered, odd_parts, k: int, p: int, tracker):
     """Decide whether some coloring has at most p palettes, p being a proven lower bound.
 
     Returns (status, rule, coloring): FOUND with a coloring, EXHAUSTED
@@ -296,8 +341,10 @@ def _settle_target(graph: Graph, ordered, k: int, p: int, tracker):
     the last turn stopped; the family search runs the families one after
     another within its turns.
     Nothing here reads the clock, so node counts repeat from run to run.
-    The families are enumerated only once the first turn of the count
-    search fails to settle, so graphs it settles never pay for them.
+    The families are enumerated, sharing the certificate's matching-test
+    memo ``odd_parts``, only once the first turn of the count search
+    fails to settle, so graphs it settles never pay for them; a target
+    none of whose families passes is refuted then.
     """
     if not _has_parity_kind(graph, p):
         return search.EXHAUSTED, "parity", None
@@ -309,10 +356,10 @@ def _settle_target(graph: Graph, ordered, k: int, p: int, tracker):
         if status == search.PAUSED:
             if families is None:
                 families = (search.Search(graph, order, family=palettes)
-                            for palettes in _parity_families(graph, p, k))
+                            for palettes in _parity_families(graph, p, k, odd_parts))
                 family = next(families, None)
                 if family is None:
-                    return search.EXHAUSTED, "parity", None
+                    return search.EXHAUSTED, "parity-matching", None
             end = tracker.nodes + _TURN
             status, found = family.run(tracker, _TURN)
             while status == search.EXHAUSTED:
@@ -360,6 +407,9 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
     # one edge order serves the chromatic index and every target, made when
     # the first search starts
     ordered = cache(lambda: search.edge_order(graph))
+    # and one answer per degree set to whether its vertices induce an odd
+    # component serves the families of every target
+    odd_parts: dict[frozenset[int], bool] = {}
     proven, rule, chrom = _lower_bound_impl(graph, tracker, ordered)
     if chrom is not None and chrom.witness is not None:
         known.append((palette_summary(chrom.witness).count, chrom.witness))
@@ -376,7 +426,7 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
             # Exhaustion above the kernel's color width would be unsound.
             stop = "color-width"
             break
-        status, why, found = _settle_target(graph, ordered, k, p, tracker)
+        status, why, found = _settle_target(graph, ordered, odd_parts, k, p, tracker)
         if status == search.FOUND:
             upper, witness = p, found
             break

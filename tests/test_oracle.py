@@ -5,19 +5,23 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palettebox import search
+from palettebox import oracle, search
 from palettebox.coloring import EdgeColoring, check_proper, palette_summary
-from palettebox.constructions import PATH_MODE_FAMILY
+from palettebox.constructions import PATH_MODE_FAMILY, _family_block_coloring
 from palettebox.corpus import random_graph, small_corpus
 from palettebox.graphs import (
     Graph,
     cartesian_product,
     complete_graph,
+    connected_components,
     cycle_graph,
+    hypercube_graph,
     path_graph,
     petersen_graph,
+    remove_edges,
 )
 from palettebox.oracle import (
+    _has_odd_part,
     _has_parity_kind,
     _parity_families,
     _parity_kinds,
@@ -124,8 +128,8 @@ def test_budget_exhaustion_yields_interval():
 def test_interrupted_oracle_keeps_an_upper_bound(budget):
     # P5 x C3 has palette index 4 and is not regular, so no chromatic-index
     # witness exists to fall back on; the Misra-Gries coloring bounds it.
-    # 1,200 nodes stop it at p = 4, after the families refuted p = 3; it
-    # needs 1,298.
+    # 1,200 nodes stop it at p = 4, after the matching test refuted p = 3;
+    # it needs 1,223.
     g = cartesian_product(path_graph(5), cycle_graph(3))
     cert = palette_index_exact(g, budget=budget)
     assert not cert.exact
@@ -148,12 +152,13 @@ def test_palette_search_node_counts_are_pinned():
 
 @pytest.mark.parametrize("g, h, interval, rule, nodes", [
     # both have palette index 4; p = 2 has no parity-feasible kind, the one
-    # parity family of p = 3 is exhausted, and the count search finds p = 4
-    (path_graph(3), cycle_graph(5), (4, 4), "parity-families", 2_012),
-    (path_graph(5), cycle_graph(3), (4, 4), "parity-families", 1_298),
-    # p = 3 has no parity-feasible kind, and the 11 families of p = 4 are
-    # exhausted
-    (path_graph(5), path_graph(5), (5, 5), "parity-families", 16_323),
+    # parity family of p = 3 fails the matching test after one count turn,
+    # and the count search finds p = 4
+    (path_graph(3), cycle_graph(5), (4, 4), "parity-matching", 1_617),
+    (path_graph(5), cycle_graph(3), (4, 4), "parity-matching", 1_223),
+    # p = 3 has no parity-feasible kind, and the 2 families of p = 4 that
+    # pass the matching test are exhausted
+    (path_graph(5), path_graph(5), (5, 5), "parity-families", 16_116),
     # class 2, so p = 3 is the first target, and the count search finds it
     (cycle_graph(5), cycle_graph(5), (3, 3), "regular-class2", 3_768),
 ], ids=["P3xC5", "P5xC3", "P5xP5", "C5xC5"])
@@ -166,9 +171,9 @@ def test_path_cycle_node_counts_are_pinned(g, h, interval, rule, nodes):
 @pytest.mark.parametrize("g, h, interval, rule, nodes, digest", [
     (cycle_graph(5), cycle_graph(7), (3, 3), "regular-class2", 11_834,
      "8bb31872ffeb1564671471536217d00af33d751c5868f783bf126ab08f36f5e6"),
-    (path_graph(3), cycle_graph(7), (4, 4), "parity-families", 5_604,
+    (path_graph(3), cycle_graph(7), (4, 4), "parity-matching", 2_253,
      "a192ee8e466c7995fb8a91a5526db4c76298f241a3f163c8433113fa81b2d58c"),
-    (path_graph(3), complete_graph(5), (4, 4), "parity-families", 205_933,
+    (path_graph(3), complete_graph(5), (4, 4), "parity-matching", 2_146,
      "5c7a0baee4c6041c9841167ed8ab947b4a463a499fabf9f0642d1fdd86674af9"),
 ], ids=["C5xC7", "P3xC7", "P3xK5"])
 def test_certificates_and_witnesses_are_pinned(g, h, interval, rule, nodes, digest):
@@ -192,8 +197,8 @@ def test_corpus_certificates_are_pinned():
         nodes += cert.nodes
         digest.update(repr((cert.interval, cert.rule, cert.stop, cert.nodes,
                             cert.witness.colors)).encode())
-    assert nodes == 71_357
-    assert digest.hexdigest() == "8146b4398792b3e4534359c479c831d2d0c37f6ed1e16f8ffd069e31f5d2e92c"
+    assert nodes == 59_075
+    assert digest.hexdigest() == "8d1f5894fb23ba813bcd8a6c121f5583d25283177cbe69996fd9808fc30d96cc"
 
 
 @pytest.mark.parametrize("graph, interval, orders", [
@@ -258,14 +263,15 @@ def _family_witness(path, cycle):
     return g, col
 
 
-@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 1_419), (5, 3, 1_099)],
+@pytest.mark.parametrize("path, cycle, nodes", [(3, 5, 1_024), (5, 3, 1_024)],
                          ids=["P3xC5", "P5xC3"])
 def test_family_witness_spares_the_last_target(path, cycle, nodes):
-    # the witness has 4 palettes, so only p = 2 and 3 are searched
+    # the witness has 4 palettes, so only p = 2 and 3 are searched: p = 2
+    # by parity, and p = 3 by one count turn and the matching test
     g, col = _family_witness(path, cycle)
     cert = palette_index_exact(g, [col])
     assert cert.interval == (4, 4) and cert.stop == "exact"
-    assert cert.nodes == nodes
+    assert (cert.rule, cert.nodes) == ("parity-matching", nodes)
 
 
 @pytest.mark.parametrize("g, nodes", [(cycle_graph(5), 5), (petersen_graph(), 94)],
@@ -331,10 +337,107 @@ def test_parity_rules_name_the_refutation(monkeypatch):
     assert (cert.interval, cert.rule, cert.nodes) == ((4, 6), "parity", 0)
     assert built == []
     monkeypatch.undo()
-    # p = 4 is refuted by exhausting its 11 families
+    # p = 4 is refuted by exhausting its 2 families that pass the matching
+    # test, of 11 that pass the parity test
+    assert sum(1 for _ in _parity_families(grid, 4, 16)) == 2
+    monkeypatch.setattr(oracle, "_has_odd_part", lambda graph, degrees: False)
     assert sum(1 for _ in _parity_families(grid, 4, 16)) == 11
+    monkeypatch.undo()
     cert = palette_index_exact(grid)
     assert (cert.interval, cert.rule) == ((5, 5), "parity-families")
+
+
+def test_matching_test_refutes_p3_c5_at_three_palettes(monkeypatch):
+    # the one parity family of p = 3 puts a color in exactly the two
+    # degree-3 palettes, which lie on the two end rows: two disjoint C5s
+    g = cartesian_product(path_graph(3), cycle_graph(5))
+    assert _has_odd_part(g, frozenset({3}))
+    assert next(_parity_families(g, 3, 12), None) is None
+    monkeypatch.setattr(oracle, "_has_odd_part", lambda graph, degrees: False)
+    assert len(list(_parity_families(g, 3, 12))) == 1
+
+
+def test_matching_test_keeps_every_family_without_an_odd_degree_class(monkeypatch):
+    # the ladder P4 x P2: its four corners form two edges and its degree-3
+    # vertices a path of four, so no union of degree classes induces an
+    # odd component and the matching test drops no family
+    ladder = cartesian_product(path_graph(4), path_graph(2))
+    assert not any(_has_odd_part(ladder, frozenset(d)) for d in ({2}, {3}, {2, 3}))
+    cases = [(p, min(p * ladder.max_degree, len(ladder.edges))) for p in (2, 3, 4)]
+    families = [list(_parity_families(ladder, p, k)) for p, k in cases]
+    assert [len(f) for f in families] == [3, 27, 94]
+    monkeypatch.setattr(oracle, "_has_odd_part", lambda graph, degrees: False)
+    assert families == [list(_parity_families(ladder, p, k)) for p, k in cases]
+
+
+def _small_products():
+    """The products of two factors from P2..P7, C3..C7, K4, K5, Q3 and Petersen with at most 80 edges."""
+    factors = [*map(path_graph, range(2, 8)), *map(cycle_graph, range(3, 8)),
+               complete_graph(4), complete_graph(5), hypercube_graph(3), petersen_graph()]
+    products = [cartesian_product(g, h) for i, g in enumerate(factors) for h in factors[i:]]
+    return [g for g in products if len(g.edges) <= 80]
+
+
+def _odd_matching_classes(coloring):
+    """The colors whose palettes hold every palette of their degrees and whose vertices induce an odd component."""
+    g = coloring.graph
+    summary = palette_summary(coloring)
+    palettes = [pal for pal in summary.distinct if pal]
+    odd = []
+    for c in sorted(coloring.used_colors()):
+        degrees = {len(pal) for pal in palettes if c in pal}
+        if not all(c in pal for pal in palettes if len(pal) in degrees):
+            continue
+        inside = {v for v in range(g.n) if g.degrees[v] in degrees}
+        outside = [e for e in g.edges if not set(e) <= inside]
+        parts = connected_components(remove_edges(g, outside))
+        if any(len(part) % 2 for part in parts if part[0] in inside):
+            odd.append(c)
+    return odd
+
+
+def test_matching_test_is_sound(monkeypatch):
+    # no exact witness has a color in every palette of some degrees whose
+    # vertices induce an odd component, so the matching test drops no
+    # family that a coloring has
+    graphs = _soundness_graphs()
+    products = _small_products()
+    assert len(products) == 90
+    for g in graphs + products:
+        cert = palette_index_exact(g)
+        assert cert.exact
+        assert _odd_matching_classes(cert.witness) == [], g.edges
+    # and the soundness harness over the count search does reach sets that
+    # the matching test drops
+    dropped = []
+
+    def recorded(graph, degrees):
+        odd = _has_odd_part(graph, degrees)
+        dropped.extend([degrees] * odd)
+        return odd
+    monkeypatch.setattr(oracle, "_has_odd_part", recorded)
+    for g in graphs:
+        for p in range(1, palette_index_exact(g).lower + 1):
+            for _ in _parity_families(g, p, min(p * g.max_degree, len(g.edges))):
+                pass
+    assert dropped
+
+
+def test_count_search_settles_p3_petersen_first():
+    # the count search finds a 2-palette witness in its first turn; the
+    # first family of p = 2, searched first, would cost about 178.5 M nodes
+    cert = palette_index_exact(cartesian_product(path_graph(3), petersen_graph()))
+    assert (cert.interval, cert.rule, cert.stop, cert.nodes) == ((2, 2), "degree-set", "exact", 133)
+
+
+@pytest.mark.parametrize("s", [9, 13])
+def test_odd_cylinder_blocks_are_proven_optimal(s):
+    # C_s x P_s with the 4-palette block of verify's tpc-table: p = 2 has no
+    # parity-feasible kind, and the one parity family of p = 3 puts a color
+    # on exactly the two end rows, odd cycles, so one count turn settles it
+    col = _family_block_coloring(s, s)
+    cert = palette_index_exact(col.graph, [col])
+    assert (cert.interval, cert.rule, cert.stop, cert.nodes) == ((4, 4), "parity-matching", "exact", 1_024)
 
 
 def _kind(coloring):
