@@ -8,6 +8,7 @@ graphs have byte-identical edge tuples.
 from __future__ import annotations
 
 import gc
+import heapq
 import operator
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
@@ -97,6 +98,54 @@ class Graph:
     @cached_property
     def is_regular(self) -> bool:
         return len(set(self.degrees)) <= 1
+
+    @cached_property
+    def completion_order(self) -> tuple[int, ...]:
+        """Edge positions in the order the searches color them: each next edge finishes vertices soonest.
+
+        With ``left[x]`` the number of x's edges not yet in the order, the
+        next edge is the one whose key (min(left[u], left[v]),
+        max(left[u], left[v]), position) is smallest.  A vertex is complete
+        once its last edge is colored, and only then is its palette known;
+        the palette-count search prunes at completed vertices, so visiting
+        them early makes the cap bite near the root instead of deep in the
+        tree.
+
+        The keys are single ints, (min * (Delta+1) + max) * m + position, in
+        a heap.  ``left`` only falls, so an edge's keys only fall too: its
+        first entry to leave the heap is its current key, and the stale ones
+        after it are skipped, or left in the heap once every edge is placed.
+        O(m * Delta * log m) time, paid on the first search of this graph.
+        """
+        edges = self.edges
+        m = len(edges)
+        width = self.max_degree + 1
+        left = list(self.degrees)
+        incident: list[list[int]] = [[] for _ in range(self.n)]
+        heap = []
+        for i, (u, v) in enumerate(edges):
+            incident[u].append(i)
+            incident[v].append(i)
+            a, b = left[u], left[v]
+            heap.append((a * width + b if a < b else b * width + a) * m + i)
+        heapq.heapify(heap)
+        push, pop = heapq.heappush, heapq.heappop
+        done = [False] * m
+        order = []
+        for _ in range(m):
+            i = pop(heap) % m
+            while done[i]:
+                i = pop(heap) % m
+            done[i] = True
+            order.append(i)
+            for x in edges[i]:
+                left[x] -= 1
+                for j in incident[x]:
+                    if not done[j]:
+                        a, b = edges[j]
+                        a, b = left[a], left[b]
+                        push(heap, (a * width + b if a < b else b * width + a) * m + j)
+        return tuple(order)
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_edge(u, v) in self.edge_index

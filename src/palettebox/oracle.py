@@ -53,7 +53,6 @@ bound.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from typing import Iterable, Iterator, Optional
 
 from palettebox import search
@@ -104,13 +103,8 @@ def default_max_palettes(graph: Graph) -> int:
     return distinct + graph.max_degree
 
 
-def _lower_bound_impl(graph: Graph, tracker,
-                      make_order=None) -> tuple[int, str, Optional[ChromaticIndexResult]]:
-    """The lower bound, its rule and the chromatic-index result it used.
-
-    ``make_order`` makes the edge order of the chromatic-index searches,
-    as in ``chromatic_index``.
-    """
+def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[ChromaticIndexResult]]:
+    """The lower bound, its rule and the chromatic-index result it used."""
     if graph.n == 0:
         return 0, "degree-set", None
     distinct = len(set(graph.degrees))
@@ -118,7 +112,7 @@ def _lower_bound_impl(graph: Graph, tracker,
         return distinct, "degree-set", None
     if graph.max_degree == 0:
         return 1, "degree-set", None
-    result = chromatic_index(graph, tracker, make_order)
+    result = chromatic_index(graph, tracker)
     if result.is_class_one is False:
         return 3, "regular-class2", result
     return 1, "degree-set", result
@@ -172,35 +166,6 @@ def _parity_kinds(graph: Graph, p: int) -> Iterator[list[tuple[int, bool]]]:
             yield kind
 
 
-def _has_parity_kind(graph: Graph, p: int) -> bool:
-    """Whether ``_parity_kinds(graph, p)`` yields any kind, mostly without enumerating them.
-
-    Let n_d vertices have degree d > 0, and N be the sum of the n_d.  The
-    palette counts that have a passing kind run from a least one up to N:
-    a passing kind with fewer than N palettes grows by one palette and
-    still passes, by one more even palette of a degree with room for it,
-    or else by an even palette turned into two odd ones of its degree.
-    Take one palette of each degree, odd when n_d is odd.  If these odd
-    palettes pass, that is the least count.  Otherwise the largest odd
-    degree exceeds the sum of the others by 2h > 0.  Two more odd
-    palettes of one degree d >= h then pass, at one palette more when
-    n_d is even and two when it is odd, and one palette more passes only
-    that way.  Without such a degree the kinds are enumerated.
-    """
-    degrees = graph.degrees
-    counts = {d: degrees.count(d) for d in set(degrees)}
-    tail = counts.pop(0, 0) > 0
-    odd = [d for d, n in counts.items() if n % 2]
-    h = max(odd, default=0) - sum(odd) // 2
-    least = len(counts)
-    if h > 0:
-        more = min((1 + n % 2 for d, n in counts.items() if d >= h and n > 1), default=0)
-        if not more:
-            return next(_parity_kinds(graph, p), None) is not None
-        least += more
-    return least <= p - tail <= sum(counts.values())
-
-
 def _has_odd_part(graph: Graph, degrees: frozenset[int]) -> bool:
     """Whether the vertices whose degree is in ``degrees`` induce a component of odd order."""
     adjacency, inside = graph.adjacency, [d in degrees for d in graph.degrees]
@@ -219,8 +184,7 @@ def _has_odd_part(graph: Graph, degrees: frozenset[int]) -> bool:
     return False
 
 
-def _parity_families(graph: Graph, p: int, colors: int,
-                     odd_parts=None) -> Iterator[list[frozenset[int]]]:
+def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozenset[int]]]:
     """Yield, lazily, the palette families a coloring with exactly p palettes can have.
 
     The families are enumerated kind by kind over ``_parity_kinds``, so a
@@ -232,9 +196,8 @@ def _parity_families(graph: Graph, p: int, colors: int,
     degrees, when the vertices V_D of those degrees induce a component of
     odd order (the matching test): a color in exactly the palettes S lies
     on every vertex of V_D and on no other, so its class would be a
-    perfect matching of G[V_D].  ``odd_parts`` memoizes, per degree set
-    D, whether G[V_D] has an odd component (``_has_odd_part``); a caller
-    may share one dict between calls on the same graph.
+    perfect matching of G[V_D].  Whether G[V_D] has an odd component
+    (``_has_odd_part``) is asked once per degree set D.
     Palette i needs sum(x_S for S holding i) = its degree, and there are
     at most ``colors`` colors in all.  Positions are filled in order,
     each by the sets whose least member it is.  Palettes of one degree
@@ -248,8 +211,7 @@ def _parity_families(graph: Graph, p: int, colors: int,
     colors pass both tests, as each color class is a matching.  So
     exhausting them all refutes p whenever the palette index is at least p.
     """
-    if odd_parts is None:
-        odd_parts = {}
+    odd_parts: dict[frozenset[int], bool] = {}
     tail = [frozenset()] if 0 in graph.degrees else []
     for kind in _parity_kinds(graph, p):
         slots = len(kind)
@@ -329,34 +291,31 @@ def _parity_families(graph: Graph, p: int, colors: int,
         yield from fill(0, 0)
 
 
-def _settle_target(graph: Graph, ordered, odd_parts, k: int, p: int, tracker):
+def _settle_target(graph: Graph, k: int, p: int, tracker):
     """Decide whether some coloring has at most p palettes, p being a proven lower bound.
 
     Returns (status, rule, coloring): FOUND with a coloring, EXHAUSTED
     with the rule that refuted p, or BUDGET.  A target with no kind
-    that passes the parity test is refuted before any search, and
-    without an edge order.  Otherwise the count search and the family
-    search, ``search.Search`` objects on the edge order ``ordered()``,
+    that passes the parity test is refuted before any search.  Otherwise
+    the count search and the family search, ``search.Search`` objects,
     take turns of _TURN nodes, and each ``run`` resumes its search where
     the last turn stopped; the family search runs the families one after
     another within its turns.
     Nothing here reads the clock, so node counts repeat from run to run.
-    The families are enumerated, sharing the certificate's matching-test
-    memo ``odd_parts``, only once the first turn of the count search
-    fails to settle, so graphs it settles never pay for them; a target
-    none of whose families passes is refuted then.
+    The families are enumerated only once the first turn of the count
+    search fails to settle, so graphs it settles never pay for them; a
+    target none of whose families passes is refuted then.
     """
-    if not _has_parity_kind(graph, p):
+    if next(_parity_kinds(graph, p), None) is None:
         return search.EXHAUSTED, "parity", None
-    order = ordered()
-    count = search.Search(graph, order, k, p)
+    count = search.Search(graph, k, p)
     families = None
     while True:
         status, found = count.run(tracker, _TURN)
         if status == search.PAUSED:
             if families is None:
-                families = (search.Search(graph, order, family=palettes)
-                            for palettes in _parity_families(graph, p, k, odd_parts))
+                families = (search.Search(graph, family=palettes)
+                            for palettes in _parity_families(graph, p, k))
                 family = next(families, None)
                 if family is None:
                     return search.EXHAUSTED, "parity-matching", None
@@ -403,14 +362,7 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
 
     delta = graph.max_degree
     m = len(graph.edges)
-
-    # one edge order serves the chromatic index and every target, made when
-    # the first search starts
-    ordered = cache(lambda: search.edge_order(graph))
-    # and one answer per degree set to whether its vertices induce an odd
-    # component serves the families of every target
-    odd_parts: dict[frozenset[int], bool] = {}
-    proven, rule, chrom = _lower_bound_impl(graph, tracker, ordered)
+    proven, rule, chrom = _lower_bound_impl(graph, tracker)
     if chrom is not None and chrom.witness is not None:
         known.append((palette_summary(chrom.witness).count, chrom.witness))
     upper, witness = min(known, key=lambda kc: kc[0], default=(None, None))
@@ -426,7 +378,7 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
             # Exhaustion above the kernel's color width would be unsound.
             stop = "color-width"
             break
-        status, why, found = _settle_target(graph, ordered, odd_parts, k, p, tracker)
+        status, why, found = _settle_target(graph, k, p, tracker)
         if status == search.FOUND:
             upper, witness = p, found
             break
@@ -452,7 +404,7 @@ def coloring_within_family(graph: Graph, family: Iterable[frozenset[int]],
     size; the search is built first, so a family it rejects still raises.
     """
     family = [frozenset(pal) for pal in family]
-    found = search.Search(graph, search.edge_order(graph), family=family)
+    found = search.Search(graph, family=family)
     sizes = {len(pal) for pal in family}
     if any(d not in sizes for d in graph.degrees):
         return search.EXHAUSTED, None

@@ -30,18 +30,17 @@ to try is the lowest set bit of one mask.  Usable colors stop at 62, bits
 1 to 62, so that every mask fits the int64 slots of the numba buffers;
 exact search beyond that is out of desk scale anyway.
 
-A ``Search`` takes a ``Graph`` and an edge order, and returns an
-``EdgeColoring`` with colors in canonical edge order, so the order in
-which the kernels color edges stays inside the search.  Its callers pass
-``edge_order``, which always takes next an edge whose endpoints have the
-fewest uncolored edges left.  Vertices thus complete early, and a
-completed vertex is where the palette searches learn a palette and can
+A ``Search`` takes a ``Graph`` and returns an ``EdgeColoring`` with
+colors in canonical edge order, so the order in which the kernels color
+edges stays inside the search.  That order is the graph's cached
+``completion_order``, which always takes next an edge whose endpoints
+have the fewest uncolored edges left.  Vertices thus complete early, and
+a completed vertex is where the palette searches learn a palette and can
 prune on it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from typing import Optional
@@ -348,80 +347,29 @@ def ensure_tracker(budget) -> BudgetTracker:
 
 
 # ---------------------------------------------------------------------------
-# edge order
-
-
-def edge_order(graph: Graph) -> list[int]:
-    """Edge positions in completion order: each next edge finishes vertices soonest.
-
-    With ``left[x]`` the number of x's edges not yet in the order, the
-    next edge is the one whose key (min(left[u], left[v]),
-    max(left[u], left[v]), position) is smallest.  A vertex is complete
-    once its last edge is colored, and only then is its palette known;
-    the palette-count search prunes at completed vertices, so visiting
-    them early makes the cap bite near the root instead of deep in the
-    tree.
-
-    The keys are single ints, (min * (Delta+1) + max) * m + position, in
-    a heap.  ``left`` only falls, so an edge's keys only fall too: its
-    first entry to leave the heap is its current key, and the stale ones
-    after it are skipped, or left in the heap once every edge is placed.
-    O(m * Delta * log m) time.
-    """
-    edges = graph.edges
-    m = len(edges)
-    width = graph.max_degree + 1
-    left = list(graph.degrees)
-    incident: list[list[int]] = [[] for _ in range(graph.n)]
-    heap = []
-    for i, (u, v) in enumerate(edges):
-        incident[u].append(i)
-        incident[v].append(i)
-        a, b = left[u], left[v]
-        heap.append((a * width + b if a < b else b * width + a) * m + i)
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    done = [False] * m
-    order = []
-    for _ in range(m):
-        i = pop(heap) % m
-        while done[i]:
-            i = pop(heap) % m
-        done[i] = True
-        order.append(i)
-        for x in edges[i]:
-            left[x] -= 1
-            for j in incident[x]:
-                if not done[j]:
-                    a, b = edges[j]
-                    a, b = left[a], left[b]
-                    push(heap, (a * width + b if a < b else b * width + a) * m + j)
-    return order
-
-
-# ---------------------------------------------------------------------------
 # the search object
 
 
 class Search:
-    """One budgeted, resumable search of ``graph``, coloring edges along ``order``.
+    """One budgeted, resumable search of ``graph``, coloring edges along its ``completion_order``.
 
     Without ``p`` it is the coloring search with colors in [k]; with it the
     count search with at most p distinct palettes; with ``family``, an
     iterable of color sets, the family search, whose k and p are the
     family's largest color and size.  Each is seeded as the module
     docstring says.  Input the kernels cannot run is settled here, so
-    ``run`` never starts them: an edgeless graph has the empty coloring,
-    and no coloring exists with k <= 0 or with p below the palettes that
-    are forced (the empty one of isolated vertices, and one more if there
-    are edges).  More colors than ``MAX_COLORS``, a family color outside
-    1..MAX_COLORS and an empty family raise ``ValueError``.
+    ``run`` never starts them and the graph makes no order for them: an
+    edgeless graph has the empty coloring, and no coloring exists with
+    k <= 0 or with p below the palettes that are forced (the empty one of
+    isolated vertices, and one more if there are edges).  More colors
+    than ``MAX_COLORS``, a family color outside 1..MAX_COLORS and an empty
+    family raise ``ValueError``.
     """
 
-    __slots__ = ("graph", "order", "_step", "_args", "_state", "_assign", "_settled")
+    __slots__ = ("graph", "_step", "_args", "_state", "_assign", "_settled")
 
-    def __init__(self, graph: Graph, order: list[int], k: Optional[int] = None,
-                 p: Optional[int] = None, family=None):
+    def __init__(self, graph: Graph, k: Optional[int] = None, p: Optional[int] = None,
+                 family=None):
         if family is not None:
             masks = []
             for pal in family:
@@ -435,7 +383,6 @@ class Search:
                 raise ValueError("palette family must be nonempty")
             k, p, family = max(masks).bit_length() - 1, len(masks), masks
         self.graph = graph
-        self.order = order
         self._settled = None
         # a p below the forced palettes would seed more palettes than ``distinct`` holds
         forced = (0 in graph.degrees) + bool(graph.edges)
@@ -447,6 +394,7 @@ class Search:
             raise ValueError(f"color count {k} exceeds the kernel limit of {MAX_COLORS}")
         if self._settled is not None:
             return
+        order = graph.completion_order
         m = len(order)
         color_step, palette_step, buf = _backend()
         self._assign = assign = buf([1] * m)
@@ -475,8 +423,9 @@ class Search:
         BUDGET or PAUSED search where it stopped.  Each kernel call is
         ``step(*args, *state, node_limit)`` and returns ``(status, *state,
         nodes)``, ``state`` being the scalars the kernel resumes from.  On
-        FOUND, ``assign[d]`` is the bit of edge ``order[d]``'s color, and
-        ``int()`` turns numba's int64 values into Python ints.
+        FOUND, ``assign[d]`` is the bit of the color of edge
+        ``completion_order[d]``, and ``int()`` turns numba's int64 values
+        into Python ints.
         """
         if self._settled is not None:
             return self._settled
@@ -492,8 +441,9 @@ class Search:
             status, *state[:], nodes = step(*args, *state, min(chunk, end - tracker.nodes))
             tracker.add_nodes(nodes)
             if status == FOUND:
-                colors = [0] * len(self.order)
-                for slot, c in zip(self.order, self._assign):
+                order = self.graph.completion_order
+                colors = [0] * len(order)
+                for slot, c in zip(order, self._assign):
                     colors[slot] = int(c).bit_length() - 1
                 self._settled = FOUND, EdgeColoring(self.graph, tuple(colors))
                 return self._settled

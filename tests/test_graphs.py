@@ -3,9 +3,10 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from palettebox import graphs
+from palettebox.corpus import small_corpus
 from palettebox.graphs import (
     Graph,
     Matching,
@@ -276,6 +277,60 @@ def test_degrees_match_the_edge_list(g):
     assert g.degrees == tuple(len(a) for a in g.adjacency)
     assert g.max_degree == max(want, default=0)
     assert g.is_regular == (len(set(want)) <= 1)
+
+
+def test_completion_order_completes_vertices_first():
+    # every edge has an end with one edge left; (3, 4) wins on its other end
+    # (2 left, against the centre's 3), then the leaves go in position order
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    assert [g.edges[i] for i in g.completion_order] == [(3, 4), (0, 1), (0, 2), (0, 3)]
+
+
+def completion_order_reference(g):
+    """The completion rule by a plain minimum over the uncolored edges."""
+    left = list(g.degrees)
+    rest = list(range(len(g.edges)))
+    order = []
+    while rest:
+        def key(i):
+            a, b = (left[x] for x in g.edges[i])
+            return (min(a, b), max(a, b), i)
+        i = min(rest, key=key)
+        rest.remove(i)
+        order.append(i)
+        for x in g.edges[i]:
+            left[x] -= 1
+    return order
+
+
+def assert_completion_order(g):
+    order = g.completion_order
+    assert sorted(order) == list(range(len(g.edges)))
+    assert order == tuple(completion_order_reference(g))
+    assert Graph(g.n, g.edges).completion_order == order
+
+
+@pytest.mark.parametrize("g", [
+    *small_corpus(max_edges=40),
+    petersen_graph(),
+    complete_graph(6),
+    hypercube_graph(4),
+    cartesian_product(path_graph(3), cycle_graph(5)),
+    cartesian_product(path_graph(5), cycle_graph(3)),
+    cartesian_product(path_graph(4), path_graph(5)),
+    Graph(4, ()),
+], ids=lambda g: g.tag or "edgeless")
+def test_completion_order_matches_reference_on_corpus(g):
+    assert_completion_order(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_completion_order_matches_reference_on_random_graphs(data):
+    n = data.draw(st.integers(1, 12))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.sets(st.sampled_from(possible))) if possible else set()
+    assert_completion_order(Graph.from_edges(n, sorted(chosen)))
 
 
 def test_product_commutes_up_to_pair_swap():

@@ -54,7 +54,9 @@ def _cli(argv):
     (_cli(["verify", "oracle-cross", "--max", "4"]), {"cli"}, {"constructions", "torus", "theta"}),
     ("import palettebox.graphs, palettebox.oracle, palettebox.torus",
      {"graphs", "oracle", "torus"}, {"cli", "constructions", "theta", "verify"}),
-], ids=["oracle", "verify-torus", "verify-oracle-cross", "import-records"])
+    # the graph makes its own edge order, so it needs nothing from the searches
+    ("import palettebox.graphs", {"graphs"}, {"search", "solver", "oracle", "coloring"}),
+], ids=["oracle", "verify-torus", "verify-oracle-cross", "import-records", "graphs"])
 def test_a_command_loads_only_what_it_uses(code, used, unused, bare_modules, tmp_path):
     ours, others = loaded_after(code, tmp_path)
     assert used <= ours

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from palettebox import oracle, search
+from palettebox._record import replace
 from palettebox.coloring import EdgeColoring, check_proper, palette_summary
 from palettebox.constructions import PATH_MODE_FAMILY, _family_block_coloring
 from palettebox.corpus import random_graph, small_corpus
@@ -22,7 +23,6 @@ from palettebox.graphs import (
 )
 from palettebox.oracle import (
     _has_odd_part,
-    _has_parity_kind,
     _parity_families,
     _parity_kinds,
     coloring_within_family,
@@ -36,7 +36,6 @@ from palettebox.search import (
     BudgetTracker,
     Search,
     SearchBudget,
-    edge_order,
 )
 from palettebox.solver import chromatic_index
 
@@ -201,33 +200,42 @@ def test_corpus_certificates_are_pinned():
     assert digest.hexdigest() == "8d1f5894fb23ba813bcd8a6c121f5583d25283177cbe69996fd9808fc30d96cc"
 
 
-@pytest.mark.parametrize("graph, interval, orders", [
+@pytest.mark.parametrize("make, interval, ordered", [
     # P5 x P5 settles three targets: p = 3 by parity, p = 4 by exhausting
     # its families and p = 5 by a coloring
-    (cartesian_product(path_graph(5), path_graph(5)), (5, 5), 1),
+    (lambda: cartesian_product(path_graph(5), path_graph(5)), (5, 5), True),
     # p = 2 is refuted by parity before any search, so p = 3 makes the order
-    (cartesian_product(path_graph(3), cycle_graph(5)), (4, 4), 1),
+    (lambda: cartesian_product(path_graph(3), cycle_graph(5)), (4, 4), True),
     # Petersen's chromatic index exhausts Delta = 3 colors, then colors with 4
-    (petersen_graph(), (3, 3), 1),
+    (petersen_graph, (3, 3), True),
     # C5 x C5 is class 2 by parity; its 5-palette witness leaves target 3 to search
-    (cartesian_product(cycle_graph(5), cycle_graph(5)), (3, 3), 1),
+    (lambda: cartesian_product(cycle_graph(5), cycle_graph(5)), (3, 3), True),
     # class 2 by parity, and every search would need more than 62 colors
-    (complete_graph(63), (3, 63), 0),
+    (lambda: complete_graph(63), (3, 63), False),
 ], ids=["p5p5", "p3c5", "petersen", "c5c5", "k63"])
-def test_every_target_shares_one_edge_order(monkeypatch, graph, interval, orders):
+def test_every_target_shares_one_edge_order(make, interval, ordered):
     # the chromatic-index searches, and the count and family searches of
-    # every target, share the certificate's one edge order, made only
-    # once a search runs
-    calls = []
-    order = search.edge_order
-
-    def counted(graph):
-        calls.append(graph)
-        return order(graph)
-    monkeypatch.setattr(search, "edge_order", counted)
+    # every target, color along the graph's one cached edge order, made
+    # only once a search runs
+    graph = make()
+    rainbow = EdgeColoring(graph, tuple(range(1, len(graph.edges) + 1)))
+    assert check_proper(rainbow)[0]
+    assert "completion_order" not in vars(graph)
     cert = palette_index_exact(graph)
     assert cert.interval == interval
-    assert len(calls) == orders
+    assert ("completion_order" in vars(graph)) == ordered
+    if ordered:
+        order = graph.completion_order
+        assert type(order) is tuple
+        assert palette_index_exact(graph) == cert and graph.completion_order is order
+    # the cached order takes no part in equality, hashing, the repr or a copy
+    twin = Graph(graph.n, graph.edges, graph.provenance)
+    assert (twin, hash(twin), repr(twin)) == (graph, hash(graph), repr(graph))
+    copy = replace(graph)
+    assert copy == graph and "completion_order" not in vars(copy)
+    # and an equal graph, ordered afresh, gets an equal certificate
+    again = palette_index_exact(twin)
+    assert again == cert and again.nodes == cert.nodes
 
 
 def test_candidate_witness_sets_the_upper_bound():
@@ -286,7 +294,7 @@ def test_interrupted_oracle_keeps_the_candidate_upper_bound():
     # P7 x P7 has no parity family at p = 3, and p = 4 outlasts the budget;
     # without the candidate the Misra-Gries coloring's 6 palettes bound it
     g = cartesian_product(path_graph(7), path_graph(7))
-    status, col = Search(g, edge_order(g), 20, 5).run()
+    status, col = Search(g, 20, 5).run()
     assert status == FOUND
     budget = SearchBudget(max_nodes=100_000)
     assert palette_index_exact(g, budget=budget).interval == (4, 6)
@@ -311,12 +319,11 @@ def test_parity_families_agree_with_the_count_search():
     assert sum(0 in g.degrees for g in graphs) >= 20
     for g in graphs:
         index = palette_index_exact(g).lower
-        order = edge_order(g)
         for p in range(1, index + 1):
             k = min(p * g.max_degree, len(g.edges))
-            families = all(Search(g, order, family=family).run()[0] == EXHAUSTED
+            families = all(Search(g, family=family).run()[0] == EXHAUSTED
                            for family in _parity_families(g, p, k))
-            count = Search(g, order, k, p).run()[0] == EXHAUSTED
+            count = Search(g, k, p).run()[0] == EXHAUSTED
             assert families == count, (g.n, g.edges, p)
 
 
@@ -325,7 +332,7 @@ def test_parity_rules_name_the_refutation(monkeypatch):
     # one degree-4 palette is odd and alone, so no kind passes the parity
     # test and p = 3 is refuted before any search is built.
     grid = cartesian_product(path_graph(5), path_graph(5))
-    assert not _has_parity_kind(grid, 3)
+    assert next(_parity_kinds(grid, 3), None) is None
     assert next(_parity_families(grid, 3, 12), None) is None
     built = []
 
@@ -450,16 +457,16 @@ def _kind(coloring):
 def test_parity_kind_test_is_sound():
     # P3 x C5 at p = 2 has one odd palette, of degree 4; C3 x C5 at p = 3
     # has three odd palettes of degree 4
-    assert not _has_parity_kind(cartesian_product(path_graph(3), cycle_graph(5)), 2)
-    assert _has_parity_kind(cartesian_product(cycle_graph(3), cycle_graph(5)), 3)
+    assert next(_parity_kinds(cartesian_product(path_graph(3), cycle_graph(5)), 2), None) is None
+    assert next(_parity_kinds(cartesian_product(cycle_graph(3), cycle_graph(5)), 3), None)
     graphs = list(small_corpus(12))
     for seed in (1, 2):
         rng = Random(seed)
         graphs += [random_graph(rng, 2, 8) for _ in range(150)]
     # stars, a spider with six legs of two edges and three triangles at one
     # vertex: an odd palette of high degree that no single pair of odd
-    # palettes balances (in stars from four leaves on), so the quick test
-    # enumerates their kinds
+    # palettes balances (in stars from four leaves on), so a passing kind
+    # needs more odd palettes than one per degree
     graphs += [Graph.from_edges(t + 1, [(0, i) for i in range(1, t + 1)]) for t in range(2, 9)]
     graphs.append(Graph.from_edges(13, [e for i in range(1, 7) for e in ((0, i), (i, 6 + i))]))
     graphs.append(Graph.from_edges(7, [e for i in (1, 3, 5) for e in ((0, i), (0, i + 1), (i, i + 1))]))
@@ -468,12 +475,9 @@ def test_parity_kind_test_is_sound():
         assert cert.exact
         # the witness's own kind is one that passes
         assert _kind(cert.witness) in [sorted(kind) for kind in _parity_kinds(g, cert.upper)]
-        # the quick test says whether any kind passes
-        for p in range(1, g.n + 1):
-            assert _has_parity_kind(g, p) == (next(_parity_kinds(g, p), None) is not None)
-        # and what it refutes has no coloring, by the enumerator that
+        # and what the test refutes has no coloring, by the enumerator that
         # shares nothing with the oracle
-        refuted = [p for p in range(1, cert.upper) if not _has_parity_kind(g, p)]
+        refuted = [p for p in range(1, cert.upper) if next(_parity_kinds(g, p), None) is None]
         if refuted and len(g.edges) <= 12:
             assert naive_minimum_palettes(g) > max(refuted), g.edges
 

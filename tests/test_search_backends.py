@@ -27,20 +27,19 @@ from palettebox.search import (
     Search,
     SearchBudget,
     active_backend,
-    edge_order,
 )
 from palettebox.oracle import coloring_within_family
 
 
 def edge_arrays(g):
     """Edge endpoints in search order, as the kernels take them."""
-    order = edge_order(g)
+    order = g.completion_order
     return ([g.edges[i][0] for i in order], [g.edges[i][1] for i in order])
 
 
 def run(g, k=None, p=None, family=None, budget=None):
-    """One whole search of ``g`` along the edge order every caller passes."""
-    return Search(g, edge_order(g), k, p, family).run(budget)
+    """One whole search of ``g``."""
+    return Search(g, k, p, family).run(budget)
 
 
 def palette_count(col):
@@ -112,7 +111,7 @@ def test_empty_and_zero_color_edges():
 
 def test_max_colors_guard():
     with pytest.raises(ValueError):
-        Search(cycle_graph(3), edge_order(cycle_graph(3)), MAX_COLORS + 1)
+        Search(cycle_graph(3), MAX_COLORS + 1)
 
 
 def test_node_budget_reports_budget_status():
@@ -170,11 +169,11 @@ P5C5 = cartesian_product(path_graph(5), cycle_graph(5))
 # that resumes from that depth's untried colors; petersen-k3 does so on the
 # coloring kernel all the way to exhaustion
 @pytest.mark.parametrize("unrun, final", [
-    (lambda: Search(PETERSEN, edge_order(PETERSEN), 3), EXHAUSTED),
-    (lambda: Search(PETERSEN, edge_order(PETERSEN), 4), FOUND),
-    (lambda: Search(P3C5, edge_order(P3C5), 12, 3), EXHAUSTED),
-    (lambda: Search(P3C5, edge_order(P3C5), 12, 4), FOUND),
-    (lambda: Search(P5C5, edge_order(P5C5), family=PATH_MODE_FAMILY), FOUND),
+    (lambda: Search(PETERSEN, 3), EXHAUSTED),
+    (lambda: Search(PETERSEN, 4), FOUND),
+    (lambda: Search(P3C5, 12, 3), EXHAUSTED),
+    (lambda: Search(P3C5, 12, 4), FOUND),
+    (lambda: Search(P5C5, family=PATH_MODE_FAMILY), FOUND),
 ], ids=["petersen-k3", "petersen-k4", "p3c5-count-p3", "p3c5-count-p4", "p5c5-family"])
 @pytest.mark.parametrize("turn", [1, 7, 1_024])
 def test_a_search_resumed_in_turns_matches_one_run(unrun, final, turn):
@@ -220,7 +219,7 @@ def first_in_family(g, family, k):
     depth-first search over the edges in search order, colors ascending,
     meets them.
     """
-    order = edge_order(g)
+    order = g.completion_order
     eu, ev = edge_arrays(g)
     for colors in itertools.product(range(1, k + 1), repeat=len(order)):
         at = [set() for _ in range(g.n)]

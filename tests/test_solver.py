@@ -15,7 +15,7 @@ from palettebox.graphs import (
     path_graph,
     petersen_graph,
 )
-from palettebox.search import SearchBudget, edge_order
+from palettebox.search import SearchBudget
 from palettebox.solver import chromatic_index, misra_gries_coloring
 
 
@@ -80,60 +80,6 @@ def test_a_proven_class_two_survives_a_budget_stop(graph, nodes, value):
     assert res.status == "indeterminate" and res.witness is None
     assert res.value == value
     assert res.is_class_one is False
-
-
-def test_solver_edge_order_completes_vertices_first():
-    # every edge has an end with one edge left; (3, 4) wins on its other end
-    # (2 left, against the centre's 3), then the leaves go in position order
-    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    assert [g.edges[i] for i in edge_order(g)] == [(3, 4), (0, 1), (0, 2), (0, 3)]
-
-
-def completion_order_reference(g):
-    """The completion rule by a plain minimum over the uncolored edges."""
-    left = list(g.degrees)
-    rest = list(range(len(g.edges)))
-    order = []
-    while rest:
-        def key(i):
-            a, b = (left[x] for x in g.edges[i])
-            return (min(a, b), max(a, b), i)
-        i = min(rest, key=key)
-        rest.remove(i)
-        order.append(i)
-        for x in g.edges[i]:
-            left[x] -= 1
-    return order
-
-
-def assert_completion_order(g):
-    order = edge_order(g)
-    assert sorted(order) == list(range(len(g.edges)))
-    assert order == completion_order_reference(g)
-    assert edge_order(g) == order
-
-
-@pytest.mark.parametrize("g", [
-    *small_corpus(max_edges=40),
-    petersen_graph(),
-    complete_graph(6),
-    hypercube_graph(4),
-    cartesian_product(path_graph(3), cycle_graph(5)),
-    cartesian_product(path_graph(5), cycle_graph(3)),
-    cartesian_product(path_graph(4), path_graph(5)),
-    Graph(4, ()),
-], ids=lambda g: g.tag or "edgeless")
-def test_solver_edge_order_matches_reference_on_corpus(g):
-    assert_completion_order(g)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_solver_edge_order_matches_reference_on_random_graphs(data):
-    n = data.draw(st.integers(1, 12))
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = data.draw(st.sets(st.sampled_from(possible))) if possible else set()
-    assert_completion_order(Graph.from_edges(n, sorted(chosen)))
 
 
 def test_k9_node_count_is_pinned():
