@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import operator
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, TypeVar
 
@@ -45,20 +44,21 @@ class Graph:
         n, edges = self.n, self.edges
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if type(edges) is tuple:
-            # one pass: each edge must be in range and follow the one before
-            # it, starting from a virtual edge (0, 0), so the first needs 0 <= u
-            pu, pv = 0, 0
-            try:
-                for u, v in edges:
-                    if not (pu < u < v < n or u == pu and pv < v < n):
-                        break
-                    pu, pv = u, v
-                else:
-                    return
-            except (TypeError, ValueError):
-                pass
-        _check_edges_in_two_passes(n, edges)
+        # each edge must be in range and follow the one before it, starting
+        # from a virtual edge (0, 0); a range error raises at once, and the
+        # first order error only after the loop, so range errors come first
+        pu, pv = 0, 0
+        disorder = None
+        for u, v in edges:
+            if not (pu < u < v < n or u == pu and pv < v < n):
+                if not 0 <= u < v < n:
+                    raise ValueError(f"edge {(u, v)} is not canonical or out of range")
+                if disorder is None:
+                    disorder = (f"duplicate edge {(u, v)}" if (u, v) == (pu, pv)
+                                else "edges must be sorted lexicographically")
+            pu, pv = u, v
+        if disorder is not None:
+            raise ValueError(disorder)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]],
@@ -159,26 +159,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)}, tag={self.tag!r})"
-
-
-def _check_edges_in_two_passes(n: int, edges: Sequence) -> None:
-    """The edge check ``Graph`` falls back on where its one pass rejects or cannot run.
-
-    Every edge must be in range, then the edges must increase strictly, so
-    a range error anywhere comes before any order error.  The one pass runs
-    only on a tuple, because a rejected input is read again here; any other
-    container comes straight here.
-    """
-    for e in edges:
-        u, v = e
-        if not (0 <= u < v < n):
-            raise ValueError(f"edge {e} is not canonical or out of range")
-    # a strictly increasing edge tuple is sorted and repeats no edge
-    if not all(map(operator.lt, edges, edges[1:])):
-        prev, e = next(pair for pair in zip(edges, edges[1:]) if not pair[0] < pair[1])
-        if e == prev:
-            raise ValueError(f"duplicate edge {e}")
-        raise ValueError("edges must be sorted lexicographically")
 
 
 # ---------------------------------------------------------------------------

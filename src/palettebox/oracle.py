@@ -95,23 +95,17 @@ class Certificate:
 
 def default_max_palettes(graph: Graph) -> int:
     """Search cap: Delta+1 for regular graphs, #degrees + Delta otherwise."""
-    if graph.n == 0 or not graph.edges:
-        return 1
-    distinct = len(set(graph.degrees))
     if graph.is_regular:
         return graph.max_degree + 1
-    return distinct + graph.max_degree
+    return len(set(graph.degrees)) + graph.max_degree
 
 
 def _lower_bound_impl(graph: Graph, tracker) -> tuple[int, str, Optional[ChromaticIndexResult]]:
     """The lower bound, its rule and the chromatic-index result it used."""
     if graph.n == 0:
         return 0, "degree-set", None
-    distinct = len(set(graph.degrees))
     if not graph.is_regular:
-        return distinct, "degree-set", None
-    if graph.max_degree == 0:
-        return 1, "degree-set", None
+        return len(set(graph.degrees)), "degree-set", None
     result = chromatic_index(graph, tracker)
     if result.is_class_one is False:
         return 3, "regular-class2", result
@@ -184,7 +178,7 @@ def _has_odd_part(graph: Graph, degrees: frozenset[int]) -> bool:
     return False
 
 
-def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozenset[int]]]:
+def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[int]]:
     """Yield, lazily, the palette families a coloring with exactly p palettes can have.
 
     The families are enumerated kind by kind over ``_parity_kinds``, so a
@@ -204,15 +198,16 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
     must be distinct, and two neighbouring palettes of one degree and
     parity are kept only in the order that makes x lexicographically
     largest over the two (sets in integer order as bitmasks), which
-    keeps the largest x of every relabeling of those groups.  The empty
-    palette of isolated vertices is added to every family.  Every
+    keeps the largest x of every relabeling of those groups.  A family is
+    the list of its palette masks, bit c for color c, with the empty
+    palette of isolated vertices, 0, added to every family.  Every
     coloring with exactly p distinct palettes relabels into a family
     yielded here, under the parity pattern of its own palette counts: its
     colors pass both tests, as each color class is a matching.  So
     exhausting them all refutes p whenever the palette index is at least p.
     """
     odd_parts: dict[frozenset[int], bool] = {}
-    tail = [frozenset()] if 0 in graph.degrees else []
+    tail = [0] if 0 in graph.degrees else []
     for kind in _parity_kinds(graph, p):
         slots = len(kind)
         need = [d for d, _ in kind]
@@ -256,26 +251,23 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
                     return first.get(t, 0) > second.get(t, 0)
             return True
 
-        def fill(i: int, used: int):
-            """Fill the palettes from i on, those before i being complete."""
-            if i > 0 and not distinct_and_ordered(i - 1):
-                return
+        def place(i: int, start: int, used: int):
+            """Fill palette i from the sets by_least[i][start:], then the palettes after it."""
             if i == slots:
-                family = [set() for _ in kind]
+                family = [0] * slots
                 color = 1
                 for s in sorted(x):
+                    # the colors color .. color + x[s] - 1 lie in exactly the palettes s
+                    bits = (1 << color + x[s]) - (1 << color)
                     for h in range(slots):
                         if s >> h & 1:
-                            family[h].update(range(color, color + x[s]))
+                            family[h] |= bits
                     color += x[s]
-                yield [frozenset(pal) for pal in family] + tail
+                yield family + tail
                 return
-            yield from place(i, 0, used)
-
-        def place(i: int, start: int, used: int):
-            """Give palette i its missing colors from the sets by_least[i][start:]."""
             if need[i] == 0:
-                yield from fill(i + 1, used)
+                if distinct_and_ordered(i):
+                    yield from place(i + 1, 0, used)
                 return
             for j in range(start, len(by_least[i])):
                 s, members = by_least[i][j]
@@ -288,7 +280,7 @@ def _parity_families(graph: Graph, p: int, colors: int) -> Iterator[list[frozens
                     for m in members:
                         need[m] += v
 
-        yield from fill(0, 0)
+        yield from place(0, 0, 0)
 
 
 def _settle_target(graph: Graph, k: int, p: int, tracker):
@@ -355,11 +347,6 @@ def palette_index_exact(graph: Graph, candidates: Iterable[EdgeColoring] = (),
         max_palettes = default_max_palettes(graph)
     if max_palettes < 1:
         raise ValueError("max_palettes must be at least 1")
-    if graph.n == 0 or not graph.edges:
-        value = 1 if graph.n else 0
-        return Certificate(value, value, "degree-set", EdgeColoring(graph, ()),
-                           tracker.nodes, "exact")
-
     delta = graph.max_degree
     m = len(graph.edges)
     proven, rule, chrom = _lower_bound_impl(graph, tracker)
@@ -401,11 +388,19 @@ def coloring_within_family(graph: Graph, family: Iterable[frozenset[int]],
 
     Returns (status, coloring) with search.FOUND / EXHAUSTED / BUDGET.
     Infeasible at once if some vertex degree matches no family member's
-    size; the search is built first, so a family it rejects still raises.
+    size, but only after the family is checked: a color outside
+    1..``search.MAX_COLORS`` or an empty family raises ``ValueError``.
     """
-    family = [frozenset(pal) for pal in family]
-    found = search.Search(graph, family=family)
-    sizes = {len(pal) for pal in family}
+    masks = []
+    for pal in family:
+        mask = 0
+        for c in pal:
+            if not 1 <= c <= search.MAX_COLORS:
+                raise ValueError(f"family color {c} out of kernel range")
+            mask |= 1 << c
+        masks.append(mask)
+    found = search.Search(graph, family=masks)
+    sizes = {mask.bit_count() for mask in masks}
     if any(d not in sizes for d in graph.degrees):
         return search.EXHAUSTED, None
     return found.run(budget)

@@ -5,10 +5,11 @@ The other searches a proper coloring whose completed vertex palettes come
 from a collection of at most ``p_target`` distinct masks.  The
 minimum-palette search starts it with an empty collection, or with only
 the empty palette of isolated vertices, and the collection grows as
-vertices complete.  The family search starts it with the family already
-collected and ``p_target`` its size, and with all k colors allowed at
-depth 0: every depth may then use every color, which turns color-symmetry
-breaking off, as it must be since the family fixes concrete colors.
+vertices complete.  The family search starts it with the family, a list
+of palette masks, already collected and ``p_target`` its size, and with
+all k colors allowed at depth 0: every depth may then use every color,
+which turns color-symmetry breaking off, as it must be since the family
+fixes concrete colors.
 
 Each kernel advances by at most ``node_limit`` nodes per call and leaves
 its entire stack in the caller's arrays.  ``Search``, the one entry point
@@ -354,16 +355,17 @@ class Search:
     """One budgeted, resumable search of ``graph``, coloring edges along its ``completion_order``.
 
     Without ``p`` it is the coloring search with colors in [k]; with it the
-    count search with at most p distinct palettes; with ``family``, an
-    iterable of color sets, the family search, whose k and p are the
-    family's largest color and size.  Each is seeded as the module
-    docstring says.  Input the kernels cannot run is settled here, so
-    ``run`` never starts them and the graph makes no order for them: an
-    edgeless graph has the empty coloring, and no coloring exists with
-    k <= 0 or with p below the palettes that are forced (the empty one of
-    isolated vertices, and one more if there are edges).  More colors
-    than ``MAX_COLORS``, a family color outside 1..MAX_COLORS and an empty
-    family raise ``ValueError``.
+    count search with at most p distinct palettes; with ``family``, a list
+    of palette masks (bit c for color c, 0 for the empty palette), the
+    family search, whose k and p are the family's largest color and size.
+    Each is seeded as the module docstring says.  Input the kernels cannot
+    run is settled here, so ``run`` never starts them and the graph makes
+    no order for them: an edgeless graph has the empty coloring, and no
+    coloring exists with k <= 0 or with p below the palettes that are
+    forced (the empty one of isolated vertices, and one more if there are
+    edges).  An empty family, a family mask with bit 0, which the kernels
+    keep for an untried depth, and more colors than ``MAX_COLORS``, which
+    overflow the int64 buffers, raise ``ValueError``.
     """
 
     __slots__ = ("graph", "_step", "_args", "_state", "_assign", "_settled")
@@ -371,17 +373,9 @@ class Search:
     def __init__(self, graph: Graph, k: Optional[int] = None, p: Optional[int] = None,
                  family=None):
         if family is not None:
-            masks = []
-            for pal in family:
-                mask = 0
-                for c in pal:
-                    if not (1 <= c <= MAX_COLORS):
-                        raise ValueError(f"family color {c} out of kernel range")
-                    mask |= 1 << c
-                masks.append(mask)
-            if not masks:
-                raise ValueError("palette family must be nonempty")
-            k, p, family = max(masks).bit_length() - 1, len(masks), masks
+            if not family or any(mask & 1 for mask in family):
+                raise ValueError("palette family must be nonempty, without color 0")
+            k, p = max(family).bit_length() - 1, len(family)
         self.graph = graph
         self._settled = None
         # a p below the forced palettes would seed more palettes than ``distinct`` holds
@@ -411,7 +405,7 @@ class Search:
         self._args = (eu, ev, m, k, buf(graph.degrees), p, assign, buf([0] * graph.n),
                       buf([2 if family is None else (2 << k) - 2] + [0] * m), buf([0] * m),
                       buf(graph.degrees), buf(seed + free),
-                      buf([bin(mask).count("1") for mask in seed] + free),
+                      buf([mask.bit_count() for mask in seed] + free),
                       buf([0] * m), buf([0] * m), buf([0] * m))
         self._state = [len(seed), 0]
 

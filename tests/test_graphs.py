@@ -73,16 +73,6 @@ def test_graph_rejects_malformed_input(n, edges, message):
     assert str(info.value) == message
 
 
-def test_a_well_formed_graph_is_checked_in_one_pass(monkeypatch):
-    def rescan(n, edges):
-        raise AssertionError(f"rescanned the well-formed edges {edges}")
-
-    monkeypatch.setattr(graphs, "_check_edges_in_two_passes", rescan)
-    for g in (Graph(0, ()), Graph(3, ((0, 2),)), path_graph(4), complete_graph(5),
-              cartesian_product(cycle_graph(5), path_graph(3))):
-        Graph(g.n, g.edges)
-
-
 def _two_pass_check(n, edges):
     """The reference edge check: every edge in range, then strictly increasing."""
     if n < 0:

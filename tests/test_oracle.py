@@ -26,6 +26,7 @@ from palettebox.oracle import (
     _parity_families,
     _parity_kinds,
     coloring_within_family,
+    default_max_palettes,
     lower_bound,
     naive_minimum_palettes,
     palette_index_exact,
@@ -33,6 +34,7 @@ from palettebox.oracle import (
 from palettebox.search import (
     EXHAUSTED,
     FOUND,
+    MAX_COLORS,
     BudgetTracker,
     Search,
     SearchBudget,
@@ -262,6 +264,22 @@ def test_improper_candidates_are_rejected():
 def test_max_palettes_below_one_is_rejected_with_or_without_edges(graph):
     with pytest.raises(ValueError, match="max_palettes must be at least 1"):
         palette_index_exact(graph, max_palettes=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_edgeless_certificates_are_exact_without_a_search(n):
+    # no vertex gives no palette, and isolated vertices share the empty one
+    value = min(n, 1)
+    for budget in (None, SearchBudget(max_nodes=0)):
+        for max_palettes in (None, 1, 5):
+            g = Graph(n, ())
+            cert = palette_index_exact(g, max_palettes=max_palettes, budget=budget)
+            assert (cert.interval, cert.rule, cert.stop, cert.nodes) == (
+                (value, value), "degree-set", "exact", 0)
+            assert cert.witness == EdgeColoring(g, ())
+            assert lower_bound(g, budget) == (value, "degree-set")
+            assert default_max_palettes(g) == 1
+            assert "completion_order" not in vars(g)
 
 
 def _family_witness(path, cycle):
@@ -510,6 +528,19 @@ def test_coloring_within_family():
     c5 = cycle_graph(5)
     status, col = coloring_within_family(c5, [{1, 2}])
     assert status == EXHAUSTED and col is None  # an odd cycle has no 2-coloring
+
+
+@pytest.mark.parametrize("family, message", [
+    ([{0, 1}], "family color 0 out of kernel range"),
+    ([{1, MAX_COLORS + 1}], f"family color {MAX_COLORS + 1} out of kernel range"),
+    ([], "palette family must be nonempty"),
+], ids=["color-zero", "color-above-limit", "empty-family"])
+def test_coloring_within_family_rejects_what_the_kernels_cannot_run(family, message):
+    # C4's degree fits every member; no member fits the Petersen graph's
+    # degree 3, and the family is still checked before it is refused
+    for g in (cycle_graph(4), petersen_graph()):
+        with pytest.raises(ValueError, match=message):
+            coloring_within_family(g, family)
 
 
 def test_naive_oracle_known_values():

@@ -37,9 +37,14 @@ def edge_arrays(g):
     return ([g.edges[i][0] for i in order], [g.edges[i][1] for i in order])
 
 
+def masks(family):
+    """The palette masks, bit c for color c, of a family of color sets."""
+    return [sum(1 << c for c in pal) for pal in family]
+
+
 def run(g, k=None, p=None, family=None, budget=None):
-    """One whole search of ``g``."""
-    return Search(g, k, p, family).run(budget)
+    """One whole search of ``g``, with ``family`` given as color sets."""
+    return Search(g, k, p, None if family is None else masks(family)).run(budget)
 
 
 def palette_count(col):
@@ -173,7 +178,7 @@ P5C5 = cartesian_product(path_graph(5), cycle_graph(5))
     (lambda: Search(PETERSEN, 4), FOUND),
     (lambda: Search(P3C5, 12, 3), EXHAUSTED),
     (lambda: Search(P3C5, 12, 4), FOUND),
-    (lambda: Search(P5C5, family=PATH_MODE_FAMILY), FOUND),
+    (lambda: Search(P5C5, family=masks(PATH_MODE_FAMILY)), FOUND),
 ], ids=["petersen-k3", "petersen-k4", "p3c5-count-p3", "p3c5-count-p4", "p5c5-family"])
 @pytest.mark.parametrize("turn", [1, 7, 1_024])
 def test_a_search_resumed_in_turns_matches_one_run(unrun, final, turn):
@@ -258,14 +263,12 @@ def test_family_search_finds_the_first_in_family_coloring():
 # one kernel source on both buffer types
 #
 # numba runs the kernels on int64 arrays and the fallback on lists of
-# Python ints.  Driving each uncompiled kernel over both buffer types, in
-# small chunks so every pause and resume is compared too, stands in for a
-# numba parity check where numba is not installed.  The int64 side runs
-# with numpy's integer overflow raised, so a mask that passes bit 62 fails
-# instead of wrapping.  The family cases run the palette kernel seeded
-# with the family, as a family ``Search`` does.  Each run returns its
-# calls and the colors of ``assign`` decoded from their bits (0 where no
-# color is set).
+# Python ints.  Driving ``Search`` with the uncompiled kernels on both
+# buffer types, in small turns so every pause and resume is compared too,
+# stands in for a numba parity check where numba is not installed; the
+# buffers are seeded by ``Search`` itself, as every search seeds them.
+# The int64 side runs with numpy's integer overflow raised, so a mask
+# that passes bit 62 fails instead of wrapping.
 
 PARITY_CHUNK = 7
 PETERSEN = petersen_graph()
@@ -285,48 +288,29 @@ def on_int64(run, *args):
         return run(search._int64, *args)
 
 
-def colors_of(assign):
-    return [int(c).bit_length() - 1 for c in assign]
+def stepped(buf, g, k=None, p=None, family=None):
+    """A ``Search`` on ``buf`` buffers and the Python kernels, run PARITY_CHUNK nodes a turn.
 
-
-def color_run(buf, g, k):
-    eu, ev = edge_arrays(g)
-    m = len(eu)
-    eu_b, ev_b = buf(eu), buf(ev)
-    assign, vmask, opened = buf([1] * m), buf([0] * g.n), buf([2] + [0] * m)
-    untried = buf([0] * m)
-    calls, status, pos = [], PAUSED, 0
+    A turn of PARITY_CHUNK nodes is one kernel call.  Returns each call's
+    status, nodes and the state the kernel resumes from, and the colors of
+    ``assign`` decoded from their bits (0 where no color is set).
+    """
+    kernels = (search._color_chunk_py, search._pcount_chunk_py)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_backend", lambda: (*kernels, buf))
+        s = Search(g, k, p, family)
+    tracker = BudgetTracker(None)
+    calls, status = [], PAUSED
     while status == PAUSED:
-        status, pos, nodes = search._color_chunk_py(eu_b, ev_b, m, k, assign, vmask,
-                                                    opened, untried, pos, PARITY_CHUNK)
-        calls.append((int(status), int(pos), int(nodes)))
-    return calls, colors_of(assign)
-
-
-def pcount_run(buf, g, k, p_target, seed=(), opened0=2):
-    eu, ev = edge_arrays(g)
-    m = len(eu)
-    eu_b, ev_b, deg = buf(eu), buf(ev), buf(g.degrees)
-    assign, vmask, opened = buf([1] * m), buf([0] * g.n), buf([opened0] + [0] * m)
-    deg_left, added = buf(g.degrees), buf([0] * m)
-    untried, r_us, r_vs = buf([0] * m), buf([0] * m), buf([0] * m)
-    free = [0] * (p_target + 1 - len(seed))
-    distinct = buf([mask for mask, _ in seed] + free)
-    dsize = buf([size for _, size in seed] + free)
-    calls, status, pos, dcount = [], PAUSED, 0, len(seed)
-    while status == PAUSED:
-        status, dcount, pos, nodes = search._pcount_chunk_py(
-            eu_b, ev_b, m, k, deg, p_target, assign, vmask, opened, untried, deg_left,
-            distinct, dsize, added, r_us, r_vs, dcount, pos, PARITY_CHUNK)
-        calls.append((int(status), int(dcount), int(pos), int(nodes)))
-    return calls, colors_of(assign)
+        before = tracker.nodes
+        status, _ = s.run(tracker, PARITY_CHUNK)
+        calls.append((status, tracker.nodes - before, [int(x) for x in s._state]))
+    return calls, [int(c).bit_length() - 1 for c in s._assign]
 
 
 def family_run(buf, g, family):
-    """The palette kernel with ``family`` as its full collection, as the family search runs it."""
-    seed = [(sum(1 << c for c in pal), len(pal)) for pal in family]
-    k = max(mask for mask, _ in seed).bit_length() - 1
-    return pcount_run(buf, g, k, len(seed), seed, opened0=(2 << k) - 2)
+    """The family search of ``family``, given as color sets."""
+    return stepped(buf, g, family=masks(family))
 
 
 @pytest.mark.parametrize("g, k, final", [
@@ -340,8 +324,8 @@ def family_run(buf, g, family):
     (STAR, MAX_COLORS, FOUND),
 ])
 def test_color_kernel_same_on_list_and_int64_buffers(g, k, final):
-    on_lists = color_run(list, g, k)
-    assert on_lists == on_int64(color_run, g, k)
+    on_lists = stepped(list, g, k)
+    assert on_lists == on_int64(stepped, g, k)
     assert on_lists[0][-1][0] == final
 
 
@@ -361,8 +345,8 @@ def test_color_kernel_same_on_list_and_int64_buffers(g, k, final):
     (STAR, MAX_COLORS, MAX_COLORS + 1, FOUND),
 ])
 def test_pcount_kernel_same_on_list_and_int64_buffers(g, k, p_target, final):
-    on_lists = pcount_run(list, g, k, p_target)
-    assert on_lists == on_int64(pcount_run, g, k, p_target)
+    on_lists = stepped(list, g, k, p_target)
+    assert on_lists == on_int64(stepped, g, k, p_target)
     assert on_lists[0][-1][0] == final
 
 
@@ -381,8 +365,8 @@ def test_family_kernel_same_on_list_and_int64_buffers(g, family, final):
 
 
 def test_parity_cases_reach_the_top_color():
-    assert MAX_COLORS in color_run(list, STAR, MAX_COLORS)[1]
-    assert MAX_COLORS in pcount_run(list, STAR, MAX_COLORS, MAX_COLORS + 1)[1]
+    assert MAX_COLORS in stepped(list, STAR, MAX_COLORS)[1]
+    assert MAX_COLORS in stepped(list, STAR, MAX_COLORS, MAX_COLORS + 1)[1]
     assert MAX_COLORS in family_run(list, PETERSEN, HIGH_FAMILY)[1]
 
 
